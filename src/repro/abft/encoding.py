@@ -197,14 +197,19 @@ class EncodedMatrix:
         are in place (rows ``0 .. j+1`` of column ``j``); every channel's
         maintained column checksum for those columns is frozen to the
         weighted column sum of H ("computed segment by segment", as the
-        paper describes for the analogous Q checksums in Fig. 5).
+        paper describes for the analogous Q checksums in Fig. 5). The
+        whole panel is one product with the columns' rows below their
+        H segments masked to zero.
         """
         n = self.n
-        for j in range(p, min(p + ib, n)):
-            hi = min(j + 2, n)
-            self.ext[n:, j] = self.weights[:, :hi] @ self.ext[:hi, j]
-            if counter is not None:
-                counter.add("abft_maintain", self.k * F.dot_flops(hi))
+        hi = min(p + ib, n)
+        if hi <= p:
+            return
+        rows = min(hi + 1, n)  # column j's segment is rows [0, min(j+2, n))
+        seg = np.triu(self.ext[:rows, p:hi], -(p + 1))
+        self.ext[n:, p:hi] = self.weights[:, :rows] @ seg
+        if counter is not None:
+            counter.add("abft_maintain", self.k * F.segment_refresh_flops(n, p, ib))
 
     # -- convenience -------------------------------------------------------
 

@@ -14,6 +14,7 @@ suffices:
 Maintenance costs two GEMV-class sweeps per panel; the hybrid driver
 schedules them on the CPU underneath the GPU's trailing-matrix update so
 they are off the critical path (the paper's headline overlap trick).
+Here they are two reductions over one masked block per panel.
 Verification happens once, at the end of the factorization, because a Q
 error cannot propagate.
 """
@@ -28,6 +29,9 @@ from repro.errors import UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.abft.location import LocatedError, LocationReport, decode_residuals
+
+#: Columns per block when :meth:`QProtector.fresh_sums` sweeps the region.
+_SWEEP_COLS = 64
 
 
 def _q_mask_col(n: int, j: int, offset: int = 2) -> slice:
@@ -49,15 +53,11 @@ class QProtector:
     ----------
     n:
         Matrix order.
-    norm_a:
-        1-norm scale for thresholds. Note the Householder vectors are
-        bounded by 1 in magnitude, so this is conservative.
     eps_factor:
         Same roundoff-margin policy as the H detector.
     """
 
     n: int
-    norm_a: float = 1.0
     eps_factor: float = 1.0e3
     offset: int = 2
     finished_cols: int = 0
@@ -74,6 +74,19 @@ class QProtector:
         self.qr_chk[:] = 0.0
         self.qc_chk[:] = 0.0
         self.finished_cols = 0
+
+    def _block(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The protected entries of columns ``[lo, hi)`` as a float64 copy.
+
+        Rows run from ``lo + offset`` down, so column ``lo + c`` owns rows
+        ``c ..`` of the block; the strict upper triangle, which is not
+        reflector storage, is zeroed.
+        """
+        src = a[lo + self.offset : self.n, lo:hi]
+        blk = np.zeros(src.shape, order="F")
+        # a masked copy, not np.tril: its where() crawls over F-ordered input
+        np.copyto(blk, src, where=np.tri(*src.shape, dtype=bool))
+        return blk
 
     # -- maintenance -------------------------------------------------------
 
@@ -93,15 +106,11 @@ class QProtector:
             raise UncorrectableError(
                 f"Q checksum panels must arrive in order: expected {self.finished_cols}, got {p}"
             )
-        n = self.n
-        for j in range(p, p + ib):
-            rows = _q_mask_col(n, j, self.offset)
-            col = a[rows, j]
-            seg = float(np.sum(col))
-            self.qc_chk[j] = seg
-            self.qr_chk[rows] += col
-            if counter is not None:
-                counter.add("abft_qprotect", 2 * F.dot_flops(max(col.size, 1)))
+        blk = self._block(a, p, p + ib)
+        self.qc_chk[p : p + ib] = blk.sum(axis=0)
+        self.qr_chk[p + self.offset : self.n] += blk.sum(axis=1)
+        if counter is not None:
+            counter.add("abft_qprotect", F.q_segment_flops(self.n, p, ib, self.offset))
         self.finished_cols = p + ib
 
     def rollback_panel(self, a: np.ndarray, p: int, ib: int) -> None:
@@ -115,33 +124,35 @@ class QProtector:
                 f"can only roll back the last Q panel (finished={self.finished_cols}, "
                 f"got [{p}, {p + ib}))"
             )
-        n = self.n
-        for j in range(p, p + ib):
-            rows = _q_mask_col(n, j, self.offset)
-            self.qr_chk[rows] -= a[rows, j]
-            self.qc_chk[j] = 0.0
+        self.qr_chk[p + self.offset : self.n] -= self._block(a, p, p + ib).sum(axis=1)
+        self.qc_chk[p : p + ib] = 0.0
         self.finished_cols = p
 
     # -- verification ------------------------------------------------------
 
     def fresh_sums(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute both checksum vectors from the stored Q region."""
-        n = self.n
-        fr = np.zeros(n)
-        fc = np.zeros(n)
-        for j in range(self.finished_cols):
-            rows = _q_mask_col(n, j, self.offset)
-            col = a[rows, j]
-            fc[j] = float(np.sum(col))
-            fr[rows] += col
+        """Recompute both checksum vectors from the stored Q region.
+
+        The region is swept in blocks of :data:`_SWEEP_COLS` columns, so
+        the float64 copy stays small instead of costing 8·n² bytes.
+        """
+        fr = np.zeros(self.n)
+        fc = np.zeros(self.n)
+        for lo in range(0, self.finished_cols, _SWEEP_COLS):
+            hi = min(lo + _SWEEP_COLS, self.finished_cols)
+            blk = self._block(a, lo, hi)
+            fc[lo:hi] = blk.sum(axis=0)
+            fr[lo + self.offset :] += blk.sum(axis=1)
         return fr, fc
 
     def threshold(self, dtype: np.dtype | type = np.float64) -> float:
+        # DLARFG bounds every stored reflector entry by 1, so each sum
+        # has at most n terms of magnitude <= 1 whatever the scale of A.
         # eps of the *storage* dtype: corrections write float64 checksum
         # arithmetic back into the stored Q region, so at fp32 the
         # re-verification residual carries single-precision cast noise.
         eps = float(np.finfo(np.dtype(dtype)).eps)
-        return self.eps_factor * eps * max(1.0, self.norm_a) * self.n
+        return self.eps_factor * eps * self.n
 
     def verify(self, a: np.ndarray, *, counter: FlopCounter | None = None) -> LocationReport:
         """Locate Q-region errors (paper: once, at the end of the run)."""
@@ -171,7 +182,13 @@ class QProtector:
                 if not (rows.start <= i < n and 0 <= j < self.finished_cols):
                     raise UncorrectableError(f"Q error index out of range: ({i}, {j})")
                 col = a[rows, j]
-                others = float(np.sum(col)) - float(a[i, j])
+                # the other entries, summed in float64 like the maintained
+                # checksums, without the faulty one: subtracting a large
+                # fault back out of the sum would leave its rounding behind
+                k = i - rows.start
+                others = float(np.sum(col[:k], dtype=np.float64)) + float(
+                    np.sum(col[k + 1 :], dtype=np.float64)
+                )
                 a[i, j] = self.qc_chk[j] - others
                 if counter is not None:
                     counter.add("abft_correct", F.dot_flops(col.size) + 1)
@@ -185,7 +202,7 @@ class QProtector:
             elif e.kind == "col_checksum":
                 j = e.col
                 rows = _q_mask_col(n, j, self.offset)
-                self.qc_chk[j] = float(np.sum(a[rows, j]))
+                self.qc_chk[j] = float(np.sum(a[rows, j], dtype=np.float64))
             else:
                 raise UncorrectableError(f"unknown Q error kind {e.kind!r}")
         return len(errors)

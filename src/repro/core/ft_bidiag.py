@@ -282,8 +282,8 @@ def ft_gebd2(
     # reflector-storage protection: column reflectors live below the
     # diagonal (offset 1); row reflectors right of the superdiagonal —
     # i.e. below the first subdiagonal of the TRANSPOSE (offset 2).
-    qprot_cols = QProtector(n, norm_a=norm_a, eps_factor=eps_factor_locate, offset=1)
-    qprot_rows = QProtector(n, norm_a=norm_a, eps_factor=eps_factor_locate, offset=2)
+    qprot_cols = QProtector(n, eps_factor=eps_factor_locate, offset=1)
+    qprot_rows = QProtector(n, eps_factor=eps_factor_locate, offset=2)
 
     recoveries: list[RecoveryEvent] = []
     detections = 0

@@ -169,7 +169,7 @@ def ft_gehrd(
     if functional:
         em = EncodedMatrix(a, channels=config.channels, counter=counter)
         detector = Detector(config.threshold, norm_a)
-        qprot = QProtector(n, norm_a=norm_a, eps_factor=config.eps_factor_locate)
+        qprot = QProtector(n, eps_factor=config.eps_factor_locate)
         store = DisklessCheckpointStore()
         store.save_initial(em)  # the restart tier's substrate
         taus = np.zeros(max(n - 1, 0), dtype=em.ext.dtype)

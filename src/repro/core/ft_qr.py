@@ -188,7 +188,7 @@ def ft_geqrf(
     tol = eps_factor_locate * eps * max(1.0, norm_a) * n
 
     st = _FTQRState(np.asarray(a, dtype=np.float64), channels, counter)
-    qprot = QProtector(n, norm_a=norm_a, eps_factor=eps_factor_locate, offset=1)
+    qprot = QProtector(n, eps_factor=eps_factor_locate, offset=1)
     recoveries: list[RecoveryEvent] = []
     detections = 0
     checks = 0

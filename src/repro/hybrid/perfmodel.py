@@ -16,6 +16,7 @@ structure, which the event engine reproduces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -109,10 +110,7 @@ class CostModel:
         ``Y(:, j) = A(:, j+1:) v`` run on the GPU; this is the dominant,
         memory-bound share of the panel (and of the whole reduction).
         """
-        total = 0.0
-        for j in range(ib):
-            total += self.gemv("gpu", m, max(m - j, 1))
-        return total
+        return _panel_gpu_part(self, m, ib)
 
     def panel_cpu_part(self, m: int, ib: int) -> float:
         """Host share of the hybrid panel: reflector generation and the
@@ -125,3 +123,13 @@ class CostModel:
     def panel_sync_overhead(self, ib: int) -> float:
         """Per-column CPU↔GPU ping-pong latencies inside the panel."""
         return 2.0 * ib * self.machine.link.latency_us * 1e-6
+
+
+@functools.lru_cache(maxsize=4096)
+def _panel_gpu_part(cost: CostModel, m: int, ib: int) -> float:
+    # a per-column sum every run repeats for the same (m, ib) shapes;
+    # cached per model (frozen, so hashable) with the summation order kept
+    total = 0.0
+    for j in range(ib):
+        total += cost.gemv("gpu", m, max(m - j, 1))
+    return total

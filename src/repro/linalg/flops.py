@@ -74,6 +74,46 @@ def larfg_flops(n: int) -> int:
     return 3 * n
 
 
+def lahr2_flops(n: int, p: int, ib: int) -> int:
+    """Exact flops of one panel factorization ``lahr2(a, p, ib, n)``.
+
+    With ``m = n - p - 1`` rows below the panel's first pivot, column
+    ``j`` of the panel costs its right-update GEMV ``2mj``, the left-update
+    chain ``3j² + 4(m-j)j``, DLARFG on ``m-j`` entries ``3(m-j)``, the Y
+    GEMV ``2m(m-j)``, the Y/T correction ``2(m-j)j + 2mj + j²`` and the Y
+    scaling ``m`` — ``2m² + 4m + (8m-3)j - 2j²`` in all, summed here in
+    closed form — and the top rows of Y add two TRMMs and one GEMM.
+    """
+    m = n - p - 1
+    s1 = ib * (ib - 1) // 2  # sum of j over the panel
+    s2 = (ib - 1) * ib * (2 * ib - 1) // 6  # sum of j²
+    columns = ib * (2 * m * m + 4 * m) + (8 * m - 3) * s1 - 2 * s2
+    top = 2 * trmm_flops(p + 1, ib, False) + gemm_flops(p + 1, ib, max(0, m - ib))
+    return columns + top
+
+
+def q_segment_flops(n: int, p: int, ib: int, offset: int) -> int:
+    """Flops to fold reflector columns ``[p, p+ib)`` into the Q checksums.
+
+    Column ``j`` contributes two dot products (its row-sum share and its
+    column sum) over its ``n - j - offset`` protected entries, charged as
+    at least one entry each.
+    """
+    first = n - offset - p  # protected entries of column p
+    full = min(max(first, 0), ib)  # columns with at least one entry
+    entries = full * first - full * (full - 1) // 2 + (ib - full)
+    return 2 * (2 * entries - ib)
+
+
+def segment_refresh_flops(n: int, p: int, ib: int) -> int:
+    """Flops per checksum channel to freeze finished columns ``[p, p+ib)``:
+    one ``min(j + 2, n)``-term dot product per column ``j < n``."""
+    cols = max(0, min(p + ib, n) - p)
+    short = max(0, min(p + ib, n - 1) - p)  # columns with j + 2 <= n
+    terms = short * (p + 2) + short * (short - 1) // 2 + (cols - short) * n
+    return 2 * terms - cols
+
+
 def abft_fused_rows_flops(k: int, n: int, ib: int) -> int:
     """Flops charged to *k* checksum rows riding a fused FT-GEMM apply.
 

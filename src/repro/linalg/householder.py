@@ -9,7 +9,7 @@ makes the in-place blocked algorithm and the checksum bookkeeping work).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 
 
-@dataclass(frozen=True)
-class Reflector:
+class Reflector(NamedTuple):
     """A generated Householder reflector.
 
     Attributes
@@ -57,14 +56,18 @@ def larfg(
     if counter is not None:
         counter.add(category, F.larfg_flops(n + 1))
     if n == 0:
-        return Reflector(beta=float(alpha), tau=0.0, v=x)
-    xnorm = float(np.linalg.norm(x))
+        return Reflector(float(alpha), 0.0, x)
+    # sqrt(x . x) over a contiguous operand is bitwise what np.linalg.norm
+    # computes for a 1-D vector (it ravels a strided one into a copy
+    # first); BLAS dot over a strided view sums in another order
+    xc = x if x.flags.c_contiguous else x.copy()
+    xnorm = float(np.sqrt(xc.dot(xc)))
     if xnorm == 0.0:
-        return Reflector(beta=float(alpha), tau=0.0, v=x)
+        return Reflector(float(alpha), 0.0, x)
     beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
     tau = (beta - alpha) / beta
     x /= alpha - beta
-    return Reflector(beta=float(beta), tau=float(tau), v=x)
+    return Reflector(float(beta), float(tau), x)
 
 
 def full_vector(refl: Reflector) -> np.ndarray:

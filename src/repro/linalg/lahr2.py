@@ -22,7 +22,9 @@ is two plain GEMVs against it — no ``np.tril`` triangle materializations
 allocation. V is kept inside a zero-padded buffer spanning *all* rows of
 the storage (``v_full``), which is what lets the checksum-extended
 updates run as single in-place GEMMs on full-column slices: the zero
-rows contribute exactly nothing.
+rows contribute exactly nothing. The per-column loop does only the
+BLAS work; its flops are charged once per call, in closed form
+(:func:`~repro.linalg.flops.lahr2_flops`).
 """
 
 from __future__ import annotations
@@ -150,62 +152,53 @@ def lahr2(
 
     for j in range(ib):
         c = p + j  # global column of reflector j
+        bcol = arows[:, c]  # rows p+1..n-1 of column c: the pivot is bcol[j]
         if j > 0:
+            # the j reflectors so far, shared by both updates and Y/T below
+            yprev = ya[:, :j]
+            vprev = v[:, :j]
+            tprev = t[:j, :j]
+            w = wj[:j]
+            w2 = wj2[:j]
             # (1) right-update contribution to column c. The needed V-row
             # (global row p+j) is row j-1 of the dense block — identical
             # to the packed storage row, unit entry included (it is still
             # 1.0 in storage at this point).
-            np.matmul(ya[:, :j], v[j - 1, :j], out=g)
-            arows[:, c] -= g
-            if counter is not None:
-                counter.add(category, F.gemv_flops(n - p - 1, j))
+            np.matmul(yprev, v[j - 1, :j], out=g)
+            bcol -= g
 
             # (2) left update: apply (I - V Tᵀ Vᵀ) to this column. The
             # dense V (explicit units, explicit zeros) turns the
             # triangular/rectangular split of LAPACK into two GEMVs.
-            bcol = arows[:, c]
-            np.matmul(v[:, :j].T, bcol, out=wj[:j])
-            np.matmul(t[:j, :j].T, wj[:j], out=wj2[:j])
-            np.matmul(v[:, :j], wj2[:j], out=g)
+            np.matmul(vprev.T, bcol, out=w)
+            np.matmul(tprev.T, w, out=w2)
+            np.matmul(vprev, w2, out=g)
             bcol -= g
-            if counter is not None:
-                counter.add(
-                    category,
-                    2 * F.trmv_flops(j) + 2 * F.gemv_flops(n - p - j - 1, j) + F.trmv_flops(j),
-                )
             # restore the subdiagonal entry overwritten by the unit of
             # reflector j-1
             a[p + j, p + j - 1] = ei
 
         # Generate reflector j annihilating a[p+j+2 : n, c]
         pivot_row = p + j + 1
-        refl = larfg(a[pivot_row, c], a[pivot_row + 1 : n, c], counter=counter, category=category)
-        ei = refl.beta
-        a[pivot_row, c] = 1.0
+        ei, tau, _ = larfg(bcol[j], bcol[j + 1 :])
+        bcol[j] = 1.0
 
-        vj = a[pivot_row:n, c]  # full reflector vector (unit entry in place)
+        vj = bcol[j:]  # full reflector vector (unit entry in place)
         v[j:, j] = vj  # incremental dense V (rows above j are already zero)
 
         # Y[p+1:n, j] = tau_j * ( A[p+1:n, p+j+1:n] @ vj  -  Y[p+1:n, :j] @ (V2ᵀ vj) )
         ycol = ya[:, j]
         np.matmul(arows[:, pivot_row:n], vj, out=ycol)
         if j > 0:
-            np.matmul(v[j:, :j].T, vj, out=wj[:j])  # tcol
-            np.matmul(ya[:, :j], wj[:j], out=g)
+            np.matmul(vprev[j:].T, vj, out=w)  # tcol
+            np.matmul(yprev, w, out=g)
             ycol -= g
             # T[:j, j] = T[:j,:j] @ (-tau_j * tcol)
-            np.multiply(wj[:j], -refl.tau, out=wj2[:j])
-            np.matmul(t[:j, :j], wj2[:j], out=t[:j, j])
-        ycol *= refl.tau
-        t[j, j] = refl.tau
-        taus[j] = refl.tau
-        if counter is not None:
-            counter.add(
-                category,
-                F.gemv_flops(n - p - 1, n - pivot_row)
-                + (F.gemv_flops(n - pivot_row, j) + F.gemv_flops(n - p - 1, j) + F.trmv_flops(j) if j > 0 else 0)
-                + F.scal_flops(n - p - 1),
-            )
+            np.multiply(w, -tau, out=w2)
+            np.matmul(tprev, w2, out=t[:j, j])
+        ycol *= tau
+        t[j, j] = tau
+        taus[j] = tau
 
     # restore the subdiagonal entry below the last panel column
     a[p + ib, p + ib - 1] = ei
@@ -226,12 +219,7 @@ def lahr2(
     np.matmul(yt, t, out=yt2)
     y[0:k, :] = yt2
     if counter is not None:
-        counter.add(
-            category,
-            F.trmm_flops(k, ib, False)
-            + F.gemm_flops(k, ib, max(0, n - p - 1 - ib))
-            + F.trmm_flops(k, ib, False),
-        )
+        counter.add(category, F.lahr2_flops(n, p, ib))
 
     return PanelFactors(
         p=p, ib=ib, v=v, t=t, y=y, taus=taus, ei=float(ei), v_full=v_full

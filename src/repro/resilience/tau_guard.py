@@ -50,12 +50,10 @@ class TauGuard:
         Returns the repaired indices. Unfinished entries must be zero —
         a fault landing past ``finished`` is repaired to zero.
         """
-        repaired: list[int] = []
         limit = min(taus.size, self.shadow.size)
-        for i in range(limit):
-            want = self.shadow[i] if i < self.finished else 0.0
-            if taus[i] != want:
-                taus[i] = want
-                repaired.append(i)
-        self.repairs += len(repaired)
-        return repaired
+        want = self.shadow[:limit].copy()
+        want[self.finished :] = 0.0
+        bad = np.flatnonzero(taus[:limit] != want)  # NaN never compares equal
+        taus[bad] = want[bad]
+        self.repairs += bad.size
+        return bad.tolist()

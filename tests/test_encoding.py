@@ -73,3 +73,17 @@ class TestFreshSums:
             expected = float(np.sum(a[: j + 2, j]))
             assert em.col_checksums[j] == pytest.approx(expected, rel=1e-13)
         assert np.all(em.col_checksums[3:] == 0.0)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("p,ib", [(4, 4), (9, 3), (10, 5)])
+    def test_panel_refresh_matches_per_column_products(self, p, ib, channels):
+        # one masked product per panel; (9, 3) ends at column n-1, whose
+        # segment is the whole column, and (10, 5) runs past n
+        n = 12
+        em = EncodedMatrix(random_matrix(n, seed=10), channels=channels)
+        em.ext[n:, :n] = 0.0
+        em.refresh_finished_segment(p, ib)
+        for j in range(n):
+            hi = min(j + 2, n)
+            want = em.weights[:, :hi] @ em.ext[:hi, j] if p <= j < p + ib else 0.0
+            np.testing.assert_allclose(em.ext[n:, j], want, rtol=1e-13, atol=0)

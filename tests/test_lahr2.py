@@ -120,3 +120,45 @@ class TestLahr2Math:
         lahr2(ext, 0, ib, n)
         np.testing.assert_array_equal(ext[n, :n], 77.0)
         np.testing.assert_array_equal(ext[:n, n], 88.0)
+
+
+class TestLahr2FlopContract:
+    """lahr2 charges its flops once per call; the charge must equal what
+    the frozen per-column reference records, column by column."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "n,p,ib",
+        [
+            (20, 0, 1),    # ib = 1: no inter-column updates at all
+            (20, 18, 1),   # the last possible panel, one row below its pivot
+            (40, 8, 8),
+            (41, 32, 8),   # ragged last panel: p + ib = n - 1
+            (64, 0, 32),
+            (97, 64, 32),  # ragged: fewer rows below the panel than ib
+            (128, 96, 16),
+        ],
+    )
+    def test_panel_charge_equals_per_column_reference(self, n, p, ib, dtype):
+        from repro.linalg import flops as F
+        from repro.perf.reference import lahr2_reference
+
+        a = random_matrix(n, seed=n + p, dtype=dtype).copy(order="F")
+        got, want = FlopCounter(), FlopCounter()
+        lahr2(a.copy(order="F"), p, ib, n, counter=got)
+        lahr2_reference(a.copy(order="F"), p, ib, n, counter=want)
+        assert got.snapshot() == want.snapshot()
+        assert got.category_total("panel") == F.lahr2_flops(n, p, ib)
+
+    def test_segment_closed_forms_match_per_column_sums(self):
+        from repro.linalg import flops as F
+
+        for n in range(2, 40):
+            for p in range(0, n + 2):
+                for ib in (1, 2, 5, 8):
+                    cols = range(p, p + ib)
+                    for offset in (1, 2):
+                        want = sum(2 * F.dot_flops(max(n - j - offset, 1)) for j in cols)
+                        assert F.q_segment_flops(n, p, ib, offset) == want
+                    want = sum(F.dot_flops(min(j + 2, n)) for j in range(p, min(p + ib, n)))
+                    assert F.segment_refresh_flops(n, p, ib) == want

@@ -123,3 +123,32 @@ class TestExactMaintainModel:
         )
         # flop accounting is dtype-independent: same counts on both lanes
         assert flop_abft_maintain(n, nb, 1) == res.counter.by_category["abft_maintain"]
+
+
+class TestOperatingPointPins:
+    """The paper's operating point (n=512, nb=32): the per-category flop
+    charges and the simulated seconds of a clean run are pinned, so a
+    change to how the kernels count or price their work cannot move
+    them unnoticed."""
+
+    FLOPS = {
+        "abft_init": 1047552,
+        "panel": 159447643,
+        "abft_maintain": 1849278,
+        "right_update": 129537139,
+        "left_update": 182274570,
+        "abft_detect": 32736,
+        "abft_qprotect": 1567754,
+    }
+    SECONDS = {"float64": 0.017902660146419867, "float32": 0.017470643573207194}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_ft_gehrd_flops_and_sim_seconds(self, dtype):
+        from repro.core import FTConfig, ft_gehrd
+        from repro.utils.rng import random_matrix
+
+        res = ft_gehrd(random_matrix(512, seed=0, dtype=dtype), FTConfig(nb=32))
+        assert res.counter.snapshot() == self.FLOPS
+        assert res.counter.total == 475756672
+        assert res.seconds == self.SECONDS[dtype]
+        assert len(res.timeline.ops) == 244

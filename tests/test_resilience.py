@@ -9,6 +9,7 @@ worker-crash recovery of the pooled trial runner.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.abft.encoding import EncodedMatrix
@@ -34,6 +35,7 @@ from repro.resilience import (
     TIER_IN_PLACE,
     TIER_RESTART,
     TIER_REVERSE_REDO,
+    TauGuard,
     max_tier,
     tier_rank,
 )
@@ -85,6 +87,43 @@ class TestLadderUnits:
         assert rep.attempts == {TIER_REVERSE_REDO: 1, TIER_DEEP_ROLLBACK: 1}
         assert rep.successes == {}
         assert "escalation exhausted at iteration 2" in rep.summary()
+
+
+class TestTauGuard:
+    @staticmethod
+    def _guard(taus):
+        guard = TauGuard(taus.size)
+        guard.record(taus, 0, 4)
+        guard.record(taus, 4, 4)
+        return guard
+
+    def test_clean_taus_need_no_repair(self):
+        taus = np.zeros(11)
+        taus[:8] = np.linspace(1.1, 1.8, 8)
+        guard = self._guard(taus)
+        assert guard.verify_and_repair(taus) == []
+        assert guard.repairs == 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_and_unfinished_nonzero_repaired_in_order(self, dtype):
+        taus = np.zeros(11, dtype=dtype)
+        taus[:8] = np.linspace(1.1, 1.8, 8)
+        want = taus.copy()
+        guard = self._guard(taus)
+        taus[9] = 0.25      # past `finished`: must be exactly zero
+        taus[2] = np.nan    # a finished tau, repaired from the shadow
+        taus[5] += 1.0
+        assert guard.verify_and_repair(taus) == [2, 5, 9]
+        assert taus.tobytes() == want.tobytes()
+        assert guard.repairs == 3
+
+    def test_rollback_uncommits_the_last_panel(self):
+        taus = np.linspace(1.1, 1.8, 8)
+        guard = self._guard(taus)
+        guard.rollback(4, 4)
+        assert guard.finished == 4
+        assert guard.verify_and_repair(taus) == [4, 5, 6, 7]
+        assert not taus[4:].any()
 
 
 class TestSpecValidation:
