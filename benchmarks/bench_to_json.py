@@ -9,8 +9,8 @@ relative symlink to it so the two can never drift:
 * ``panel``           — ``lahr2``: frozen pre-pooling reference vs the
                         workspace-pooled kernel (n=512, nb=32, first panel);
 * ``encoded_updates`` — one checksum-extended right+left update pair:
-                        reference vs the fused in-place BLAS path
-                        (n=512, nb=32);
+                        reference vs the pooled kernels, whose GEMMs
+                        are one np.matmul each (n=512, nb=32);
 * ``encoded_updates_fp32`` — the same fused update pair on the float32
                         lane vs float64 (SGEMM vs DGEMM, half the
                         memory traffic);
@@ -147,7 +147,7 @@ def bench_encoded_updates() -> dict:
     ws = Workspace()
     ws.presize(N, NB, em0.k)
     # the FT driver factorizes the panel in-place in the extended
-    # storage; this is what arms the fused path (v_full spans n+k rows)
+    # storage (v_full spans n+k rows, so Vce can ride under V)
     pf = lahr2(em0.ext, p, NB, N, workspace=ws)
     vce = v_col_checksums(pf, em0)
     ychk = y_col_checksums(em0, pf)

@@ -22,37 +22,35 @@ These routines mutate the :class:`~repro.abft.encoding.EncodedMatrix`
 storage in place and are shared by the forward pass and (transposed) by
 the reverse-computation pass.
 
-Each update has two implementations. The default path allocates its
-temporaries per call. When a :class:`~repro.perf.workspace.Workspace` is
-passed (and the panel factors carry the zero-padded ``v_full`` block),
-the kernels instead run as in-place BLAS GEMMs directly on F-contiguous
-full-column slices of the extended storage — one fused
-``C ← C − [Y; Ychk] [V₂; Vce]ᵀ`` for the right update and one fused
-``C ← C − [V; Vce] (Tᵀ Vᵀ C)`` for the left — with every scratch
-block drawn from the arena.
+Each update has one implementation. Scratch blocks come from a
+:class:`~repro.perf.workspace.Workspace` (a private one when the caller
+passes none), and every GEMM is one
+:meth:`~repro.perf.workspace.Workspace.product` folded into the
+Fortran-ordered extended storage: one ``C ← C − [Y; Ychk] [V₂; Vce]ᵀ``
+over the trailing full-column slice for the right update, and one
+``C ← C − [V; Vce] (Tᵀ Vᵀ C)`` over the active row window
+``[p+1, n+k)`` for the left.
 
-The fused left update is the full FT-GEMM form: the projection
-``W = Tᵀ (Vᵀ C)`` is computed against the **active row window**
-``[p+1, n)`` only (the reference's exact operands — the zero-padded
-rows of ``v_full`` would add nothing but flops and lane-shifted
-rounding), and the checksum-row correction ``C_chk ← C_chk − Vce·W``
-rides as ``k`` extra operand rows of the *same* apply GEMM: ``Vce`` is
-written into the checksum rows of ``v_full`` for the duration of the
-call, so one BLAS invocation updates data rows and checksum rows
-together, with zero separate checksum-row kernels. Both fused updates
-also write the (k × k) corner of the extended storage; that corner is
-scratch by contract (see :class:`~repro.abft.encoding.EncodedMatrix`).
-Because every fused operand equals the reference operand (no padded
-projections), the fused path reproduces the reference's data rows and
-row-checksum columns **bit-for-bit** — the blocks that determine the
-driver's outputs, which is what keeps fault-free ``ft_gehrd`` results
-byte-identical. The column-checksum rows land within a few ulps of the
-reference instead: BLAS dispatches a standalone k-row product through a
-different kernel than the same rows riding inside the big apply GEMM
-(the fused right update has always had this property), and the
-thresholded detector plus the per-segment refresh absorb it — the
-maintained checksum is an independent redundancy channel, never a
-source of data bytes on the fault-free path.
+The left update is the full FT-GEMM form: the projection
+``W = Tᵀ (Vᵀ C)`` reads the data rows ``[p+1, n)`` only (the
+reference's exact operands), and the checksum-row correction
+``C_chk ← C_chk − Vce·W`` rides as ``k`` extra operand rows of the
+*same* apply GEMM: ``Vce`` is written into the checksum rows of
+``v_full`` for the duration of the call, so one product updates data
+rows and checksum rows together, with zero separate checksum-row
+kernels. Both updates also write the (k × k) corner of the extended
+storage; that corner is scratch by contract (see
+:class:`~repro.abft.encoding.EncodedMatrix`). Because every operand
+equals the reference operand, the kernels reproduce the reference's
+data rows and row-checksum columns **bit-for-bit** — the blocks that
+determine the driver's outputs, which is what keeps fault-free
+``ft_gehrd`` results byte-identical. The column-checksum rows land
+within a few ulps of the reference instead: BLAS dispatches a
+standalone k-row product through a different kernel than the same rows
+riding inside the big apply GEMM, and the thresholded detector plus
+the per-segment refresh absorb it — the maintained checksum is an
+independent redundancy channel, never a source of data bytes on the
+fault-free path.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.lahr2 import PanelFactors
 from repro.abft.encoding import EncodedMatrix
-from repro.perf.workspace import DGEMM, Workspace, gemm_inplace
+from repro.perf.workspace import Workspace
 
 
 def v_col_checksums(
@@ -117,16 +115,37 @@ def _check_blocks(em: EncodedMatrix, pf: PanelFactors, vce: np.ndarray, ychk) ->
         raise ShapeError(f"Ychk block must be ({em.k}, {pf.ib}), got {ychk.shape}")
 
 
-def _can_fuse(em: EncodedMatrix, pf: PanelFactors, workspace: Workspace | None) -> bool:
-    """The in-place BLAS path needs the arena, the BLAS wrapper, and a
-    zero-padded V spanning the full extended storage."""
-    return (
-        workspace is not None
-        and DGEMM is not None
-        and pf.v_full is not None
-        and pf.v_full.shape[0] == em.ext.shape[0]
-        and em.ext.flags.f_contiguous
-    )
+def _fold_right(
+    em: EncodedMatrix,
+    pf: PanelFactors,
+    vce: np.ndarray,
+    ychk: np.ndarray,
+    workspace: Workspace | None,
+    fold,
+) -> None:
+    """``C ← fold(C, [Y; Ychk] [V2; Vce]ᵀ)`` over the trailing full-column
+    slice, then the in-panel top rows — *fold* is ``np.subtract`` for the
+    forward update and ``np.add`` for its reverse.
+
+    The stacked operands make one GEMM update the trailing data columns,
+    the row-checksum columns AND the column-checksum rows together (the
+    k x k corner absorbs Ychk·Vceᵀ — scratch by contract).
+    """
+    n, p, ib, k = em.n, pf.p, pf.ib, em.k
+    ws = workspace or Workspace()
+    nt = n - p - ib
+    yce = ws.buf("upd.yce", (n + k, ib), dtype=em.ext.dtype)
+    yce[:n, :] = pf.y
+    yce[n:, :] = ychk
+    v2ce = ws.buf("upd.v2ce", (nt + k, ib), dtype=em.ext.dtype)
+    v2ce[:nt, :] = pf.v[ib - 1 :, :]
+    v2ce[nt:, :] = vce
+    c = em.ext[:, p + ib : n + k]
+    fold(c, ws.product(yce, v2ce.T), out=c)
+    if ib > 1:
+        # V's upper triangle holds explicit zeros, so no np.tril copy
+        c = em.ext[0 : p + 1, p + 1 : p + ib]
+        fold(c, ws.product(pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T), out=c)
 
 
 def right_update_encoded(
@@ -163,37 +182,7 @@ def right_update_encoded(
             counter.add("right_update", F.trmm_flops(p + 1, ib - 1, False))
         counter.add("abft_maintain", F.abft_fused_rows_flops(k, n - p - ib, ib))
 
-    if _can_fuse(em, pf, workspace):
-        nt = n - p - ib
-        # stacked operands [Y; Ychk] and [V2; Vce] in pooled buffers: one
-        # in-place GEMM over the F-contiguous full-column slice updates
-        # the trailing data columns, the row-checksum columns AND the
-        # column-checksum rows together (the k x k corner absorbs
-        # Ychk·Vceᵀ — scratch by contract).
-        yce = workspace.buf("upd.yce", (n + k, ib), dtype=em.ext.dtype)
-        yce[:n, :] = pf.y
-        yce[n:, :] = ychk
-        v2ce = workspace.buf("upd.v2ce", (nt + k, ib), dtype=em.ext.dtype)
-        v2ce[:nt, :] = pf.v[ib - 1 :, :]
-        v2ce[nt:, :] = vce
-        gemm_inplace(-1.0, yce, v2ce, em.ext[:, p + ib : n + k], trans_b=True)
-        if ib > 1:
-            w = workspace.buf("upd.panel_top", (p + 1, ib - 1), dtype=em.ext.dtype)
-            np.matmul(pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T, out=w)
-            em.ext[0 : p + 1, p + 1 : p + ib] -= w
-        return
-
-    # trailing columns + checksum columns: E[0:N, p+ib : N+k] -= Y @ V2ceᵀ
-    v2ce = np.vstack([pf.v[ib - 1 :, :], vce])
-    em.ext[0:n, p + ib : n + k] -= pf.y[0:n, :] @ v2ce.T
-    # in-panel top rows (columns p+1 .. p+ib-1); V's upper triangle holds
-    # explicit zeros, so no np.tril copy is needed
-    if ib > 1:
-        em.ext[0 : p + 1, p + 1 : p + ib] -= (
-            pf.y[0 : p + 1, : ib - 1] @ pf.v[: ib - 1, : ib - 1].T
-        )
-    # column-checksum rows of trailing columns: C_chk[:, p+ib:N] -= Ychk @ V2ᵀ
-    em.ext[n:, p + ib : n] -= ychk @ pf.v[ib - 1 : n - p - 1, :].T
+    _fold_right(em, pf, vce, ychk, workspace, np.subtract)
 
 
 def left_update_encoded(
@@ -221,53 +210,27 @@ def left_update_encoded(
             F.gemm_flops(ib, ncols, m) + F.trmm_flops(ib, ncols, True) + F.gemm_flops(m, ncols, ib),
         )
         # FT-GEMM accounting: the checksum rows are k extra operand rows
-        # of the apply GEMM (see fused path below), charged as a k x ncols
+        # of the apply GEMM (see the apply below), charged as a k x ncols
         # rank-ib GEMM extension.  Numerically identical total:
         # gemm_flops(k, ncols, ib) == k * gemv_flops(ncols, ib).
         counter.add("abft_maintain", F.abft_fused_rows_flops(k, ncols, ib))
 
-    if _can_fuse(em, pf, workspace):
-        # Fully-fused FT-GEMM form.  The projection W = Tᵀ(VᵀC) uses the
-        # active row window [p+1, n) — the reference's exact operands, so
-        # the data rows and row-checksum columns stay byte-identical to
-        # the reference (projecting against the zero-padded v_full would
-        # lengthen every dot product with leading zeros and regroup SIMD
-        # lanes, perturbing last bits).
-        # The apply then stacks [V; Vce]: Vce is written into the
-        # checksum rows of v_full so ONE in-place GEMM over the
-        # F-contiguous full-column slice updates data rows and checksum
-        # rows together — no separate checksum-row kernel.  Rows 0..p of
-        # v_full are zero, so those rows only receive a -0.0*w subtraction
-        # (a bitwise no-op); the (k x k) corner absorbs Vce·W's spill over
-        # the checksum columns (scratch by contract).  v_full's zero-row
-        # contract is restored before returning because the reverse
-        # (recovery) kernels project against it.
-        cfull = em.ext[:, p + ib : n + k]
-        ncf = n + k - (p + ib)
-        # both intermediates are C-ordered: np.matmul writes a C out
-        # directly through the reference's exact BLAS dispatch, whereas
-        # an F-ordered out flips the call to a transposed kernel and
-        # perturbs last bits.  The apply's BLAS wrapper value-copies the
-        # C-ordered B operand to column order internally — a byte-safe
-        # copy, not a recomputation.
-        w1 = workspace.buf("upd.w1c", (ib, ncf), order="C", dtype=em.ext.dtype)
-        w2 = workspace.buf("upd.w2c", (ib, ncf), order="C", dtype=em.ext.dtype)
-        np.matmul(pf.v.T, em.ext[p + 1 : n, p + ib : n + k], out=w1)
-        np.matmul(pf.t.T, w1, out=w2)
-        pf.v_full[n:, :] = vce
-        try:
-            gemm_inplace(-1.0, pf.v_full, w2, cfull)
-        finally:
-            pf.v_full[n:, :] = 0.0
-        return
-
-    cols = slice(p + ib, n + k)  # trailing data columns + checksum columns
-    c_data = em.ext[p + 1 : n, cols]
-    w = pf.t.T @ (pf.v.T @ c_data)
-    c_data -= pf.v @ w
-    em.ext[n:, p + ib : n] -= vce @ w[:, : n - p - ib]
-    # NOTE: the checksum rows have no entries under the checksum columns
-    # (the (k x k) corner is scratch), hence the width-limited slice above.
+    ws = workspace or Workspace()
+    ncf = n + k - (p + ib)
+    # both intermediates are C-ordered: np.matmul writes a C out through
+    # the reference's exact BLAS dispatch, whereas an F-ordered out flips
+    # the call to a transposed kernel and perturbs last bits
+    w1 = ws.buf("upd.w1c", (ib, ncf), order="C", dtype=em.ext.dtype)
+    w2 = ws.buf("upd.w2c", (ib, ncf), order="C", dtype=em.ext.dtype)
+    np.matmul(pf.v.T, em.ext[p + 1 : n, p + ib : n + k], out=w1)
+    np.matmul(pf.t.T, w1, out=w2)
+    # the apply stacks [V; Vce] in v_full's rows [p+1, n+k) so ONE GEMM
+    # updates data rows and checksum rows together; the (k x k) corner
+    # absorbs Vce·W's spill over the checksum columns (scratch by
+    # contract), and v_full's checksum rows are zeroed again afterwards
+    pf.v_full[n:, :] = vce
+    em.ext[p + 1 :, p + ib : n + k] -= ws.product(pf.v_full[p + 1 :], w2)
+    pf.v_full[n:, :] = 0.0
 
 
 def reverse_left_update_encoded(
@@ -291,31 +254,20 @@ def reverse_left_update_encoded(
         ncols = n + k - (p + ib)
         counter.add("abft_recover", 2 * F.gemm_flops(ib, ncols, m) + F.gemm_flops(m, ncols, ib))
 
-    if _can_fuse(em, pf, workspace):
-        cfull = em.ext[:, p + ib : n + k]
-        ncf = n + k - (p + ib)
-        w1 = workspace.buf("upd.w1", (ib, ncf), dtype=em.ext.dtype)
-        w2 = workspace.buf("upd.w2", (ib, ncf), dtype=em.ext.dtype)
-        gemm_inplace(1.0, pf.v_full, cfull, w1, trans_a=True, beta=0.0)
-        gemm_inplace(1.0, pf.t, w1, w2, beta=0.0)
-        gemm_inplace(-1.0, pf.v_full, w2, cfull)
-        # cfull now holds the pre-left-update state; recompute the forward
-        # correction that was applied to the checksum rows and add it back.
-        gemm_inplace(1.0, pf.v_full, cfull, w1, trans_a=True, beta=0.0)
-        gemm_inplace(1.0, pf.t, w1, w2, trans_a=True, beta=0.0)
-        wrow = workspace.buf("upd.wrow", (k, n - p - ib), dtype=em.ext.dtype)
-        np.matmul(vce, w2[:, : n - p - ib], out=wrow)
-        em.ext[n:, p + ib : n] += wrow
-        return
-
-    cols = slice(p + ib, n + k)
-    c_data = em.ext[p + 1 : n, cols]
-    w_rev = pf.t @ (pf.v.T @ c_data)
-    c_data -= pf.v @ w_rev
+    ws = workspace or Workspace()
+    ncf = n + k - (p + ib)
+    c_data = em.ext[p + 1 : n, p + ib : n + k]
+    w1 = ws.buf("upd.w1c", (ib, ncf), order="C", dtype=em.ext.dtype)
+    w2 = ws.buf("upd.w2c", (ib, ncf), order="C", dtype=em.ext.dtype)
+    np.matmul(pf.v.T, c_data, out=w1)
+    np.matmul(pf.t, w1, out=w2)
+    c_data -= ws.product(pf.v, w2)
     # c_data now equals the pre-left-update state; recompute the forward
-    # correction that was applied to the checksum rows and add it back.
-    w_fwd = pf.t.T @ (pf.v.T @ c_data)
-    em.ext[n:, p + ib : n] += vce @ w_fwd[:, : n - p - ib]
+    # correction that was applied to the checksum rows (and, as spill, to
+    # the k x k corner) and add it back.
+    np.matmul(pf.v.T, c_data, out=w1)
+    np.matmul(pf.t.T, w1, out=w2)
+    em.ext[n:, p + ib : n + k] += ws.product(vce, w2)
 
 
 def reverse_right_update_encoded(
@@ -338,25 +290,5 @@ def reverse_right_update_encoded(
     if counter is not None:
         counter.add("abft_recover", F.gemm_flops(n, n - p - ib + k, ib))
 
-    if _can_fuse(em, pf, workspace):
-        nt = n - p - ib
-        yce = workspace.buf("upd.yce", (n + k, ib), dtype=em.ext.dtype)
-        yce[:n, :] = pf.y
-        yce[n:, :] = ychk
-        v2ce = workspace.buf("upd.v2ce", (nt + k, ib), dtype=em.ext.dtype)
-        v2ce[:nt, :] = pf.v[ib - 1 :, :]
-        v2ce[nt:, :] = vce
-        gemm_inplace(1.0, yce, v2ce, em.ext[:, p + ib : n + k], trans_b=True)
-        if ib > 1:
-            w = workspace.buf("upd.panel_top", (p + 1, ib - 1), dtype=em.ext.dtype)
-            np.matmul(pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T, out=w)
-            em.ext[0 : p + 1, p + 1 : p + ib] += w
-        return
+    _fold_right(em, pf, vce, ychk, workspace, np.add)
 
-    v2ce = np.vstack([pf.v[ib - 1 :, :], vce])
-    em.ext[0:n, p + ib : n + k] += pf.y[0:n, :] @ v2ce.T
-    if ib > 1:
-        em.ext[0 : p + 1, p + 1 : p + ib] += (
-            pf.y[0 : p + 1, : ib - 1] @ pf.v[: ib - 1, : ib - 1].T
-        )
-    em.ext[n:, p + ib : n] += ychk @ pf.v[ib - 1 : n - p - 1, :].T

@@ -2,20 +2,16 @@
 
 A backend is a thin array-namespace seam: it owns the namespace object
 (``xp``), host/device transfer (:meth:`asarray` / :meth:`to_numpy`),
-allocation with a memory-order contract (:meth:`empty`), the fused
-``C ← βC + αAB`` core (:meth:`matmul_into`), and the two execution
-primitives the whole-stack kernels need (:meth:`jit`,
-:meth:`fori_loop`).
+and the two execution primitives the whole-stack kernels need
+(:meth:`jit`, :meth:`fori_loop`).
 
 The one semantic fork between adapters is the **update contract**,
 declared by :attr:`Backend.inplace_updates`:
 
 * in-place backends (NumPy, CuPy) expose mutable buffers —
-  ``at_set`` writes through and returns the same array, and
-  ``matmul_into`` honors ``out=``;
+  ``at_set`` writes through and returns the same array;
 * functional backends (JAX) have immutable arrays — ``at_set``
-  returns a new array (``x.at[idx].set(v)``) and ``matmul_into``
-  ignores ``out=`` and returns a fresh result.
+  returns a new array (``x.at[idx].set(v)``).
 
 Kernels written against ``at_set``'s *return value* (never the
 argument) run correctly under both contracts; that is the only rule.
@@ -38,7 +34,7 @@ class Backend:
 
     #: Registry name (also what ``JobSpec.backend`` stores).
     name: str = "numpy"
-    #: True → arrays are mutable buffers and ``out=`` targets are honored.
+    #: True → arrays are mutable buffers that kernels update in place.
     inplace_updates: bool = True
 
     # -- namespace & transfer -------------------------------------------------
@@ -56,38 +52,7 @@ class Backend:
         """Bring a backend array back to host NumPy."""
         return np.asarray(a)
 
-    # -- allocation -----------------------------------------------------------
-
-    def empty(self, shape, dtype=np.float64, order: str = "F"):
-        """Uninitialized array; *order* is honored where layout exists."""
-        return np.empty(shape, dtype=dtype, order=order)
-
-    def zeros(self, shape, dtype=np.float64, order: str = "F"):
-        return np.zeros(shape, dtype=dtype, order=order)
-
-    # -- compute core ---------------------------------------------------------
-
-    def matmul_into(self, a, b, out=None, *, alpha: float = 1.0, beta: float = 0.0):
-        """``out ← beta·out + alpha·(a @ b)``, returned.
-
-        In-place backends write through *out* when given; functional
-        backends ignore it and return a fresh array. Callers must use
-        the return value either way.
-        """
-        if out is None or not self.inplace_updates:
-            prod = a @ b
-            if beta == 0.0:
-                return alpha * prod if alpha != 1.0 else prod
-            return beta * out + alpha * prod
-        if beta == 0.0:
-            np.matmul(a, b, out=out)
-            if alpha != 1.0:
-                out *= alpha
-        else:
-            if beta != 1.0:
-                out *= beta
-            out += alpha * (a @ b)
-        return out
+    # -- mutation -------------------------------------------------------------
 
     def at_set(self, arr, index, value):
         """Functional-update seam: ``arr[index] = value``, returned.
@@ -149,9 +114,9 @@ class NumpyFunctionalBackend(Backend):
 
     The reference adapter for the whole-stack functional lane: same
     numerics as NumPy, same immutability rules as JAX (``at_set``
-    copies, ``matmul_into`` never writes ``out=``), no jit. It keeps
-    the JAX code path testable on hosts without jax and documents the
-    contract an accelerator adapter must satisfy.
+    copies), no jit. It keeps the JAX code path testable on hosts
+    without jax and documents the contract an accelerator adapter must
+    satisfy.
     """
 
     name = "numpy_functional"

@@ -37,27 +37,6 @@ class CupyBackend(Backend):
     def to_numpy(self, a) -> np.ndarray:
         return self._cp.asnumpy(a)
 
-    def empty(self, shape, dtype=np.float64, order: str = "F"):
-        return self._cp.empty(shape, dtype=dtype, order=order)
-
-    def zeros(self, shape, dtype=np.float64, order: str = "F"):
-        return self._cp.zeros(shape, dtype=dtype, order=order)
-
-    def matmul_into(self, a, b, out=None, *, alpha: float = 1.0, beta: float = 0.0):
-        cp = self._cp
-        if out is None:
-            prod = cp.matmul(a, b)
-            return alpha * prod if alpha != 1.0 else prod
-        if beta == 0.0:
-            cp.matmul(a, b, out=out)
-            if alpha != 1.0:
-                out *= alpha
-        else:
-            if beta != 1.0:
-                out *= beta
-            out += alpha * cp.matmul(a, b)
-        return out
-
     def block_until_ready(self, x):
         self._cp.cuda.get_current_stream().synchronize()
         return x

@@ -59,19 +59,6 @@ class JaxBackend(Backend):
     def to_numpy(self, a) -> np.ndarray:
         return np.asarray(self._jax.device_get(a))
 
-    def empty(self, shape, dtype=np.float64, order: str = "F"):
-        # XLA owns layout; *order* is a host-side concept and is ignored.
-        return self._jnp.zeros(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype=np.float64, order: str = "F"):
-        return self._jnp.zeros(shape, dtype=dtype)
-
-    def matmul_into(self, a, b, out=None, *, alpha: float = 1.0, beta: float = 0.0):
-        prod = self._jnp.matmul(a, b)
-        if beta == 0.0:
-            return alpha * prod if alpha != 1.0 else prod
-        return beta * out + alpha * prod
-
     def at_set(self, arr, index, value):
         return arr.at[index].set(value)
 

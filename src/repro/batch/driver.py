@@ -147,20 +147,21 @@ def gehrd_batched(
     b, n = a.shape[0], a.shape[1]
     nx = max(nb, nx if nx is not None else DEFAULT_NX)
     taus = np.zeros((b, max(n - 1, 0)), dtype=a.dtype)
+    ws = workspace or Workspace()
 
     p = 0
     while n - 1 - p > nx:
         ib = min(nb, n - 1 - p)
-        pf = lahr2_batched(a, p, ib, n, counter=counter, workspace=workspace)
+        pf = lahr2_batched(a, p, ib, n, counter=counter, workspace=ws)
         taus[:, p : p + ib] = pf.taus
 
         # right update needs the unit entry of the last reflector in place
         ei = a[:, p + ib, p + ib - 1].copy()
         a[:, p + ib, p + ib - 1] = 1.0
-        apply_right_updates_batched(a, pf, n, counter=counter, workspace=workspace)
+        apply_right_updates_batched(a, pf, n, counter=counter, workspace=ws)
         a[:, p + ib, p + ib - 1] = ei
 
-        apply_left_update_batched(a, pf, n, counter=counter, workspace=workspace)
+        apply_left_update_batched(a, pf, n, counter=counter, workspace=ws)
         p += ib
 
     gehd2_batched(a, p, n, taus_out=taus, counter=counter)
@@ -262,6 +263,7 @@ def ft_gehrd_batched(
     counter = FlopCounter()
     plan = iteration_plan_cached(n, config.nb)
     total = len(plan)
+    ws = workspace or Workspace()
     results: list[FTResult | None] = [None] * b
     errors: dict[int, BaseException] = {}
     ejected_at: dict[int, int] = {}
@@ -295,17 +297,13 @@ def ft_gehrd_batched(
                     clones[j].apply_phase(
                         it, "boundary", InjectionTargets(em=emb.item(j))
                     )
-            pf = lahr2_batched(
-                emb.ext, p, ib, n, counter=counter, workspace=workspace
-            )
+            pf = lahr2_batched(emb.ext, p, ib, n, counter=counter, workspace=ws)
             vce = v_col_checksums_batched(pf, emb, counter=counter)
             ychk = y_col_checksums_batched(emb, pf, counter=counter)
             right_update_encoded_batched(
-                emb, pf, vce, ychk, counter=counter, workspace=workspace
+                emb, pf, vce, ychk, counter=counter, workspace=ws
             )
-            left_update_encoded_batched(
-                emb, pf, vce, counter=counter, workspace=workspace
-            )
+            left_update_encoded_batched(emb, pf, vce, counter=counter, workspace=ws)
             emb.refresh_finished_segment(p, ib, counter=counter)
             taus_b[:, p : p + ib] = pf.taus
 
@@ -352,7 +350,7 @@ def ft_gehrd_batched(
                 stack[i].copy(order="F"),
                 config,
                 injector=_clone(injs[i]),
-                workspace=workspace,
+                workspace=ws,
             )
         except Exception as exc:  # item-level failure stays item-level
             errors[i] = exc

@@ -188,8 +188,8 @@ def lahr2_batched(
 
     *a* may be the stacked checksum-extended storage (rows/cols past
     ``n`` are neither read nor written, exactly as in the scalar
-    kernel).  Mutates *a* in place; the returned factors are workspace
-    views with panel lifetime when a workspace is supplied.
+    kernel).  Mutates *a* in place; the returned factors are views into
+    *workspace* (a private arena when omitted) with panel lifetime.
     """
     if a.ndim != 3:
         raise ShapeError(f"lahr2_batched needs a (B, r, c) stack, got {a.shape}")
@@ -204,22 +204,18 @@ def lahr2_batched(
     rows = a.shape[1]
     m1 = n - p - 1  # rows of the dense V block
     dt = a.dtype
-    v_full = stack_buf(workspace, "blahr2.v_full", b, rows, ib, zero=True, dtype=dt)
-    y = stack_buf(workspace, "blahr2.y", b, n, ib, dtype=dt)
-    t = stack_buf(workspace, "blahr2.t", b, ib, ib, zero=True, dtype=dt)
-    g = stack_buf(workspace, "blahr2.g", b, m1, 1, dtype=dt)
-    wj = stack_buf(workspace, "blahr2.wj", b, ib, 1, dtype=dt)
-    wj2 = stack_buf(workspace, "blahr2.wj2", b, ib, 1, dtype=dt)
+    ws = workspace or Workspace()
+    v_full = stack_buf(ws, "blahr2.v_full", b, rows, ib, zero=True, dtype=dt)
+    y = stack_buf(ws, "blahr2.y", b, n, ib, dtype=dt)
+    t = stack_buf(ws, "blahr2.t", b, ib, ib, zero=True, dtype=dt)
+    g = stack_buf(ws, "blahr2.g", b, m1, 1, dtype=dt)
+    wj = stack_buf(ws, "blahr2.wj", b, ib, 1, dtype=dt)
+    wj2 = stack_buf(ws, "blahr2.wj2", b, ib, 1, dtype=dt)
     v = v_full[:, p + 1 : n, :]
-    # taus/ei are panel-lifetime outputs like v/t/y: pooled when an arena
-    # is supplied (the batched drivers copy them out right after the
-    # panel), freshly allocated otherwise.
-    if workspace is not None:
-        taus = workspace.buf("blahr2.taus", (b, ib), zero=True, dtype=dt)
-        ei = workspace.buf("blahr2.ei", (b,), zero=True, dtype=dt)
-    else:
-        taus = np.zeros((b, ib), dtype=dt)
-        ei = np.zeros(b, dtype=dt)
+    # taus/ei are panel-lifetime outputs like v/t/y (the batched drivers
+    # copy them out right after the panel)
+    taus = ws.buf("blahr2.taus", (b, ib), zero=True, dtype=dt)
+    ei = ws.buf("blahr2.ei", (b,), zero=True, dtype=dt)
 
     for j in range(ib):
         c = p + j  # global column of reflector j
@@ -297,8 +293,8 @@ def lahr2_batched(
 
     # top rows of Y: Y_top = (A_top V) T, split exactly as the scalar code
     kk = p + 1
-    yt = stack_buf(workspace, "blahr2.ytop", b, kk, ib, dtype=dt)
-    yt2 = stack_buf(workspace, "blahr2.ytop2", b, kk, ib, dtype=dt)
+    yt = stack_buf(ws, "blahr2.ytop", b, kk, ib, dtype=dt)
+    yt2 = stack_buf(ws, "blahr2.ytop2", b, kk, ib, dtype=dt)
     np.matmul(a[:, 0:kk, p + 1 : p + 1 + ib], v[:, :ib, :], out=yt)
     if n > p + 1 + ib:
         np.matmul(a[:, 0:kk, p + 1 + ib : n], v[:, ib:, :], out=yt2)

@@ -49,7 +49,7 @@ def fstack(
 
 
 def stack_buf(
-    workspace: Workspace | None,
+    workspace: Workspace,
     name: str,
     b: int,
     rows: int,
@@ -58,18 +58,11 @@ def stack_buf(
     zero: bool = False,
     dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
-    """A pooled ``(b, rows, cols)`` per-item-F scratch stack.
-
-    Drawn from the workspace arena when one is supplied (grow-only,
-    reused across panel calls — the same contract as the scalar kernels'
-    ``Workspace.buf``); otherwise freshly allocated.
-    """
-    if workspace is not None:
-        flat = workspace.buf(name, (rows, cols, b), order="F", zero=zero, dtype=dtype)
-        return flat.transpose(2, 0, 1)
-    if zero:
-        return fstack(b, rows, cols, dtype)
-    return np.empty((rows, cols, b), order="F", dtype=dtype).transpose(2, 0, 1)
+    """A pooled ``(b, rows, cols)`` per-item-F scratch stack, drawn from
+    the workspace arena (grow-only, reused across panel calls — the same
+    contract as the scalar kernels' ``Workspace.buf``)."""
+    flat = workspace.buf(name, (rows, cols, b), order="F", zero=zero, dtype=dtype)
+    return flat.transpose(2, 0, 1)
 
 
 def as_item_f_stack(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -1,31 +1,25 @@
 """Batched trailing-matrix updates: checksum-extended and plain.
 
-Each routine is the stacked mirror of its scalar counterpart's *fused*
-path (the workspace/BLAS path every production driver takes):
+Each routine is the stacked mirror of its scalar counterpart:
 
 * :func:`right_update_encoded_batched` /
   :func:`left_update_encoded_batched` mirror
-  :mod:`repro.abft.checksums`' in-place GEMM forms — the stacked
-  ``[Y; Ychk][V2; Vce]^T`` product and the fully-fused FT-GEMM left
-  apply (active-row-window projection, ``Vce`` stacked into the
-  checksum rows of ``v_full`` so data and checksum rows ride the same
-  apply GEMM);
+  :mod:`repro.abft.checksums` — the stacked ``[Y; Ychk][V2; Vce]^T``
+  product and the FT-GEMM left apply (active-row-window projection,
+  ``Vce`` stacked into the checksum rows of ``v_full`` so data and
+  checksum rows ride the same apply GEMM);
 * :func:`apply_right_updates_batched` / :func:`apply_left_update_batched`
-  mirror :mod:`repro.linalg.gehrd`'s fused updates;
+  mirror :mod:`repro.linalg.gehrd`'s updates;
 * :func:`gehd2_batched` is the stacked unblocked clean-up pass
   (DGEHD2): per column, one batched reflector generation plus the
   right/left similarity applications as stacked outer-product updates.
 
-The apply products run as in-place per-item ``dgemm(alpha=-1, beta=1)``
-calls straight into the F-contiguous item slices of the stacks — no
-full-size ``prod``/``wrow`` temporaries, no extra memory sweep.  When
-scipy's BLAS wrapper is unavailable (or a caller hands a stack whose
-item slices are not F-contiguous) the kernels fall back to ``C -= A@B``
-through a pooled scratch stack, which is bit-identical to the in-place
-form (IEEE addition of the negated product — same per-element
-operations, same accumulation order inside the per-item GEMM).  Either
-way the batched fast path stays byte-compatible with the scalar
-drivers.
+Every apply product goes through the scalar kernels' own
+:meth:`~repro.perf.workspace.Workspace.product`, stacked: one
+``np.matmul`` over the whole stack writes each item's product with
+exactly the scalar layout (the same per-item GEMM), and one fold
+subtracts it from the F-contiguous item slices.  The batched fast path
+therefore stays byte-compatible with the scalar drivers.
 """
 
 from __future__ import annotations
@@ -35,17 +29,11 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
-from repro.perf.workspace import DGEMM, Workspace, gemm_inplace
+from repro.perf.workspace import Workspace
 
 from repro.batch.panel import PanelFactorsBatch, larfg_batched
 from repro.batch.stack import EncodedMatrixBatch, stack_buf
 
-
-def _item_gemm_ok(stack: np.ndarray) -> bool:
-    """True when the per-item in-place DGEMM path may run on *stack*:
-    the BLAS wrapper is importable and the item slices are F-contiguous
-    (always the case for full-column slices of ``fstack`` storage)."""
-    return DGEMM is not None and (len(stack) == 0 or stack[0].flags.f_contiguous)
 
 # ---------------------------------------------------------------------------
 # checksum-extended updates (stacked repro.abft.checksums)
@@ -116,7 +104,7 @@ def right_update_encoded_batched(
     workspace: Workspace | None = None,
 ) -> None:
     """Stacked checksum-extended right update (Algorithm 3 lines 8+10),
-    mirroring the fused scalar kernel: one stacked
+    mirroring the scalar kernel: one stacked
     ``ext[:, :, p+ib:] -= [Y; Ychk] [V2; Vce]^T`` plus the in-panel
     top-rows correction.  The (k x k) corners absorb ``Ychk Vce^T`` —
     scratch by contract, as in the scalar storage."""
@@ -124,7 +112,7 @@ def right_update_encoded_batched(
     _check_blocks(emb, pf, vce, ychk)
     if counter is not None:
         # mirrors the scalar kernel's FT-GEMM accounting: checksum
-        # columns/rows are operand extensions of the fused apply GEMM.
+        # columns/rows are operand extensions of the apply GEMM.
         counter.add("right_update", F.batched_flops(b, F.gemm_flops(n, n - p - ib, ib)))
         counter.add("abft_maintain", F.batched_flops(b, F.gemm_flops(n, k, ib)))
         if ib > 1:
@@ -137,28 +125,18 @@ def right_update_encoded_batched(
 
     nt = n - p - ib
     dt = emb.ext.dtype
-    yce = stack_buf(workspace, "bupd.yce", b, n + k, ib, dtype=dt)
+    ws = workspace or Workspace()
+    yce = stack_buf(ws, "bupd.yce", b, n + k, ib, dtype=dt)
     yce[:, :n, :] = pf.y
     yce[:, n:, :] = ychk
-    v2ce = stack_buf(workspace, "bupd.v2ce", b, nt + k, ib, dtype=dt)
+    v2ce = stack_buf(ws, "bupd.v2ce", b, nt + k, ib, dtype=dt)
     v2ce[:, :nt, :] = pf.v[:, ib - 1 :, :]
     v2ce[:, nt:, :] = vce
-    cfull = emb.ext[:, :, p + ib : n + k]
-    if _item_gemm_ok(cfull):
-        for i in range(b):
-            gemm_inplace(-1.0, yce[i], v2ce[i], cfull[i], trans_b=True)
-    else:
-        prod = stack_buf(workspace, "bupd.right_prod", b, n + k, nt + k, dtype=dt)
-        np.matmul(yce, v2ce.transpose(0, 2, 1), out=prod)
-        cfull -= prod
+    emb.ext[:, :, p + ib : n + k] -= ws.product(yce, v2ce.transpose(0, 2, 1))
     if ib > 1:
-        w = stack_buf(workspace, "bupd.panel_top", b, p + 1, ib - 1, dtype=dt)
-        np.matmul(
-            pf.y[:, 0 : p + 1, : ib - 1],
-            pf.v[:, : ib - 1, : ib - 1].transpose(0, 2, 1),
-            out=w,
+        emb.ext[:, 0 : p + 1, p + 1 : p + ib] -= ws.product(
+            pf.y[:, 0 : p + 1, : ib - 1], pf.v[:, : ib - 1, : ib - 1].transpose(0, 2, 1)
         )
-        emb.ext[:, 0 : p + 1, p + 1 : p + ib] -= w
 
 
 def left_update_encoded_batched(
@@ -170,13 +148,13 @@ def left_update_encoded_batched(
     workspace: Workspace | None = None,
 ) -> None:
     """Stacked checksum-extended left update (Algorithm 3 line 11) in
-    the fully-fused FT-GEMM form of the scalar kernel: the projection
+    the FT-GEMM form of the scalar kernel: the projection
     ``W = T^T (V^T C)`` runs on the active row window ``[p+1, n)`` (the
     reference operands), then ``Vce`` is written into the checksum rows
     of ``v_full`` so the single apply product updates data rows and
     checksum rows together — zero separate checksum-row matmuls.  The
     (k x k) corners absorb the ``Vce W`` spill over the checksum columns
-    (scratch by contract); ``v_full``'s zero-row contract is restored
+    (scratch by contract); ``v_full``'s checksum rows are zeroed again
     before returning."""
     n, p, ib, k, b = emb.n, pf.p, pf.ib, emb.k, emb.b
     _check_blocks(emb, pf, vce, None)
@@ -196,32 +174,19 @@ def left_update_encoded_batched(
             "abft_maintain", F.batched_flops(b, F.abft_fused_rows_flops(k, ncols, ib))
         )
 
-    cfull = emb.ext[:, :, p + ib : n + k]
     ncf = n + k - (p + ib)
-    rows = emb.ext.shape[1]
     dt = emb.ext.dtype
+    ws = workspace or Workspace()
     # per-item C-ordered intermediates mirror the scalar kernel's buffer
     # order — the projection chain must see the reference's exact BLAS
     # dispatch to keep the batched bytes equal to the scalar ones
-    if workspace is not None:
-        w1 = workspace.buf("bupd.w1c", (b, ib, ncf), order="C", dtype=dt)
-        w2 = workspace.buf("bupd.w2c", (b, ib, ncf), order="C", dtype=dt)
-    else:
-        w1 = np.empty((b, ib, ncf), dtype=dt)
-        w2 = np.empty((b, ib, ncf), dtype=dt)
+    w1 = ws.buf("bupd.w1c", (b, ib, ncf), order="C", dtype=dt)
+    w2 = ws.buf("bupd.w2c", (b, ib, ncf), order="C", dtype=dt)
     np.matmul(pf.v.transpose(0, 2, 1), emb.ext[:, p + 1 : n, p + ib : n + k], out=w1)
     np.matmul(pf.t.transpose(0, 2, 1), w1, out=w2)
     pf.v_full[:, n:, :] = vce
-    try:
-        if _item_gemm_ok(cfull):
-            for i in range(b):
-                gemm_inplace(-1.0, pf.v_full[i], w2[i], cfull[i])
-        else:
-            prod = stack_buf(workspace, "bupd.left_prod", b, rows, ncf, dtype=dt)
-            np.matmul(pf.v_full, w2, out=prod)
-            cfull -= prod
-    finally:
-        pf.v_full[:, n:, :] = 0.0
+    emb.ext[:, p + 1 :, p + ib : n + k] -= ws.product(pf.v_full[:, p + 1 :], w2)
+    pf.v_full[:, n:, :] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +203,18 @@ def apply_right_updates_batched(
     category: str = "right_update",
     workspace: Workspace | None = None,
 ) -> None:
-    """Stacked mirror of :func:`repro.linalg.gehrd.apply_right_updates`
-    (the fused path): trailing columns plus the in-panel top rows."""
+    """Stacked mirror of :func:`repro.linalg.gehrd.apply_right_updates`:
+    trailing columns plus the in-panel top rows."""
     p, ib, b = pf.p, pf.ib, a.shape[0]
+    ws = workspace or Workspace()
     if p + ib < n:
-        v2 = pf.v[:, ib - 1 :, :]
-        target = a[:, 0:n, p + ib : n]
-        if _item_gemm_ok(target):
-            for i in range(b):
-                gemm_inplace(-1.0, pf.y[i], v2[i], target[i], trans_b=True)
-        else:
-            prod = stack_buf(
-                workspace, "bupd.right_prod", b, n, n - p - ib, dtype=a.dtype
-            )
-            np.matmul(pf.y, v2.transpose(0, 2, 1), out=prod)
-            target -= prod
+        a[:, 0:n, p + ib : n] -= ws.product(pf.y, pf.v[:, ib - 1 :, :].transpose(0, 2, 1))
         if counter is not None:
             counter.add(category, F.batched_flops(b, F.gemm_flops(n, n - p - ib, ib)))
     if ib > 1 and p + 1 > 0:
-        v1 = pf.v[:, : ib - 1, : ib - 1]
-        w = stack_buf(workspace, "bupd.panel_top", b, p + 1, ib - 1, dtype=a.dtype)
-        np.matmul(pf.y[:, 0 : p + 1, : ib - 1], v1.transpose(0, 2, 1), out=w)
-        a[:, 0 : p + 1, p + 1 : p + ib] -= w
+        a[:, 0 : p + 1, p + 1 : p + ib] -= ws.product(
+            pf.y[:, 0 : p + 1, : ib - 1], pf.v[:, : ib - 1, : ib - 1].transpose(0, 2, 1)
+        )
         if counter is not None:
             counter.add(
                 category,
@@ -277,27 +232,20 @@ def apply_left_update_batched(
     category: str = "left_update",
     workspace: Workspace | None = None,
 ) -> None:
-    """Stacked mirror of :func:`repro.linalg.gehrd.apply_left_update`'s
-    fused form: the projection runs on the active row window
-    ``[p+1, n)`` and the padded apply ``C -= V_full W`` lands in-place
-    on the full-column item slices."""
+    """Stacked mirror of :func:`repro.linalg.gehrd.apply_left_update`:
+    projection and apply both run on the active row window ``[p+1, n)``."""
     p, ib, b = pf.p, pf.ib, a.shape[0]
     ncols = a.shape[2] if ncols is None else ncols
     if p + ib >= ncols:
         return
-    cfull = a[:, :, p + ib : ncols]
+    ws = workspace or Workspace()
+    c = a[:, p + 1 : n, p + ib : ncols]
     ncf = ncols - (p + ib)
-    w1 = stack_buf(workspace, "bupd.w1", b, ib, ncf, dtype=a.dtype)
-    w2 = stack_buf(workspace, "bupd.w2", b, ib, ncf, dtype=a.dtype)
-    np.matmul(pf.v.transpose(0, 2, 1), a[:, p + 1 : n, p + ib : ncols], out=w1)
+    w1 = stack_buf(ws, "bupd.w1", b, ib, ncf, dtype=a.dtype)
+    w2 = stack_buf(ws, "bupd.w2", b, ib, ncf, dtype=a.dtype)
+    np.matmul(pf.v.transpose(0, 2, 1), c, out=w1)
     np.matmul(pf.t.transpose(0, 2, 1), w1, out=w2)
-    if _item_gemm_ok(cfull):
-        for i in range(b):
-            gemm_inplace(-1.0, pf.v_full[i], w2[i], cfull[i])
-    else:
-        prod = stack_buf(workspace, "bupd.left_prod", b, a.shape[1], ncf, dtype=a.dtype)
-        np.matmul(pf.v_full, w2, out=prod)
-        cfull -= prod
+    c -= ws.product(pf.v, w2)
     if counter is not None:
         m = n - p - 1
         counter.add(

@@ -10,7 +10,7 @@ Structure of each iteration (Fig. 1 of the paper):
 3. right update to the top-left block M's in-panel columns:
    ``A[0:p+1, p+1:p+ib] −= Y_top V₁ᵀ``.
 4. left update: ``A[p+1:n, p+ib:] ← (I − V Tᵀ Vᵀ) A[p+1:n, p+ib:]``
-   via ``larfb``.
+   (the ``larfb`` form: one projection, one apply GEMM).
 
 The pure-CPU driver below is the numerical reference; the hybrid and
 fault-tolerant drivers in :mod:`repro.core` re-orchestrate these exact
@@ -28,8 +28,7 @@ from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.gehd2 import gehd2
 from repro.linalg.lahr2 import PanelFactors, lahr2
-from repro.linalg.wy import larfb
-from repro.perf.workspace import DGEMM, Workspace, gemm_inplace
+from repro.perf.workspace import Workspace
 
 DEFAULT_NB = 32
 #: LAPACK-style crossover: switch to the unblocked algorithm when the
@@ -62,19 +61,6 @@ class HessenbergFactorization:
         return np.triu(self.a, -1)
 
 
-def _can_fuse(a: np.ndarray, pf: PanelFactors, workspace: Workspace | None) -> bool:
-    """The in-place BLAS path needs the arena, the BLAS wrapper, Fortran
-    storage (so full-column slices are F-contiguous) and the zero-padded
-    V spanning every row of *a*."""
-    return (
-        workspace is not None
-        and DGEMM is not None
-        and pf.v_full is not None
-        and pf.v_full.shape[0] == a.shape[0]
-        and a.flags.f_contiguous
-    )
-
-
 def apply_right_updates(
     a: np.ndarray,
     pf: PanelFactors,
@@ -88,29 +74,22 @@ def apply_right_updates(
 
     This is steps 2+3 above (the paper's Algorithm 2 lines 5 and 7 merged
     for the CPU reference — the hybrid drivers split them across devices).
-    Mutates ``a`` in place.
+    Mutates ``a`` in place; scratch comes from *workspace* (a private
+    arena when omitted).
     """
     p, ib = pf.p, pf.ib
-    fused = _can_fuse(a, pf, workspace) and a.shape[0] == n
+    ws = workspace or Workspace()
     # trailing columns: A[0:n, p+ib:n] -= Y @ V2ᵀ, V2 = rows ib-1.. of V
     if p + ib < n:
-        v2 = pf.v[ib - 1 :, :]
-        if fused:
-            gemm_inplace(-1.0, pf.y, v2, a[:, p + ib : n], trans_b=True)
-        else:
-            a[0:n, p + ib : n] -= pf.y[0:n, :] @ v2.T
+        a[0:n, p + ib : n] -= ws.product(pf.y[0:n, :], pf.v[ib - 1 :, :].T)
         if counter is not None:
             counter.add(category, F.gemm_flops(n, n - p - ib, ib))
     # in-panel top rows: A[0:p+1, p+1:p+ib] -= Y_top[:, :ib-1] @ V1ᵀ
     # (V's upper triangle holds explicit zeros — no np.tril copy needed)
     if ib > 1 and p + 1 > 0:
-        v1 = pf.v[: ib - 1, : ib - 1]
-        if workspace is not None:
-            w = workspace.buf("upd.panel_top", (p + 1, ib - 1), dtype=a.dtype)
-            np.matmul(pf.y[0 : p + 1, : ib - 1], v1.T, out=w)
-        else:
-            w = pf.y[0 : p + 1, : ib - 1] @ v1.T
-        a[0 : p + 1, p + 1 : p + ib] -= w
+        a[0 : p + 1, p + 1 : p + ib] -= ws.product(
+            pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T
+        )
         if counter is not None:
             counter.add(category, F.trmm_flops(p + 1, ib - 1, False) + (p + 1) * (ib - 1))
 
@@ -127,42 +106,28 @@ def apply_left_update(
 ) -> None:
     """Apply the panel's left update ``(I − V Tᵀ Vᵀ)`` to the trailing block.
 
-    Covers ``a[p+1 : n, p+ib : ncols]``; mutates ``a`` in place.
+    Covers ``a[p+1 : n, p+ib : ncols]``; mutates ``a`` in place. The
+    projection ``W = Tᵀ(VᵀC)`` and the apply ``C −= V W`` both run on
+    that active row window only.
     """
     p, ib = pf.p, pf.ib
     ncols = a.shape[1] if ncols is None else ncols
     if p + ib >= ncols:
         return
-    if _can_fuse(a, pf, workspace):
-        # The projection W = Tᵀ(VᵀC) runs on the active row window
-        # [p+1, n) only — padding it with v_full's zero rows would waste
-        # O(p·ncols·ib) flops per iteration for identical results modulo
-        # lane-shifted rounding.  The apply keeps the padded v_full so it
-        # can update the F-contiguous full-column slice in place (the
-        # zero rows only receive a bitwise no-op -0.0*w subtraction).
-        cfull = a[:, p + ib : ncols]
-        ncf = ncols - (p + ib)
-        w1 = workspace.buf("upd.w1", (ib, ncf), dtype=a.dtype)
-        w2 = workspace.buf("upd.w2", (ib, ncf), dtype=a.dtype)
-        np.matmul(pf.v.T, a[p + 1 : n, p + ib : ncols], out=w1)
-        gemm_inplace(1.0, pf.t, w1, w2, trans_a=True, beta=0.0)
-        gemm_inplace(-1.0, pf.v_full, w2, cfull)
-        if counter is not None:
-            m = n - p - 1
-            counter.add(
-                category,
-                F.gemm_flops(ib, ncf, m) + F.trmm_flops(ib, ncf, True) + F.gemm_flops(m, ncf, ib),
-            )
-        return
-    larfb(
-        pf.v,
-        pf.t,
-        a[p + 1 : n, p + ib : ncols],
-        side="left",
-        trans=True,
-        counter=counter,
-        category=category,
-    )
+    ws = workspace or Workspace()
+    c = a[p + 1 : n, p + ib : ncols]
+    ncf = ncols - (p + ib)
+    w1 = ws.buf("upd.w1", (ib, ncf), dtype=a.dtype)
+    w2 = ws.buf("upd.w2", (ib, ncf), dtype=a.dtype)
+    np.matmul(pf.v.T, c, out=w1)
+    np.matmul(pf.t.T, w1, out=w2)
+    c -= ws.product(pf.v, w2)
+    if counter is not None:
+        m = n - p - 1
+        counter.add(
+            category,
+            F.gemm_flops(ib, ncf, m) + F.trmm_flops(ib, ncf, True) + F.gemm_flops(m, ncf, ib),
+        )
 
 
 def gehrd(
@@ -188,9 +153,9 @@ def gehrd(
         Optional flop counter.
     keep_panels:
         Record the per-panel WY factors in the result (costs memory; used
-        by analysis code). Disables workspace pooling — recorded factors
-        must outlive the iteration that produced them, which pooled
-        buffers do not.
+        by analysis code). Each panel then gets a fresh arena — recorded
+        factors must outlive the iteration that produced them, which
+        pooled buffers do not.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"gehrd needs a square matrix, got {a.shape}")
@@ -198,11 +163,13 @@ def gehrd(
     nx = max(nb, nx if nx is not None else DEFAULT_NX)
     taus = np.zeros(max(n - 1, 0), dtype=a.dtype)
     panels: list[PanelFactors] = []
-    ws = None if keep_panels else Workspace()
+    ws = Workspace()
 
     p = 0
     while n - 1 - p > nx:
         ib = min(nb, n - 1 - p)
+        if keep_panels:
+            ws = Workspace()
         pf = lahr2(a, p, ib, n, counter=counter, workspace=ws)
         taus[p : p + ib] = pf.taus
 

@@ -17,14 +17,13 @@ last panel column holds ``ei`` (the β of the last reflector).
 Unlike LAPACK's, this implementation builds the dense V block
 *incrementally* (one column per reflector) so the per-column left update
 is two plain GEMVs against it — no ``np.tril`` triangle materializations
-— and every temporary can come from a reusable
+— and every temporary comes from a reusable
 :class:`~repro.perf.workspace.Workspace` arena instead of a fresh
 allocation. V is kept inside a zero-padded buffer spanning *all* rows of
-the storage (``v_full``), which is what lets the checksum-extended
-updates run as single in-place GEMMs on full-column slices: the zero
-rows contribute exactly nothing. The per-column loop does only the
-BLAS work; its flops are charged once per call, in closed form
-(:func:`~repro.linalg.flops.lahr2_flops`).
+the storage (``v_full``), so the checksum-extended left update can stack
+``Vce`` under V in rows ``n..n+k-1`` and apply both with one GEMM. The
+per-column loop does only the BLAS work; its flops are charged once per
+call, in closed form (:func:`~repro.linalg.flops.lahr2_flops`).
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ class PanelFactors:
     v_full:
         The zero-padded V buffer spanning every row of the storage array
         *a* (``v_full[p+1:n] is v``; all other rows are exactly zero).
-        The fused checksum kernels multiply with this block so their
-        in-place GEMMs can run on F-contiguous full-column slices.
-        When the factors came from a pooled workspace, ``v``/``y``/
-        ``v_full`` are views into it and stay valid only until the next
-        panel factorization reuses the arena — the same lifetime the
-        paper's reverse-computation premise assumes.
+        The checksum-extended left update stages ``Vce`` in its rows
+        ``n..n+k-1`` to apply ``[V; Vce]`` as one operand.
+        ``v``/``t``/``y``/``v_full`` are views into the workspace and
+        stay valid only until the next panel factorization reuses the
+        arena — the same lifetime the paper's reverse-computation
+        premise assumes.
     """
 
     p: int
@@ -112,10 +111,10 @@ def lahr2(
         Active dimension (rows and columns participating in the
         reduction).
     workspace:
-        Optional scratch arena. When given, V/T/Y/τ and every internal
-        temporary live in pooled buffers reused across calls (the
-        returned factors are then views with panel lifetime — see
-        :class:`PanelFactors`).
+        Scratch arena (a private one when omitted). V/T/Y/τ and every
+        internal temporary live in its pooled buffers, reused across
+        calls; the returned factors are views with panel lifetime — see
+        :class:`PanelFactors`.
     """
     if not (0 <= p and p + ib < n <= min(a.shape)):
         raise ShapeError(f"invalid panel: p={p}, ib={ib}, n={n}, A shape {a.shape}")
@@ -125,20 +124,13 @@ def lahr2(
     rows = a.shape[0]
     m1 = n - p - 1  # rows of the dense V block
     dt = a.dtype
-    if workspace is not None:
-        v_full = workspace.buf("lahr2.v_full", (rows, ib), zero=True, dtype=dt)
-        y = workspace.buf("lahr2.y", (n, ib), dtype=dt)
-        t = workspace.buf("lahr2.t", (ib, ib), zero=True, dtype=dt)
-        taus = workspace.vec("lahr2.taus", ib, zero=True, dtype=dt)
-        g = workspace.vec("lahr2.g", m1, dtype=dt)
-        wjs = workspace.buf("lahr2.wjs", (ib, 2), dtype=dt)
-    else:
-        v_full = np.zeros((rows, ib), order="F", dtype=dt)
-        y = np.empty((n, ib), order="F", dtype=dt)
-        t = np.zeros((ib, ib), order="F", dtype=dt)
-        taus = np.zeros(ib, dtype=dt)
-        g = np.empty(m1, dtype=dt)
-        wjs = np.empty((ib, 2), order="F", dtype=dt)
+    ws = workspace or Workspace()
+    v_full = ws.buf("lahr2.v_full", (rows, ib), zero=True, dtype=dt)
+    y = ws.buf("lahr2.y", (n, ib), dtype=dt)
+    t = ws.buf("lahr2.t", (ib, ib), zero=True, dtype=dt)
+    taus = ws.vec("lahr2.taus", ib, zero=True, dtype=dt)
+    g = ws.vec("lahr2.g", m1, dtype=dt)
+    wjs = ws.buf("lahr2.wjs", (ib, 2), dtype=dt)
     # the VᵀvⱼTᵀ projection chain runs through one stacked (ib, 2) block:
     # column 0 holds the raw projection, column 1 the T-scaled result —
     # a single pooled temporary (each column is a contiguous vector).
@@ -206,12 +198,8 @@ def lahr2(
     # Compute Y[0 : p+1, :] — the top rows: Y_top = A_top @ V (split into
     # the unit-lower-trapezoid part and the rectangular remainder), then @ T.
     k = p + 1
-    if workspace is not None:
-        yt = workspace.buf("lahr2.ytop", (k, ib), dtype=dt)
-        yt2 = workspace.buf("lahr2.ytop2", (k, ib), dtype=dt)
-    else:
-        yt = np.empty((k, ib), order="F", dtype=dt)
-        yt2 = np.empty((k, ib), order="F", dtype=dt)
+    yt = ws.buf("lahr2.ytop", (k, ib), dtype=dt)
+    yt2 = ws.buf("lahr2.ytop2", (k, ib), dtype=dt)
     np.matmul(a[0:k, p + 1 : p + 1 + ib], v[:ib, :], out=yt)
     if n > p + 1 + ib:
         np.matmul(a[0:k, p + 1 + ib : n], v[ib:, :], out=yt2)

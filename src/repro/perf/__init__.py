@@ -12,6 +12,6 @@ implementations use on real hardware, transplanted to the NumPy layer:
   the golden reference for equivalence tests and before/after benchmarks.
 """
 
-from repro.perf.workspace import DGEMM, Workspace, gemm_inplace, process_workspace
+from repro.perf.workspace import Workspace, process_workspace
 
-__all__ = ["Workspace", "DGEMM", "gemm_inplace", "process_workspace"]
+__all__ = ["Workspace", "process_workspace"]

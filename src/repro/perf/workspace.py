@@ -9,10 +9,10 @@ ABFT maintenance is nearly free.
 
 :class:`Workspace` replaces all of that with named, grown-once buffers.
 Buffers are handed out as exact-shape views of flat pools, so a request
-for an ``(m, k)`` Fortran block is genuinely F-contiguous — which is what
-lets the checksum kernels run LAPACK-style in-place GEMMs
-(``C ← βC + αAB`` via :data:`DGEMM`) directly on the checksum-extended
-storage instead of materializing the product and subtracting it.
+for an ``(m, k)`` Fortran block is genuinely F-contiguous. Every
+trailing-update GEMM goes through :meth:`Workspace.product`: one
+``np.matmul`` into one pooled buffer per dtype, laid out like the
+Fortran-ordered storage it is folded into (``c -= ws.product(a, b)``).
 
 A workspace is private to one driver invocation (it is not thread-safe,
 and the V/Y/T buffers of iteration *i* are only valid until iteration
@@ -23,13 +23,6 @@ computation premise already assumes).
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly everywhere scipy exists
-    from scipy.linalg.blas import dgemm as DGEMM
-    from scipy.linalg.blas import sgemm as SGEMM
-except ImportError:  # pragma: no cover - scipy is a hard dependency, but
-    DGEMM = None  # the kernels degrade gracefully to the NumPy path
-    SGEMM = None
 
 
 class Workspace:
@@ -44,26 +37,8 @@ class Workspace:
     never reinterprets bytes across lanes.
     """
 
-    def __init__(self, backend=None) -> None:
-        """*backend* (a :mod:`repro.backend` adapter) scopes the arena.
-
-        ``None`` / the NumPy backend is the historical host arena. An
-        in-place accelerator backend (CuPy) gets its own pools allocated
-        through the adapter — keyed per backend name, so one worker
-        serving mixed-backend jobs never hands device memory to a host
-        kernel or vice versa. Functional backends (JAX) cannot pool at
-        all (immutable arrays have no reusable buffer); :meth:`buf`
-        returns fresh arrays for them and the arena stays empty.
-        """
+    def __init__(self) -> None:
         self._pools: dict[str, np.ndarray] = {}
-        self._backend = None
-        if backend is not None and getattr(backend, "name", "numpy") != "numpy":
-            self._backend = backend
-
-    @property
-    def backend_name(self) -> str:
-        """Which backend's memory this arena pools."""
-        return self._backend.name if self._backend is not None else "numpy"
 
     def buf(
         self,
@@ -76,22 +51,13 @@ class Workspace:
     ) -> np.ndarray:
         """An exact-shape view of the named pool at *dtype*."""
         dt = np.dtype(dtype)
-        bk = self._backend
-        if bk is not None and not bk.inplace_updates:
-            # functional backend: nothing to pool, hand out fresh arrays
-            return bk.zeros(shape, dtype=dt, order=order)
         key = name if dt == np.float64 else f"{name}@{dt.name}"
-        if bk is not None:
-            key = f"{key}#{bk.name}"
         size = 1
         for dim in shape:
             size *= int(dim)
         pool = self._pools.get(key)
         if pool is None or pool.size < size:
-            if bk is not None:
-                pool = bk.empty((max(size, 1),), dtype=dt, order="C")
-            else:
-                pool = np.empty(max(size, 1), dtype=dt)
+            pool = np.empty(max(size, 1), dtype=dt)
             self._pools[key] = pool
         view = pool[:size].reshape(shape, order=order)
         if zero:
@@ -108,6 +74,24 @@ class Workspace:
     ) -> np.ndarray:
         """A 1-D scratch vector of length *n*."""
         return self.buf(name, (int(n),), zero=zero, dtype=dtype)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a @ b`` in the pooled product buffer, as a Fortran-layout view.
+
+        The one GEMM form of every trailing update: callers fold the
+        result in with ``c -= ws.product(a, b)`` (or ``+=``). The product
+        is formed transposed, ``np.matmul(bᵀ, aᵀ)``, into a C-ordered
+        buffer, so the returned view has the memory layout of the
+        Fortran-ordered storage it lands in: the fold is one unit-stride
+        sweep, and BLAS computes every entry as an in-place column-major
+        GEMM (``beta=1``) would. Stacked ``(B, m, k)`` and ``(B, k, n)``
+        operands work the same, item by item. The view is valid until the
+        next :meth:`product` call on this arena.
+        """
+        shape = a.shape[:-2] + (b.shape[-1], a.shape[-2])
+        out = self.buf("gemm.prod", shape, order="C", dtype=a.dtype)
+        np.matmul(b.swapaxes(-1, -2), a.swapaxes(-1, -2), out=out)
+        return out.swapaxes(-1, -2)
 
     def matrix_like(self, name: str, src: np.ndarray, *, order: str = "F") -> np.ndarray:
         """A named pooled buffer holding a writable copy of *src*.
@@ -143,15 +127,10 @@ class Workspace:
         self.buf("lahr2.ytop2", (n, nb), dtype=dtype)
         self.buf("upd.yce", (rows, nb), dtype=dtype)
         self.buf("upd.v2ce", (rows, nb), dtype=dtype)
-        self.buf("upd.w1", (nb, rows), dtype=dtype)
         self.buf("upd.w1c", (nb, rows), order="C", dtype=dtype)
-        self.buf("upd.w2", (nb, rows), dtype=dtype)
         self.buf("upd.w2c", (nb, rows), order="C", dtype=dtype)
-        # wrow is only used by the reverse (recovery) kernels now — the
-        # forward left update carries the checksum rows inside its fused
-        # apply GEMM — but recovery must stay allocation-free too.
-        self.buf("upd.wrow", (max(k, 1), n), dtype=dtype)
-        self.buf("upd.panel_top", (n, nb), dtype=dtype)
+        # every trailing-update product, forward and reverse, fits here
+        self.buf("gemm.prod", (rows, rows), order="C", dtype=dtype)
 
     @property
     def nbytes(self) -> int:
@@ -168,66 +147,24 @@ class Workspace:
         self._pools.clear()
 
 
-# One arena per *process and backend*, for workers that run many driver
-# invocations back to back (the serve scheduler's pool workers and
-# in-thread lanes). A single driver invocation still owns its arena
+# One arena per process, for workers that run many driver invocations
+# back to back (the serve scheduler's pool workers and the campaign
+# executor's). A single driver invocation still owns its arena
 # exclusively — the serving layer guarantees one job at a time per
 # worker, which is the same lifetime contract as the per-invocation
-# arenas above. Backends are keyed by name so a mixed-backend worker
-# never crosses host and device pools.
-_PROCESS_WS: dict[str, Workspace] = {}
+# arenas above.
+_PROCESS_WS: Workspace | None = None
 
 
-def process_workspace(backend=None) -> Workspace:
-    """The per-process shared arena for *backend* (created on first use).
+def process_workspace() -> Workspace:
+    """The per-process shared arena (created on first use).
 
     Buffer pools grow to the largest job the worker has seen and are
     then reused allocation-free by every smaller job — the serving-layer
     analogue of ``presize``. Call :meth:`Workspace.clear` to release the
-    memory between batches. ``backend=None`` is the historical host
-    (NumPy) arena.
+    memory between batches.
     """
-    name = getattr(backend, "name", "numpy") if backend is not None else "numpy"
-    ws = _PROCESS_WS.get(name)
-    if ws is None:
-        ws = Workspace(backend)
-        _PROCESS_WS[name] = ws
-    return ws
-
-
-def gemm_inplace(
-    alpha: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    *,
-    trans_a: bool = False,
-    trans_b: bool = False,
-    beta: float = 1.0,
-) -> None:
-    """``C ← beta·C + alpha·op(A) op(B)`` strictly in place.
-
-    Requires *c* F-contiguous (full-column slices of the Fortran-ordered
-    extended storage qualify); raises if the BLAS wrapper would have had
-    to copy, because a silent copy would discard the update. The BLAS
-    routine follows ``c.dtype`` — DGEMM for float64 operands, SGEMM for
-    the float32 lane.
-    """
-    gemm = SGEMM if c.dtype == np.float32 else DGEMM
-    if gemm is None:  # pragma: no cover - scipy missing
-        prod = (a.T if trans_a else a) @ (b.T if trans_b else b)
-        if beta == 0.0:
-            c[...] = alpha * prod
-        else:
-            if beta != 1.0:
-                c *= beta
-            c += alpha * prod
-        return
-    out = gemm(
-        alpha, a, b, beta=beta, c=c, trans_a=trans_a, trans_b=trans_b, overwrite_c=1
-    )
-    if out is not c and not np.shares_memory(out, c):
-        raise ValueError(
-            "gemm_inplace: output buffer is not BLAS-compatible "
-            f"(shape {c.shape}, f_contiguous={c.flags.f_contiguous})"
-        )
+    global _PROCESS_WS
+    if _PROCESS_WS is None:
+        _PROCESS_WS = Workspace()
+    return _PROCESS_WS

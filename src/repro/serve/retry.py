@@ -102,7 +102,8 @@ class RetryDecision:
     reason: str = ""
     #: re-run with LadderConfig.stricter() applied (escalation failures)
     escalate_ladder: bool = False
-    #: rebuild the worker pool before re-running (timeout / lost worker)
+    #: re-run on a fresh worker (timeout / lost worker); the scheduler's
+    #: pool path has already rebuilt the pool the attempt ran on
     fresh_worker: bool = False
     #: re-run with a doubled Francis sweep budget (convergence failures)
     raise_sweeps: bool = False

@@ -694,8 +694,6 @@ class AsyncScheduler:
                     # double the Francis stall budget (from the drivers'
                     # default of 30 sweeps per eigenvalue)
                     work.max_sweeps = 2 * (work.max_sweeps or 30)
-                if decision.fresh_worker:
-                    self._pool.rebuild()
                 for job in work.live_jobs():
                     job.result.retries += 1
                 self._emit("retrying", job_id=work.jobs[0].result.job_id, key=work.key,
@@ -765,13 +763,17 @@ class AsyncScheduler:
                 send_spec = dataclasses.replace(spec, matrix=work.shm_matrix)
         # capture the pool instance this attempt runs on: concurrent
         # failures from one dead pool must rebuild it once, not tear
-        # down each other's replacement (ResilientProcessPool.generation)
+        # down each other's replacement (ResilientProcessPool.generation).
+        # Every pool failure below rebuilds here, so the retry path (the
+        # policy's fresh_worker) needs no rebuild of its own.
         gen = self._pool.generation
-        fut = self._pool.submit(
-            execute_job_pooled, send_spec, work.ladder,
-            self._shm_factors, self._factor_min_bytes, work.max_sweeps,
-        )
         try:
+            # a pool whose worker just died raises from submit itself:
+            # that is a lost worker like any other, not a job failure
+            fut = self._pool.submit(
+                execute_job_pooled, send_spec, work.ladder,
+                self._shm_factors, self._factor_min_bytes, work.max_sweeps,
+            )
             return await asyncio.wait_for(asyncio.wrap_future(fut), timeout)
         except asyncio.TimeoutError:
             fut.cancel()

@@ -33,7 +33,11 @@ from repro.serve.jobs import (
     execute_jobs_batched,
 )
 
-GRID = [(32, 32, 4), (48, 16, 3), (64, 32, 5), (33, 8, 3), (8, 4, 6)]
+GRID = [
+    (32, 32, 4), (48, 16, 3), (64, 32, 5), (33, 8, 3), (8, 4, 6),
+    # multi-panel shapes: several blocked iterations with a shrinking window
+    (160, 32, 2), (256, 32, 2),
+]
 
 
 def _mats(n: int, b: int, seed: int = 0) -> list[np.ndarray]:
@@ -474,9 +478,10 @@ class TestLarfgHypotParity:
 def test_batched_fused_left_update_invocation_count(monkeypatch):
     """Batched mirror of the scalar invocation-count pin: the stacked
     fused left update issues exactly two stacked projection matmuls plus
-    one in-place apply GEMM per item — and nothing that produces a
-    standalone k-row checksum product."""
+    ONE stacked apply product (no per-item loop) — and nothing that
+    produces a standalone k-row checksum product."""
     import repro.batch.updates as U
+    import repro.perf.workspace as W
     from repro.batch.panel import lahr2_batched
     from repro.batch.stack import EncodedMatrixBatch
 
@@ -493,7 +498,7 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
 
     def counting_matmul(x, y, out=None, **kw):
         r = real_matmul(x, y, out=out, **kw)
-        calls.append(("matmul", r.shape))
+        calls.append(r.shape)
         return r
 
     class _NP:
@@ -502,21 +507,13 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
 
     shim = _NP()
     shim.matmul = counting_matmul
-    real_gemm = U.gemm_inplace
-
-    def counting_gemm(alpha, x, y, c, **kw):
-        calls.append(("gemm_inplace", c.shape))
-        return real_gemm(alpha, x, y, c, **kw)
-
     monkeypatch.setattr(U, "np", shim)
-    monkeypatch.setattr(U, "gemm_inplace", counting_gemm)
+    monkeypatch.setattr(W, "np", shim)
     U.left_update_encoded_batched(emb, pf, vce, workspace=ws)
-    mm = [s for kind, s in calls if kind == "matmul"]
-    gm = [s for kind, s in calls if kind == "gemm_inplace"]
-    assert len(mm) == 2 and len(gm) == b
-    # no standalone checksum-row product: nothing with k rows in the
-    # trailing matrix dims
-    assert all(s[-2] != k for s in mm + gm)
+    assert len(calls) == 3
+    # no standalone checksum-row product: nothing with k rows (or, for
+    # the transposed product buffer, k columns) in the trailing dims
+    assert all(k not in s[-2:] for s in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 pre-pooling references in :mod:`repro.perf.reference`.
 
 The pooled kernels are allowed to regroup BLAS calls (merged GEMVs,
-padded in-place GEMMs), so agreement is to tight roundoff, not bitwise.
+stacked GEMM operands), so agreement is to tight roundoff, not bitwise.
 The (k x k) corner of the extended storage is scratch by contract and
 excluded from every comparison.
 """
@@ -95,17 +95,14 @@ def test_workspace_reuse_across_panels():
 
 def _encoded_pair(n, p, ib, channels, seed=0):
     """Factorize the panel in-place in the extended storage on both
-    sides — the FT driver's calling pattern, which is what arms the
-    fused in-place BLAS path (v_full spans all n+k rows)."""
-    from repro.abft.checksums import _can_fuse
-
+    sides — the FT driver's calling pattern (v_full spans all n+k rows,
+    so the left update can stack Vce under V)."""
     a0 = random_matrix(n, seed=seed)
     em_ref = EncodedMatrix(a0.copy(), channels=channels)
     em_new = EncodedMatrix(a0.copy(), channels=channels)
     pf_ref = lahr2_reference(em_ref.ext, p, ib, n)
     ws = Workspace()
     pf_new = lahr2(em_new.ext, p, ib, n, workspace=ws)
-    assert _can_fuse(em_new, pf_new, ws), "fused kernel path must be active"
     return em_ref, em_new, pf_ref, pf_new, ws
 
 
@@ -189,13 +186,10 @@ def _fused_left_setup(n, p, ib, channels, dtype=np.float64, seed=21):
     """One pooled panel factorization; two byte-identical encoded copies
     sharing the same PanelFactors — the setup that makes a bitwise
     reference comparison meaningful."""
-    from repro.abft.checksums import _can_fuse
-
     a0 = random_matrix(n, seed=seed, dtype=dtype)
     em_new = EncodedMatrix(a0.copy(), channels=channels)
     ws = Workspace()
     pf = lahr2(em_new.ext, p, ib, n, workspace=ws)
-    assert _can_fuse(em_new, pf, ws)
     em_ref = EncodedMatrix(a0.copy(), channels=channels)
     em_ref.ext[...] = em_new.ext  # identical post-panel bytes
     vce = v_col_checksums(pf, em_new)
@@ -249,26 +243,29 @@ def test_fused_left_update_restores_v_full_contract():
 
 
 @pytest.mark.parametrize("channels", [1, 2])
-def test_left_update_no_workspace_fallback_bitwise(channels):
-    """Without a workspace the kernel must take the unfused fallback and
-    still match the reference bit-for-bit."""
+def test_left_update_without_workspace_bitwise(channels):
+    """Without a workspace the kernel runs its one path on a private
+    arena: every block bitwise equal to the call with the driver's
+    arena, and the reference's data rows and row-checksum columns."""
     n, p, ib = 96, 16, 16
-    em_ref, em_new, pf, vce, _ = _fused_left_setup(n, p, ib, channels, seed=33)
+    em_ref, em_new, pf, vce, ws = _fused_left_setup(n, p, ib, channels, seed=33)
+    em_ws = EncodedMatrix(np.zeros((n, n)), channels=channels)
+    em_ws.ext[...] = em_new.ext
     left_update_encoded_reference(em_ref, pf, vce)
-    left_update_encoded(em_new, pf, vce)  # workspace=None -> fallback
-    # the fallback IS the reference computation: every block bitwise,
-    # column-checksum rows included
-    nn = em_ref.n
-    assert np.array_equal(em_new.data, em_ref.data)
-    assert np.array_equal(em_new.ext[:nn, nn:], em_ref.ext[:nn, nn:])
-    assert np.array_equal(em_new.ext[nn:, :nn], em_ref.ext[nn:, :nn])
+    left_update_encoded(em_new, pf, vce)
+    left_update_encoded(em_ws, pf, vce, workspace=ws)
+    _assert_encoded_bitwise(em_ref, em_new)
+    assert np.array_equal(em_new.ext[:n], em_ws.ext[:n])
+    assert np.array_equal(em_new.ext[n:, :n], em_ws.ext[n:, :n])
 
 
 def test_fused_left_update_invocation_count(monkeypatch):
     """The fused left update is exactly three BLAS invocations — the
-    two projection matmuls and ONE in-place apply GEMM — with NO
-    separate checksum-row product (no call writes a k-row output)."""
+    two projection matmuls and ONE apply product, all through
+    ``np.matmul`` — with NO separate checksum-row product (no call
+    writes a k-row output)."""
     import repro.abft.checksums as C
+    import repro.perf.workspace as W
 
     n, p, ib, channels = 96, 16, 16, 2
     _, em_new, pf, vce, ws = _fused_left_setup(n, p, ib, channels, seed=9)
@@ -278,7 +275,7 @@ def test_fused_left_update_invocation_count(monkeypatch):
 
     def counting_matmul(a, b, out=None, **kw):
         r = real_matmul(a, b, out=out, **kw)
-        calls.append(("matmul", r.shape))
+        calls.append(r.shape)
         return r
 
     class _NP:
@@ -287,17 +284,10 @@ def test_fused_left_update_invocation_count(monkeypatch):
 
     shim = _NP()
     shim.matmul = counting_matmul
-    real_gemm = C.gemm_inplace
-
-    def counting_gemm(alpha, a, b, c, **kw):
-        calls.append(("gemm_inplace", c.shape))
-        return real_gemm(alpha, a, b, c, **kw)
-
     monkeypatch.setattr(C, "np", shim)
-    monkeypatch.setattr(C, "gemm_inplace", counting_gemm)
+    monkeypatch.setattr(W, "np", shim)
     C.left_update_encoded(em_new, pf, vce, workspace=ws)
     assert len(calls) == 3
-    assert sum(1 for kind, _ in calls if kind == "gemm_inplace") == 1
-    # the k checksum rows ride inside the fused apply — nothing produces
-    # a standalone (k, ...) block
-    assert all(shape[0] != channels for _, shape in calls)
+    # the k checksum rows ride inside the apply — nothing produces a
+    # standalone (k, ...) block, nor its transpose
+    assert all(channels not in shape for shape in calls)

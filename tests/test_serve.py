@@ -514,6 +514,34 @@ class TestServiceCrashRecovery:
         assert stats["pool_rebuilds"] >= 1
         assert stats["counts"].get("retries", 0) >= 1
 
+    def test_broken_submit_retries_as_lost_worker(self, monkeypatch):
+        """A pool whose worker just died raises BrokenProcessPool from
+        ``submit`` itself; the job must retry on a rebuilt pool like any
+        lost-worker failure instead of failing as ``unexpected``."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.utils.procpool import ResilientProcessPool
+
+        real_submit = ResilientProcessPool.submit
+        broken = []
+
+        def submit_broken_once(self, fn, /, *args, **kwargs):
+            if not broken:
+                broken.append(fn)
+                raise BrokenProcessPool("A child process terminated abruptly")
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ResilientProcessPool, "submit", submit_broken_once)
+        with HessService(workers=1, max_queue=4, small_n_threshold=0,
+                         retry=RetryPolicy(backoff_base=0.001)) as svc:
+            sub = svc.submit(JobSpec(driver="ft_gehrd", n=32, seed=0))
+            res = svc.result(sub.job_id, timeout=120)
+            stats = svc.stats()
+        assert broken, "the patched submit never ran"
+        assert res.status == "done", (res.error, res.failure_class)
+        assert res.retries == 1
+        assert stats["pool_rebuilds"] == 1
+
 
 # ---------------------------------------------------------------------------
 # Eigensolver drivers: ft_eig / ft_schur through the service
