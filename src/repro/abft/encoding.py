@@ -145,12 +145,32 @@ class EncodedMatrix:
     # -- fresh sums over the mathematical (yellow+red) matrix --------------
 
     def _masked(self, finished_cols: int) -> np.ndarray:
-        """The mathematical matrix: Q-region of finished columns zeroed."""
+        """The mathematical matrix: Q-region of finished columns zeroed.
+
+        One copy of the data and one boolean mask of the region (entries
+        ``(i, j)`` with ``j < finished_cols`` and ``i ≥ j + 2``).
+        """
         n = self.n
+        done = max(0, min(finished_cols, n))
         m = self.data.copy()
-        for j in range(min(finished_cols, n)):
-            m[j + 2 :, j] = 0.0
+        m[:, :done][np.tri(n, done, -2, dtype=bool)] = 0.0
         return m
+
+    def fresh_sums(
+        self, finished_cols: int, *, counter: FlopCounter | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh row and column checksums of the mathematical matrix from
+        one masked copy: the unit sums (length N each) when k = 1, else
+        every channel's blocks, (N, k) and (k, N). Each side is the same
+        product as its one-sided method."""
+        n = self.n
+        m = self._masked(finished_cols)
+        if counter is not None:
+            counter.add("abft_locate", 2 * self.k * n * F.dot_flops(n))
+        if self.k == 1:
+            ones = np.ones(n, dtype=self.ext.dtype)
+            return m @ ones, ones @ m
+        return m @ self.weights.T, self.weights @ m
 
     def fresh_row_sums(
         self, finished_cols: int, *, counter: FlopCounter | None = None

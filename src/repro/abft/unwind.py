@@ -143,11 +143,9 @@ def locate_errors_rowonly(
     fresh = em.fresh_row_block(finished_cols, counter=counter)  # (n, k)
     drb = np.asarray(fresh - em.row_checksum_block, dtype=np.float64)
 
-    bad_rows = [
-        i
-        for i in range(n)
-        if np.any(~np.isfinite(drb[i])) or np.any(np.abs(drb[i]) > tol)
-    ]
+    bad_rows = np.flatnonzero(
+        ((np.abs(drb) > tol) | ~np.isfinite(drb)).any(axis=1)
+    ).tolist()
     if not bad_rows:
         return []
     if k < 2:
@@ -165,8 +163,10 @@ def locate_errors_rowonly(
                 f"row {i}: weighted channel hot but unit channel cold — "
                 "checksum-element corruption or smeared state"
             )
-        ratio = float(drb[i, 1]) / m
-        j = int(round(ratio * n)) - 1
+        pos = float(drb[i, 1]) / m * n
+        if not np.isfinite(pos):
+            raise UncorrectableError(f"row {i}: ratio test gave no column")
+        j = int(round(pos)) - 1
         if not (0 <= j < n):
             raise UncorrectableError(f"row {i}: ratio test gave column {j}")
         target = m * em.weights[:, j]

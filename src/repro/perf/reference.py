@@ -1,14 +1,18 @@
-"""Frozen pre-pooling kernels — the golden reference.
+"""Frozen scalar kernels — the golden reference.
 
-These are verbatim copies of the panel factorization and the
-checksum-extended updates as they stood before the workspace-pooled
-rewrite. They allocate fresh temporaries on every call (``np.tril``
-copies, ``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
-throughput layer removes — and therefore serve two purposes:
+These are verbatim copies of the panel factorization, the
+checksum-extended updates and the residual decoders as they stood
+before their rewrites. The kernels allocate fresh temporaries on every
+call (``np.tril`` copies, ``np.vstack``, un-``out=``'d GEMMs) — exactly
+the behaviour the throughput layer removes; the decoders test one
+(row, column) pair or one line per Python call, where the live ones work
+on whole arrays. They serve two purposes:
 
 * the equivalence oracle for ``tests/test_kernel_golden.py`` (the pooled
   kernels must agree to roundoff on every path, including k>1 weighted
-  channels), and
+  channels) and ``tests/test_location_reference.py`` (the array decoders
+  must return the same errors, bit for bit, or raise the same message),
+  and
 * the "before" side of ``benchmarks/bench_to_json.py``.
 
 Do not modify these when optimizing the live kernels; that would defeat
@@ -20,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.abft.encoding import EncodedMatrix
-from repro.errors import ShapeError
+from repro.abft.location import LocatedError
+from repro.errors import ShapeError, UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.householder import larfg
@@ -218,3 +223,209 @@ def reverse_right_update_encoded_reference(
     em.ext[n:, p + ib : n] += ychk @ pf.v[ib - 1 : n - p - 1, :].T
     if counter is not None:
         counter.add("abft_recover", F.gemm_flops(n, n - p - ib + k, ib))
+
+
+def decode_residuals_reference(dr: np.ndarray, dc: np.ndarray, tol: float) -> list[LocatedError]:
+    """The scalar peeling decoder (see
+    :func:`repro.abft.location.decode_residuals`).
+
+    Decode row/column residuals into located errors by peeling.
+
+    *dr*/*dc* hold ``fresh − maintained`` sums (a corruption of magnitude
+    ``m`` at (i, j) contributes ``+m`` to both ``dr[i]`` and ``dc[j]``; a
+    corrupted row-checksum element contributes ``−m`` to ``dr[i]`` only).
+    The arrays are consumed (modified in place on a copy made by the
+    caller). Shared by the H-matrix locator and the Q protector.
+    """
+    errors: list[LocatedError] = []
+
+    def close(a: float, b: float) -> bool:
+        # residual comparisons need a magnitude-relative term: the sums'
+        # roundoff scales with the corruption size itself
+        return abs(a - b) <= max(tol, 1e-9 * max(abs(a), abs(b)))
+
+    # non-finite residuals (Inf/NaN corruption) always count as bad lines —
+    # plain magnitude comparison would silently drop them
+    bad_rows = set(np.flatnonzero((np.abs(dr) > tol) | ~np.isfinite(dr)).tolist())
+    bad_cols = set(np.flatnonzero((np.abs(dc) > tol) | ~np.isfinite(dc)).tolist())
+
+    guard = len(bad_rows) + len(bad_cols) + 1
+    for _ in range(guard):
+        if not bad_rows and not bad_cols:
+            break
+
+        # Checksum-element corruption: residual on one side only. For a
+        # corrupted checksum the fresh sum is the truth, so the stored
+        # checksum is off by -residual.
+        if bad_rows and not bad_cols:
+            for i in sorted(bad_rows):
+                errors.append(LocatedError("row_checksum", i, -1, float(-dr[i])))
+            bad_rows.clear()
+            continue
+        if bad_cols and not bad_rows:
+            for j in sorted(bad_cols):
+                errors.append(LocatedError("col_checksum", -1, j, float(-dc[j])))
+            bad_cols.clear()
+            continue
+
+        # Structural rule: a single bad row owns every bad column's error.
+        if len(bad_rows) == 1:
+            i = next(iter(bad_rows))
+            total = sum(dc[j] for j in bad_cols)
+            if not close(dr[i], total) and np.isfinite(total):
+                raise UncorrectableError(
+                    f"inconsistent residuals: row {i} residual {dr[i]:.3e} vs "
+                    f"column total {total:.3e}"
+                )
+            for j in sorted(bad_cols):
+                errors.append(LocatedError("data", i, j, float(dc[j])))
+            bad_rows.clear()
+            bad_cols.clear()
+            continue
+        if len(bad_cols) == 1:
+            j = next(iter(bad_cols))
+            total = sum(dr[i] for i in bad_rows)
+            if not close(dc[j], total) and np.isfinite(total):
+                raise UncorrectableError(
+                    f"inconsistent residuals: column {j} residual {dc[j]:.3e} vs "
+                    f"row total {total:.3e}"
+                )
+            for i in sorted(bad_rows):
+                errors.append(LocatedError("data", i, j, float(dr[i])))
+            bad_rows.clear()
+            bad_cols.clear()
+            continue
+
+        # Magnitude peeling: a (row, col) pair matching uniquely on both
+        # sides must be a lone error on each of its lines.
+        peeled = False
+        for i in sorted(bad_rows):
+            matches = [j for j in bad_cols if close(dr[i], dc[j])]
+            if len(matches) == 1:
+                j = matches[0]
+                back = [i2 for i2 in bad_rows if close(dc[j], dr[i2])]
+                if len(back) == 1:
+                    m = float(dr[i])
+                    errors.append(LocatedError("data", i, j, m))
+                    dr[i] -= m
+                    dc[j] -= m
+                    bad_rows.discard(i)
+                    if abs(dc[j]) <= tol:
+                        bad_cols.discard(j)
+                    peeled = True
+                    break
+        if not peeled:
+            raise UncorrectableError(
+                "error pattern cannot be peeled (rectangular or ambiguous): "
+                f"rows {sorted(bad_rows)}, cols {sorted(bad_cols)}"
+            )
+    else:
+        raise UncorrectableError(
+            f"peeling did not converge: rows {sorted(bad_rows)}, cols {sorted(bad_cols)}"
+        )
+    return errors
+
+
+def decode_residuals_weighted_reference(
+    drb: np.ndarray, dcb: np.ndarray, weights: np.ndarray, tol: float
+) -> list[LocatedError]:
+    """The scalar weighted decoder (see
+    :func:`repro.abft.location.decode_residuals_weighted`).
+
+    Decode residuals under the weighted (k ≥ 2) encoding.
+
+    *drb* is (N, k): per-row ``fresh − maintained`` for every channel;
+    *dcb* is (k, N) for the columns; *weights* is the (k, N) weight
+    matrix whose channel 1 is strictly increasing.
+
+    The extra channel turns location into a **ratio test** (Huang &
+    Abraham): a lone error of magnitude ``m`` at (i, j) gives
+    ``drb[i] = m · weights[:, j]``, so ``drb[i, 1] / drb[i, 0] = w₁(j)``
+    identifies ``j`` directly — per *line*, independent of the other
+    lines. Peeling a located error from all four residual vectors then
+    exposes the next one, which is what decodes patterns the unit
+    encoding provably cannot (the 2-rows × 2-cols L-shape).
+
+    A corrupted checksum *element* perturbs exactly one channel on one
+    side (``drb[i, q] = −m``, everything else clean) and is recognized by
+    that signature.
+    """
+    n, k = drb.shape
+    if k < 2:
+        raise UncorrectableError("weighted decode needs at least two channels")
+    w1 = weights[1]
+    errors: list[LocatedError] = []
+
+    def bad(x: np.ndarray) -> bool:
+        return bool(np.any(~np.isfinite(x)) or np.any(np.abs(x) > tol))
+
+    def match_tol(m: float) -> float:
+        return max(tol, 1e-8 * abs(m))
+
+    def try_line(vec: np.ndarray, along_rows: bool, idx: int) -> bool:
+        """Ratio-decode one line: *idx* is the row index when
+        *along_rows*, else the column index; the ratio recovers the
+        crossing index on the other axis."""
+        m = float(vec[0])
+        if not np.isfinite(m) or abs(m) <= tol:
+            return False
+        ratio = float(vec[1]) / m
+        other = int(round(ratio * n)) - 1
+        if not (0 <= other < n):
+            return False
+        # verify across ALL channels: vec ≈ m * weights[:, other]
+        target = m * weights[:, other]
+        if np.any(np.abs(vec - target) > match_tol(m)):
+            return False
+        if along_rows:
+            errors.append(LocatedError("data", idx, other, m))
+            drb[idx] -= target
+            dcb[:, other] -= m * weights[:, idx]
+        else:
+            errors.append(LocatedError("data", other, idx, m))
+            dcb[:, idx] -= target
+            drb[other] -= m * weights[:, idx]
+        return True
+
+    guard = 2 * n + 4
+    for _ in range(guard):
+        bad_rows = [i for i in range(n) if bad(drb[i])]
+        bad_cols = [j for j in range(n) if bad(dcb[:, j])]
+        if not bad_rows and not bad_cols:
+            break
+        progress = False
+        for i in bad_rows:
+            if try_line(drb[i], True, i):
+                progress = True
+                break
+        if progress:
+            continue
+        for j in bad_cols:
+            if try_line(dcb[:, j], False, j):
+                progress = True
+                break
+        if progress:
+            continue
+        # checksum-element signatures: exactly one channel of one side hot
+        for i in bad_rows:
+            hot = [q for q in range(k) if abs(drb[i, q]) > tol or not np.isfinite(drb[i, q])]
+            if len(hot) == 1:
+                q = hot[0]
+                errors.append(LocatedError("row_checksum", i, -1, float(-drb[i, q]), q))
+                drb[i, q] = 0.0
+                progress = True
+        for j in bad_cols:
+            hot = [q for q in range(k) if abs(dcb[q, j]) > tol or not np.isfinite(dcb[q, j])]
+            if len(hot) == 1:
+                q = hot[0]
+                errors.append(LocatedError("col_checksum", -1, j, float(-dcb[q, j]), q))
+                dcb[q, j] = 0.0
+                progress = True
+        if not progress:
+            raise UncorrectableError(
+                "weighted decode stalled: "
+                f"rows {bad_rows[:8]}, cols {bad_cols[:8]}"
+            )
+    else:
+        raise UncorrectableError("weighted decode did not converge")
+    return errors
