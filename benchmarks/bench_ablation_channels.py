@@ -49,12 +49,12 @@ def test_ablation_checksum_channels(benchmark, results_dir):
     def study():
         cov1 = _pattern_coverage(1)
         cov2 = _pattern_coverage(2)
-        base = hybrid_gehrd(10110, HybridConfig(nb=32, functional=False))
+        base = hybrid_gehrd(10110, HybridConfig(nb=32))
         o1 = overhead_percent(
-            ft_gehrd(10110, FTConfig(nb=32, functional=False, channels=1)), base
+            ft_gehrd(10110, FTConfig(nb=32, channels=1)), base
         )
         o2 = overhead_percent(
-            ft_gehrd(10110, FTConfig(nb=32, functional=False, channels=2)), base
+            ft_gehrd(10110, FTConfig(nb=32, channels=2)), base
         )
         return cov1, cov2, o1, o2
 

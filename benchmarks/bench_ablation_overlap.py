@@ -19,11 +19,9 @@ def test_ablation_q_checksum_overlap(benchmark, results_dir):
     def sweep():
         rows = []
         for n in SIZES:
-            base = hybrid_gehrd(n, HybridConfig(nb=32, functional=False))
-            over = ft_gehrd(n, FTConfig(nb=32, functional=False,
-                                        overlap_q_checksums=True))
-            serial = ft_gehrd(n, FTConfig(nb=32, functional=False,
-                                          overlap_q_checksums=False))
+            base = hybrid_gehrd(n, HybridConfig(nb=32))
+            over = ft_gehrd(n, FTConfig(nb=32, overlap_q_checksums=True))
+            serial = ft_gehrd(n, FTConfig(nb=32, overlap_q_checksums=False))
             rows.append(
                 (n, overhead_percent(over, base), overhead_percent(serial, base))
             )

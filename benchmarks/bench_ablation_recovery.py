@@ -29,14 +29,14 @@ def _restart_overhead_percent(j: int, total: int) -> float:
 
 def test_ablation_recovery_strategy(benchmark, results_dir):
     def sweep():
-        base = hybrid_gehrd(N, HybridConfig(nb=NB, functional=False))
+        base = hybrid_gehrd(N, HybridConfig(nb=NB))
         total = iteration_count(N, NB)
         rows = []
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             j = max(1, int(frac * total))
             p = finished_cols_at(j, N, NB)
             inj = FaultInjector().add(FaultSpec(iteration=j, row=p + 2, col=p + 3))
-            ft = ft_gehrd(N, FTConfig(nb=NB, functional=False), injector=inj)
+            ft = ft_gehrd(N, FTConfig(nb=NB), injector=inj)
             reverse_ovh = overhead_percent(ft, base)
             restart_ovh = _restart_overhead_percent(j, total)
             rows.append((j, reverse_ovh, restart_ovh))

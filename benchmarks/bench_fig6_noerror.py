@@ -16,8 +16,8 @@ def test_fig6_no_error_line(benchmark, results_dir):
     def sweep():
         rows = []
         for n in PAPER_SIZES:
-            base = hybrid_gehrd(n, HybridConfig(nb=32, functional=False))
-            ft = ft_gehrd(n, FTConfig(nb=32, functional=False))
+            base = hybrid_gehrd(n, HybridConfig(nb=32))
+            ft = ft_gehrd(n, FTConfig(nb=32))
             rows.append((n, base.gflops, ft.gflops, overhead_percent(ft, base)))
         return rows
 

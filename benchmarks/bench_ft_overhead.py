@@ -4,7 +4,7 @@
 The FT-GEMM papers report protection cost as a single number — the
 wall-clock overhead of the protected kernel against the unprotected one.
 This benchmark produces that number for the *whole reduction driver* (the
-paper's Fig. 6 metric): ``ft_gehrd(functional=True)`` — ABFT encoding,
+paper's Fig. 6 metric): ``ft_gehrd`` on a matrix — ABFT encoding,
 checksum-fused updates, per-iteration detection — against the plain
 ``hybrid_gehrd`` on the same matrix, for both precision lanes.  Both
 sides pay the same simulated-runtime tax, so the delta is pure
@@ -91,7 +91,7 @@ def _phase_breakdown(n: int, nb: int, dtype, *, repeats: int) -> dict:
 
     a = random_matrix(n, seed=4, dtype=dtype)
     plan = iteration_plan_cached(n, nb)
-    cfg = FTConfig(nb=nb, functional=True)
+    cfg = FTConfig(nb=nb)
     norm_a = one_norm(np.asarray(a, dtype=np.float64))
 
     def walk_ft() -> dict[str, float]:
@@ -179,7 +179,7 @@ def _lane(n: int, nb: int, dtype, *, repeats: int) -> dict:
         return hybrid_gehrd(a, HybridConfig(nb=nb))
 
     def protected():
-        return ft_gehrd(a, FTConfig(nb=nb, functional=True))
+        return ft_gehrd(a, FTConfig(nb=nb))
 
     res_plain = unprotected()
     res_ft = protected()

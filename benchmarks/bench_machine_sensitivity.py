@@ -40,8 +40,8 @@ def test_machine_sensitivity(benchmark, results_dir):
         rows = []
         for name, machine in MACHINES:
             machine = machine or paper_testbed()
-            base = hybrid_gehrd(N, HybridConfig(nb=32, machine=machine, functional=False))
-            ft = ft_gehrd(N, FTConfig(nb=32, machine=machine, functional=False))
+            base = hybrid_gehrd(N, HybridConfig(nb=32, machine=machine))
+            ft = ft_gehrd(N, FTConfig(nb=32, machine=machine))
             rows.append((name, base.gflops, overhead_percent(ft, base)))
         return rows
 

@@ -23,12 +23,12 @@ def test_nb_sensitivity(benchmark, results_dir):
     def sweep():
         rows = []
         for nb in WIDTHS:
-            base = hybrid_gehrd(N, HybridConfig(nb=nb, functional=False))
-            ft = ft_gehrd(N, FTConfig(nb=nb, functional=False))
+            base = hybrid_gehrd(N, HybridConfig(nb=nb))
+            ft = ft_gehrd(N, FTConfig(nb=nb))
             inj = FaultInjector().add(
                 FaultSpec(iteration=2, row=N // 2, col=N // 2 + 5, magnitude=1.0)
             )
-            ftf = ft_gehrd(N, FTConfig(nb=nb, functional=False), injector=inj)
+            ftf = ft_gehrd(N, FTConfig(nb=nb), injector=inj)
             rows.append(
                 (nb, base.gflops, overhead_percent(ft, base),
                  overhead_percent(ftf, base))

@@ -30,7 +30,7 @@ def test_table1_platform(benchmark, results_dir):
         return rows.render()
 
     rates = benchmark(model_rates)
-    base = hybrid_gehrd(10110, HybridConfig(nb=32, functional=False))
+    base = hybrid_gehrd(10110, HybridConfig(nb=32))
     text = (
         render_table1(machine)
         + "\n\n"

@@ -2,7 +2,7 @@
 
 Regenerates the paper's closed-form table (FLOP_extra, the O(1/N) ratio,
 and the S = nb·N + 4N storage bound) and cross-checks it against the
-flop counts measured by the functional FT driver.
+flop counts measured by the FT driver run on a matrix.
 """
 
 from conftest import emit

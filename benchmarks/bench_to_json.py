@@ -313,7 +313,7 @@ def bench_ft_eig(n: int = 192, nb: int = 32, *, repeats: int = 3) -> dict:
     """Fault-free overhead of the protected eigensolver pipeline.
 
     Unprotected side: ``hybrid_gehrd`` + ``hessenberg_eigvals`` (plain
-    Francis QR). Protected side: ``ft_gehrd(functional=True)`` +
+    Francis QR). Protected side: ``ft_gehrd`` on a matrix +
     ``ft_hqr`` — ABFT-encoded reduction, then the checkpointed QR with
     similarity-invariant verification every ``verify_every`` sweeps.
     The overhead percentage is the number the paper's Fig. 6 reports
@@ -331,7 +331,7 @@ def bench_ft_eig(n: int = 192, nb: int = 32, *, repeats: int = 3) -> dict:
         return hessenberg_eigvals(extract_hessenberg(res.a), check_input=False)
 
     def protected():
-        res = ft_gehrd(a, FTConfig(nb=nb, functional=True))
+        res = ft_gehrd(a, FTConfig(nb=nb))
         return ft_hqr(extract_hessenberg(res.a), qcfg, check_input=False).eigvals
 
     ref = np.sort_complex(unprotected())
@@ -340,7 +340,7 @@ def bench_ft_eig(n: int = 192, nb: int = 32, *, repeats: int = 3) -> dict:
     t_plain = _best_of(unprotected, repeats=repeats)
     t_ft = _best_of(protected, repeats=repeats)
     fr = ft_hqr(extract_hessenberg(
-        ft_gehrd(a, FTConfig(nb=nb, functional=True)).a), qcfg, check_input=False)
+        ft_gehrd(a, FTConfig(nb=nb)).a), qcfg, check_input=False)
     return {
         "n": n, "nb": nb,
         "verify_every": qcfg.verify_every,

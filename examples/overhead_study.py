@@ -2,8 +2,8 @@
 """Reproduce Fig. 6 — FT-Hess overhead on the simulated Table-I machine,
 at the paper's full matrix sizes (1022 … 10110), in seconds of wall time.
 
-Uses the event model in metadata mode (the schedule is priced without
-touching data), sweeping the single-error injection moment to build the
+Prices the schedule from the order N alone (no data is touched),
+sweeping the single-error injection moment to build the
 paper's gray uncertainty band per area, plus an ASCII rendering of one
 iteration's overlap structure (Fig. 1 / Fig. 4 anatomy).
 
@@ -26,7 +26,7 @@ def main() -> None:
     # the anatomy of one FT iteration: Gantt of the simulated schedule
     print("one FT-Hess run at N=1022 — simulated schedule (Gantt, first chars")
     print("of op categories: p=panel, r=right, l=left, a=abft, t=transfer):")
-    res = ft_gehrd(1022, FTConfig(nb=128, functional=False))
+    res = ft_gehrd(1022, FTConfig(nb=128))
     print(res.timeline.gantt(width=100))
     print(f"\nCPU utilization {res.timeline.by_resource()[1].utilization:.0%} — "
           "the Q-checksum GEMVs ride the otherwise idle host, which is the\n"

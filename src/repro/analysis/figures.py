@@ -9,7 +9,7 @@ Each figure plots, against matrix size:
   single error strikes the given area.
 
 All series come from the timed event model at the paper's matrix sizes
-(metadata mode — no data is touched), so regenerating a figure takes
+(order-only runs — no data is touched), so regenerating a figure takes
 seconds. The paper's size grid 1022…10110 is the default.
 """
 
@@ -82,8 +82,8 @@ def overhead_band(
     """
     machine = machine or paper_testbed()
     rng = make_rng(seed)
-    base = hybrid_gehrd(n, HybridConfig(nb=nb, machine=machine, functional=False))
-    ft0 = ft_gehrd(n, FTConfig(nb=nb, machine=machine, functional=False))
+    base = hybrid_gehrd(n, HybridConfig(nb=nb, machine=machine))
+    ft0 = ft_gehrd(n, FTConfig(nb=nb, machine=machine))
     no_err = overhead_percent(ft0, base)
 
     total = iteration_count(n, nb)
@@ -94,7 +94,7 @@ def overhead_band(
         p = finished_cols_at(it, n, nb)
         i, j = sample_in_area(area, p, n, rng)
         inj = FaultInjector().add(FaultSpec(iteration=it, row=i, col=j))
-        ft = ft_gehrd(n, FTConfig(nb=nb, machine=machine, functional=False), injector=inj)
+        ft = ft_gehrd(n, FTConfig(nb=nb, machine=machine), injector=inj)
         ovh = overhead_percent(ft, base)
         lo, hi = min(lo, ovh), max(hi, ovh)
     return base.gflops, ft0.gflops, no_err, float(lo), float(hi)

@@ -1,6 +1,6 @@
 """``repro.backend`` — the array-namespace seam and its adapter registry.
 
-Four adapters are registered:
+Three adapters are registered:
 
 ========================  =========  ==========  ==============================
 name                      contract   requires    role
@@ -8,7 +8,6 @@ name                      contract   requires    role
 ``numpy``                 in-place   (nothing)   default; today's code paths
 ``numpy_functional``      functional (nothing)   reference for the JAX contract
 ``jax``                   functional ``jax``     CPU jit whole-stack lane
-``cupy``                  in-place   ``cupy``    CUDA stub (same seam)
 ========================  =========  ==========  ==============================
 
 Resolution order for "which backend does this run use": an explicit
@@ -39,7 +38,6 @@ _SPECS: dict[str, tuple[str, str | None]] = {
     "numpy": ("repro.backend.base:NumpyBackend", None),
     "numpy_functional": ("repro.backend.base:NumpyFunctionalBackend", None),
     "jax": ("repro.backend.jax_backend:JaxBackend", 'pip install "repro[jax]" (or: pip install "jax[cpu]")'),
-    "cupy": ("repro.backend.cupy_backend:CupyBackend", 'pip install "repro[cupy]" (or: pip install cupy-cuda12x)'),
 }
 
 #: Registered backend names, resolution-stable order.
@@ -89,12 +87,11 @@ def backend_probe(name: str) -> tuple[bool, str | None, str | None]:
         import numpy
 
         return True, numpy.__version__, None
-    mod_name = "jax" if name == "jax" else "cupy"
     try:
         import importlib
 
-        mod = importlib.import_module(mod_name)
-    except Exception as exc:  # ImportError and CUDA init failures alike
+        mod = importlib.import_module("jax")
+    except Exception as exc:  # ImportError and runtime init failures alike
         return False, None, f"{type(exc).__name__}: {exc}"
     return True, getattr(mod, "__version__", "unknown"), None
 

@@ -8,7 +8,7 @@ and the two execution primitives the whole-stack kernels need
 The one semantic fork between adapters is the **update contract**,
 declared by :attr:`Backend.inplace_updates`:
 
-* in-place backends (NumPy, CuPy) expose mutable buffers —
+* in-place backends (NumPy) expose mutable buffers —
   ``at_set`` writes through and returns the same array;
 * functional backends (JAX) have immutable arrays — ``at_set``
   returns a new array (``x.at[idx].set(v)``).
@@ -41,7 +41,7 @@ class Backend:
 
     @property
     def xp(self):
-        """The array namespace (``numpy``, ``jax.numpy``, ``cupy``)."""
+        """The array namespace (``numpy``, ``jax.numpy``)."""
         return np
 
     def asarray(self, a, dtype=None):

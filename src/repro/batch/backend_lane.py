@@ -19,7 +19,7 @@ The resilience contract is the batched engine's, unchanged:
 * any item carrying a fault plan finishes on the scalar ladder even if
   nothing tripped, and unbatchable plans pre-eject at ``-1`` — a fault
   can never silently ride the backend fast path;
-* clean items share one metadata-mode pricing run.
+* clean items share one order-only pricing run.
 
 Unit-weight checksums only: the lane accepts ``channels=1`` configs and
 raises otherwise (the serve layer routes ``channels=2`` jobs to the
@@ -28,7 +28,6 @@ NumPy engine).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,11 +164,6 @@ def ft_gehrd_stack(
     """
     bk = backend if isinstance(backend, Backend) else get_backend(backend)
     config = config or FTConfig()
-    if not config.functional:
-        raise ShapeError(
-            "ft_gehrd_stack runs functional mode only; metadata-mode "
-            "pricing has nothing to batch — call ft_gehrd(n, config) instead"
-        )
     if config.channels != 1:
         raise ShapeError(
             "the backend lane maintains unit-weight checksums only "
@@ -203,10 +197,10 @@ def ft_gehrd_stack(
             ejected_at[i] = -1
 
     if batch_idx:
-        # one metadata-mode run prices every clean item (same trick as
-        # the NumPy batched engine: a clean functional run schedules
-        # exactly the ops metadata mode prices)
-        priced = ft_gehrd(n, dataclasses.replace(config, functional=False))
+        # one order-only run prices every clean item (same trick as the
+        # NumPy batched engine: a clean run on a matrix schedules exactly
+        # the ops the order-only run prices)
+        priced = ft_gehrd(n, config)
         seconds = priced.seconds
         norms = np.array(
             [one_norm(np.asarray(stack[i], dtype=np.float64)) for i in batch_idx]

@@ -22,15 +22,14 @@ GEMM reads only item b's slice — so an ejected item's garbage state is
 harmlessly carried to the end of the stacked loop while the remaining
 items complete untouched.
 
-Clean items share one metadata-mode pricing run: a clean functional
-``ft_gehrd`` schedules exactly the ops metadata mode prices (no
+Clean items share one order-only pricing run: a clean ``ft_gehrd`` on
+a matrix schedules exactly the ops ``ft_gehrd(n, config)`` prices (no
 detections, no recovery), so ``seconds``/``timeline`` are identical —
-one :func:`ft_gehrd` call in metadata mode prices the whole batch.
+one order-only :func:`ft_gehrd` call prices the whole batch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,13 +153,7 @@ def gehrd_batched(
         ib = min(nb, n - 1 - p)
         pf = lahr2_batched(a, p, ib, n, counter=counter, workspace=ws)
         taus[:, p : p + ib] = pf.taus
-
-        # right update needs the unit entry of the last reflector in place
-        ei = a[:, p + ib, p + ib - 1].copy()
-        a[:, p + ib, p + ib - 1] = 1.0
         apply_right_updates_batched(a, pf, n, counter=counter, workspace=ws)
-        a[:, p + ib, p + ib - 1] = ei
-
         apply_left_update_batched(a, pf, n, counter=counter, workspace=ws)
         p += ib
 
@@ -234,17 +227,10 @@ def ft_gehrd_batched(
     scalar :func:`ft_gehrd` byte for byte; any item that trips detection
     — and every item carrying a fault plan — is *ejected* and finished
     on the scalar resilience ladder from its pristine input (see the
-    module docstring for the full contract).
-
-    Functional mode only: metadata-mode pricing has no per-item Python
-    overhead to amortize, so it stays on the scalar driver.
+    module docstring for the full contract). Pricing an order alone has
+    nothing to batch: call ``ft_gehrd(n, config)`` for that.
     """
     config = config or FTConfig()
-    if not config.functional:
-        raise ShapeError(
-            "ft_gehrd_batched runs functional mode only; metadata-mode "
-            "pricing has nothing to batch — call ft_gehrd(n, config) instead"
-        )
     stack = as_item_f_stack(
         as_lane_matrix(a_stack)
         if isinstance(a_stack, np.ndarray)
@@ -276,9 +262,9 @@ def ft_gehrd_batched(
             ejected_at[i] = -1  # unbatchable fault plan: scalar from the start
 
     if batch_idx:
-        # one metadata-mode run prices every clean item: a clean
-        # functional run schedules exactly the ops metadata mode prices
-        priced = ft_gehrd(n, dataclasses.replace(config, functional=False))
+        # one order-only run prices every clean item: a clean run on a
+        # matrix schedules exactly the ops the order-only run prices
+        priced = ft_gehrd(n, config)
         seconds = priced.seconds
         norms = np.array(
             [one_norm(np.asarray(stack[i], dtype=np.float64)) for i in batch_idx]

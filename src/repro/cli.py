@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write one JobResult JSON per line to this file")
         s.add_argument("--backend", type=str, default=None,
                        help="run every loaded job on this array backend "
-                            "(numpy / numpy_functional / jax / cupy; "
+                            "(numpy / numpy_functional / jax; "
                             "overrides the specs and the REPRO_BACKEND "
                             "env default — see 'repro backends')")
 
@@ -453,7 +453,7 @@ def _cmd_eig_campaign(args) -> str:
 def _cmd_trace(args) -> str:
     from repro.core import FTConfig, ft_gehrd
 
-    res = ft_gehrd(args.n, FTConfig(nb=args.nb, functional=False))
+    res = ft_gehrd(args.n, FTConfig(nb=args.nb))
     chrome = res.timeline.to_chrome_trace()
     written = []
     for path in (args.out, args.chrome):

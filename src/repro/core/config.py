@@ -21,14 +21,10 @@ class HybridConfig:
         Panel width (the paper uses 32 throughout).
     machine:
         Simulated machine; defaults to the paper's Table I testbed.
-    functional:
-        Execute real NumPy kernels (True) or only price the schedule
-        ("metadata mode", used at paper-scale N).
     """
 
     nb: int = DEFAULT_NB
     machine: MachineSpec = field(default_factory=paper_testbed)
-    functional: bool = True
 
     def validate(self, n: int) -> None:
         if self.nb < 1:

@@ -17,13 +17,16 @@ Per iteration, on top of the Algorithm-2 structure:
 * once, at the very end, the Q checksums are verified and any area-3
   error corrected.
 
-Functional mode executes all of this on real data; metadata mode prices
-the identical schedule (consulting the fault plan for which iterations
-detect) so the Fig. 6 overhead curves can be produced at paper-scale N.
+Given a matrix, the driver computes all of this with NumPy and reports
+each phase to :class:`FTSchedule`, which prices it on the simulated
+machine. Given only the order N, it prices the identical schedule
+(consulting the fault plan for which iterations detect) so the Fig. 6
+overhead curves can be produced at paper-scale N.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -60,19 +63,20 @@ from repro.resilience import (
 )
 from repro.hybrid.engine import SimOp
 from repro.hybrid.runtime import HybridRuntime
+from repro.hybrid.trace import Timeline
 from repro.linalg.flops import FlopCounter
 from repro.linalg.lahr2 import lahr2
 from repro.linalg.verify import one_norm
 from repro.perf.workspace import Workspace
 from repro.utils.precision import as_lane_matrix
 
-_B = 8  # default element bytes (float64); fp32 runs price half per element
+_MAX_SIMULTANEOUS = 4  # decode plausibility bound (see ft_sytrd)
 
 
 def _planned_detections(
     injector: FaultInjector | None, n: int, nb: int, detect_every: int
 ) -> dict[int, int]:
-    """Metadata mode: ``{detection iteration: earliest fault iteration}``.
+    """Order-only runs: ``{detection iteration: earliest fault iteration}``.
 
     A fault in the active (area 1/2) region or in a checksum vector is
     caught at the first detection point at or after its iteration; area-3
@@ -110,119 +114,56 @@ def _has_area3_fault(injector: FaultInjector | None, n: int, nb: int) -> bool:
     return False
 
 
-def ft_gehrd(
-    a: np.ndarray | int,
-    config: FTConfig | None = None,
-    *,
-    injector: FaultInjector | None = None,
-    workspace: Workspace | None = None,
-) -> FTResult:
-    """Run the fault-tolerant Algorithm 3 on the simulated hybrid machine.
+class FTSchedule:
+    """Algorithm 3's priced schedule on the simulated hybrid machine.
 
-    Parameters
-    ----------
-    a:
-        Square input matrix (functional) or the order N (metadata mode).
-    config:
-        Driver settings (see :class:`~repro.core.config.FTConfig`).
-    injector:
-        Fault plan; faults strike the encoded matrix at iteration starts.
-
-    Returns
-    -------
-    FTResult
-        Packed factorization + taus (functional mode), simulated
-        timeline/seconds, recovery log, Q-check report, checkpoint stats.
-
-    Raises
-    ------
-    ConvergenceError
-        If an iteration keeps detecting errors past ``max_retries``
-        (an error storm outside the paper's failure model).
+    The driver computes each phase first and then reports it here, one
+    method per phase event; this is the only code in the module that
+    talks to the runtime. The event engine is an eager list scheduler,
+    so the order of the reports *is* the schedule.
     """
-    config = config or FTConfig()
-    if isinstance(a, (int, np.integer)):
-        n = int(a)
-        em = None
-        if config.functional:
-            raise ShapeError("functional mode needs a concrete matrix, not an order")
-        norm_a = 1.0
-    else:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"ft_gehrd needs a square matrix, got {a.shape}")
-        n = a.shape[0]
-        a = as_lane_matrix(a)
-        norm_a = one_norm(np.asarray(a, dtype=np.float64))
-        em = None
-    config.validate(n)
-    # transfer pricing follows the lane itemsize: the fp32 lane moves
-    # half the bytes of the float64 default over the same PCIe model
-    _B = 8 if isinstance(a, (int, np.integer)) else int(a.dtype.itemsize)
 
-    counter = FlopCounter()
-    rt = HybridRuntime(config.machine, functional=config.functional)
-    plan = iteration_plan_cached(n, config.nb)
-    total_iters = len(plan)
+    def __init__(self, n: int, config: FTConfig, elem_bytes: int = 8):
+        self.n = n
+        self.config = config
+        self.plan = iteration_plan_cached(n, config.nb)
+        # transfer pricing follows the lane itemsize: the fp32 lane moves
+        # half the bytes of the float64 default over the same PCIe model
+        self.elem_bytes = elem_bytes
+        self.rt = rt = HybridRuntime(config.machine)
+        # lines 1–2: upload + encode
+        op_up_a = rt.copy_h2d(elem_bytes * n * n, name="upload_A", category="transfer")
+        self.frontier: list[SimOp] = [
+            rt.submit(
+                "encode",
+                "gpu",
+                2 * config.channels * rt.cost.gemv("gpu", n, n),
+                [op_up_a],
+                "abft_maintain",
+            )
+        ]
 
-    # ---- functional state -------------------------------------------------
-    functional = config.functional
-    if functional:
-        em = EncodedMatrix(a, channels=config.channels, counter=counter)
-        detector = Detector(config.threshold, norm_a)
-        qprot = QProtector(n, eps_factor=config.eps_factor_locate)
-        store = DisklessCheckpointStore()
-        store.save_initial(em)  # the restart tier's substrate
-        taus = np.zeros(max(n - 1, 0), dtype=em.ext.dtype)
-        tau_guard = TauGuard(taus.size)
-        # callers that run many reductions back to back (the serve
-        # worker pool) pass a long-lived arena; presize is grow-only,
-        # so reuse across differently sized jobs is safe
-        ws = workspace if workspace is not None else Workspace()
-        ws.presize(n, config.nb, config.channels, dtype=em.ext.dtype)
-    else:
-        detector = None
-        qprot = None
-        store = None
-        taus = None
-        tau_guard = None
-        ws = None
-    sup = ResilienceSupervisor(config.ladder, config.max_retries)
-    planned = _planned_detections(injector, n, config.nb, config.detect_every)
+    def checks(self, it: int) -> bool:
+        """Whether the ``detect_every`` policy runs the detector at *it*."""
+        return it % self.config.detect_every == 0 or it == len(self.plan) - 1
 
-    recoveries: list[RecoveryEvent] = []
-    tau_repairs = 0
+    def audits(self, it: int) -> bool:
+        """Whether the optional full audit runs after iteration *it*."""
+        every = self.config.audit_every
+        return every > 0 and ((it + 1) % every == 0 or it == len(self.plan) - 1)
 
-    # ---- line 1–2: upload + encode -----------------------------------------
-    op_up_a = rt.copy_h2d(_B * n * n, name="upload_A", category="transfer")
-    op_encode = rt.submit(
-        "encode",
-        "gpu",
-        2 * config.channels * rt.cost.gemv("gpu", n, n),
-        [op_up_a],
-        "abft_maintain",
-    )
-    frontier: list[SimOp] = [op_encode]
-
-    def schedule_body(
-        it: int,
-        p: int,
-        ib: int,
-        deps: list[SimOp],
-        *,
-        redo: bool,
-        fns: dict,
-        check_here: bool = True,
-    ) -> tuple[list[SimOp], SimOp, SimOp]:
-        """Submit one FT iteration's compute ops; returns
-        (frontier, last op, panel op)."""
+    def iteration(self, it: int, *, redo: bool) -> None:
+        """One FT iteration's compute ops (a re-execution when *redo*)."""
+        rt, config, n, b = self.rt, self.config, self.n, self.elem_bytes
+        p, ib = self.plan[it]
         m = n - p
         tag = f"@{it}" + ("r" if redo else "")
         cat_extra = "abft_recover" if redo else None
 
-        op_down = rt.copy_d2h(_B * (m - 1) * ib, deps, name=f"panel_down{tag}",
+        op_down = rt.copy_d2h(b * (m - 1) * ib, self.frontier, name=f"panel_down{tag}",
                               category="transfer")
-        op_panel = rt.panel(m, ib, [op_down], name=f"panel{tag}", fn=fns.get("panel"))
-        op_pup = rt.copy_h2d(_B * m * ib, [op_panel], name=f"panel_up{tag}",
+        op_panel = rt.panel(m, ib, [op_down], name=f"panel{tag}")
+        op_pup = rt.copy_h2d(b * m * ib, [op_panel], name=f"panel_up{tag}",
                              category="transfer")
 
         # lines 6–7: checksum GEMVs for Y and V on the GPU (per channel)
@@ -232,7 +173,6 @@ def ft_gehrd(
             2 * config.channels * rt.cost.gemv("gpu", m - 1, ib),
             [op_pup],
             cat_extra or "abft_maintain",
-            fns.get("chk"),
         )
 
         # §IV-E: Q checksum maintenance on the (idle) host, overlapped with
@@ -246,7 +186,6 @@ def ft_gehrd(
                 2 * rt.cost.gemv("cpu", m - 1, ib),
                 [op_panel],
                 cat_extra or "abft_qprotect",
-                fns.get("qchk"),
             )
             update_deps = [op_chk]
         else:
@@ -256,7 +195,6 @@ def ft_gehrd(
                 2 * rt.cost.gemv("gpu", m - 1, ib),
                 [op_pup],
                 cat_extra or "abft_qprotect",
-                fns.get("qchk"),
             )
             update_deps = [op_chk, op_qchk]
 
@@ -265,9 +203,9 @@ def ft_gehrd(
             "gpu", p + ib, m - ib + 1, ib
         )
         op_m = rt.submit(f"right_M{tag}", "gpu", dur_m, update_deps,
-                         cat_extra or "right_update", fns.get("right"))
+                         cat_extra or "right_update")
         # line 9: async send of the finished columns of M
-        op_send = rt.copy_d2h(_B * (p + ib) * ib, [op_m], name=f"send_M{tag}",
+        op_send = rt.copy_d2h(b * (p + ib) * ib, [op_m], name=f"send_M{tag}",
                               category="transfer")
         # line 10: right update to Gfe … overlapped with line 9
         op_g = rt.gemm("gpu", m - ib, m - ib + 1, ib, [op_m], name=f"right_G{tag}",
@@ -277,7 +215,7 @@ def ft_gehrd(
                           category=cat_extra or "abft_maintain")
         # line 11: extended left update
         op_l = rt.larfb("gpu", m - 1, m - ib + 1, ib, [op_g], name=f"larfb{tag}",
-                        category=cat_extra or "left_update", fn=fns.get("left"))
+                        category=cat_extra or "left_update")
         op_lrow = rt.gemv("gpu", m - ib + 1, ib, [op_l], name=f"lrow{tag}",
                           category=cat_extra or "abft_maintain")
         # freeze the finished columns' checksum segment
@@ -287,11 +225,10 @@ def ft_gehrd(
             ib * rt.cost.dot("gpu", p + ib),
             [op_l],
             cat_extra or "abft_maintain",
-            fns.get("refresh"),
         )
         # lines 12–13: detection (two reductions + a scalar readback) —
         # only scheduled at the iterations the detect_every policy checks
-        if check_here:
+        if self.checks(it):
             op_detect = rt.submit(
                 f"detect{tag}",
                 "gpu",
@@ -299,257 +236,324 @@ def ft_gehrd(
                 [op_refresh, op_crow, op_lrow],
                 "abft_detect",
             )
-            last = rt.copy_d2h(2 * _B, [op_detect], name=f"detect_d2h{tag}",
+            last = rt.copy_d2h(2 * b, [op_detect], name=f"detect_d2h{tag}",
                                category="abft_detect")
         else:
             last = op_refresh
-        new_frontier = [last, op_send, op_qchk]
-        return new_frontier, last, op_panel
+        self.frontier = [last, op_send, op_qchk]
 
-    def schedule_recovery(
-        it: int, deps: list[SimOp], *, unwind_to: int
-    ) -> list[SimOp]:
-        """Submit the rollback + locate + correct ops (lines 14–15).
+    def audit(self, it: int, *, fixed: bool) -> None:
+        """The full checksum audit after *it*, and its in-place fix."""
+        rt, n = self.rt, self.n
+        self.frontier = [
+            rt.submit(
+                f"audit@{it}",
+                "gpu",
+                2 * self.config.channels * rt.cost.gemv("gpu", n, n),
+                self.frontier,
+                "abft_detect",
+            )
+        ]
+        if fixed:
+            self.frontier = [rt.dot("gpu", n, self.frontier, name=f"audit_fix@{it}",
+                                    category="abft_correct")]
+
+    def correct(self, it: int) -> None:
+        """Ladder tier 0: the error was corrected in place, no rollback."""
+        self.frontier = [self.rt.dot("gpu", self.n, self.frontier, name=f"fix@{it}",
+                                     category="abft_correct")]
+
+    def recovery(self, it: int, *, unwind_to: int) -> None:
+        """The rollback + locate + correct ops (lines 14–15).
 
         When detection lagged the fault (``unwind_to < it``) the deep
         rollback re-applies each intervening iteration's block reflector
         pair — one reverse left + one reverse right update per unwound
         iteration, the same kernel shapes as the forward pass.
         """
-        frontier_r = deps
+        rt, n = self.rt, self.n
+        frontier = self.frontier
         for back in range(it, unwind_to - 1, -1):
-            pb, ibb = plan[back]
+            pb, ibb = self.plan[back]
             m = n - pb
             tag = f"@{back}u{it}"
-            op_revl = rt.larfb("gpu", m - 1, m - ibb + 1, ibb, frontier_r,
+            op_revl = rt.larfb("gpu", m - 1, m - ibb + 1, ibb, frontier,
                                name=f"rev_larfb{tag}", category="abft_recover")
             op_revr = rt.gemm("gpu", n, m - ibb + 1, ibb, [op_revl],
                               name=f"rev_right{tag}", category="abft_recover")
-            frontier_r = [op_revr]
-        op_restore = rt.copy_h2d(_B * n * config.nb, frontier_r, name=f"restore@{it}",
-                                 category="abft_recover")
+            frontier = [op_revr]
+        op_restore = rt.copy_h2d(self.elem_bytes * n * self.config.nb, frontier,
+                                 name=f"restore@{it}", category="abft_recover")
         op_locate = rt.submit(
             f"locate@{it}",
             "gpu",
-            2 * config.channels * rt.cost.gemv("gpu", n, n),
+            2 * self.config.channels * rt.cost.gemv("gpu", n, n),
             [op_restore],
             "abft_locate",
         )
-        op_correct = rt.dot("gpu", n, [op_locate], name=f"correct@{it}",
-                            category="abft_correct")
-        return [op_correct]
+        self.frontier = [rt.dot("gpu", n, [op_locate], name=f"correct@{it}",
+                                category="abft_correct")]
 
-    # ---- main loop ----------------------------------------------------------
-    max_simultaneous = 4  # decode plausibility bound (see ft_sytrd)
-    consecutive_recoveries = 0
-    redo_seq = 0
-    handled_detections: set[int] = set()
+    def restart(self, it: int) -> None:
+        """Ladder tier 3: re-upload the initial snapshot."""
+        self.frontier = [
+            self.rt.copy_h2d(self.elem_bytes * self.n * self.n, self.frontier,
+                             name=f"restart@{it}", category="abft_recover")
+        ]
 
-    def inject(phase: str, iteration: int, panel_v: np.ndarray | None = None) -> None:
-        """Phase-aware adversarial injection hook: exposes every live FT
-        structure — the encoded matrix, the tau scalars, the Q-protection
-        checksums, the diskless checkpoint buffer and (inside an
-        iteration) the live V block — to the fault plan."""
-        if injector is None or not functional:
-            return
-        injector.apply_phase(
-            iteration,
-            phase,
-            InjectionTargets(
-                em=em, taus=taus, qprot=qprot, checkpoint=store, panel_v=panel_v
-            ),
+    def finish(self, *, q_corrected: bool) -> Timeline:
+        """The end-of-run Q check (and fix) and the final drain."""
+        rt, n = self.rt, self.n
+        frontier = [
+            rt.submit(
+                "q_verify",
+                "cpu",
+                2 * rt.cost.gemv("cpu", n, max(n // 2, 1)),
+                self.frontier,
+                "abft_qprotect",
+            )
+        ]
+        if q_corrected:
+            frontier = [rt.dot("cpu", n, frontier, name="q_correct",
+                               category="abft_correct")]
+        rt.copy_d2h(self.elem_bytes * n * self.config.nb, frontier, name="final_down",
+                    category="transfer")
+        return rt.timeline()
+
+
+def _locate_and_correct(
+    em: EncodedMatrix, finished: int, norm_a: float, config: FTConfig, counter: FlopCounter
+) -> list:
+    """Locate at the rolled-back state; raise if implausible/unclean."""
+    report = locate_errors(
+        em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
+    )
+    data_errs = [e for e in report.errors if e.kind == "data"]
+    if len(data_errs) > _MAX_SIMULTANEOUS:
+        raise UncorrectableError(
+            f"{len(data_errs)} simultaneous data errors decoded — smeared state"
         )
+    correct_all(em, report.errors, finished, counter=counter)
+    if locate_errors(
+        em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
+    ).errors:
+        raise UncorrectableError("correction did not clean the state")
+    return report.errors
 
-    def locate_and_correct(finished: int) -> list:
-        """Locate at the rolled-back state; raise if implausible/unclean."""
+
+def _try_in_place(
+    em: EncodedMatrix, finished: int, norm_a: float, config: FTConfig, counter: FlopCounter
+) -> list | None:
+    """Ladder tier 0: correct at the *current* state, no rollback.
+
+    Only accepts patterns the decoder pins down exactly — at most
+    ``in_place_max_errors`` data elements (checksum-element errors
+    are recomputed from data and are always safe to fix in place).
+    The attempt is transactional: on any doubt the state is restored
+    verbatim and the ladder escalates.
+    """
+    snapshot = em.ext.copy()
+    try:
         report = locate_errors(
             em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
         )
         data_errs = [e for e in report.errors if e.kind == "data"]
-        if len(data_errs) > max_simultaneous:
-            raise UncorrectableError(
-                f"{len(data_errs)} simultaneous data errors decoded — smeared state"
-            )
+        if not report.errors or len(data_errs) > config.ladder.in_place_max_errors:
+            return None
+        if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
+            # With one channel, a "row checksum" diagnosis is
+            # untrustworthy at the current state: a data error in a
+            # just-finished panel column looks identical, because the
+            # panel factorization recomputed that column's checksum
+            # over the corrupted data. Tier 1's restore brings back
+            # the save-time column checksums, which disambiguate.
+            return None
         correct_all(em, report.errors, finished, counter=counter)
         if locate_errors(
             em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
         ).errors:
-            raise UncorrectableError("correction did not clean the state")
+            raise UncorrectableError("in-place correction did not clean the state")
         return report.errors
+    except UncorrectableError:
+        em.ext[:, :] = snapshot
+        return None
 
-    def try_in_place(finished: int) -> list | None:
-        """Ladder tier 0: correct at the *current* state, no rollback.
 
-        Only accepts patterns the decoder pins down exactly — at most
-        ``in_place_max_errors`` data elements (checksum-element errors
-        are recomputed from data and are always safe to fix in place).
-        The attempt is transactional: on any doubt the state is restored
-        verbatim and the ladder escalates.
-        """
-        snapshot = em.ext.copy()
-        try:
-            report = locate_errors(
-                em, finished, norm_a, eps_factor=config.eps_factor_locate,
-                counter=counter,
+def _price_order(n: int, config: FTConfig, injector: FaultInjector | None) -> FTResult:
+    """Price Algorithm 3 for an order alone, without data.
+
+    The fault plan decides which iterations detect; each detection
+    prices one reverse+redo, or a deep rollback to the earliest fault it
+    covers (the flat pricing model: no in-place, restart or audit fix).
+    """
+    sched = FTSchedule(n, config)
+    planned = _planned_detections(injector, n, config.nb, config.detect_every)
+    recoveries: list[RecoveryEvent] = []
+    handled: set[int] = set()
+    retries = 0
+    it = 0
+    while it < len(sched.plan):
+        sched.iteration(it, redo=retries > 0)
+        if it not in planned or it in handled:
+            retries = 0
+            if sched.audits(it):
+                sched.audit(it, fixed=False)
+            it += 1
+            continue
+        retries += 1
+        if retries > config.max_retries:
+            raise ConvergenceError(
+                f"iteration {it}: errors persisted past {config.max_retries} retries"
             )
-            data_errs = [e for e in report.errors if e.kind == "data"]
-            if not report.errors or len(data_errs) > config.ladder.in_place_max_errors:
-                return None
-            if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
-                # With one channel, a "row checksum" diagnosis is
-                # untrustworthy at the current state: a data error in a
-                # just-finished panel column looks identical, because the
-                # panel factorization recomputed that column's checksum
-                # over the corrupted data. Tier 1's restore brings back
-                # the save-time column checksums, which disambiguate.
-                return None
-            correct_all(em, report.errors, finished, counter=counter)
-            if locate_errors(
-                em, finished, norm_a, eps_factor=config.eps_factor_locate,
-                counter=counter,
-            ).errors:
-                raise UncorrectableError("in-place correction did not clean the state")
-            return report.errors
-        except UncorrectableError:
-            em.ext[:, :] = snapshot
-            return None
+        back_it = planned[it]
+        handled.add(it)
+        sched.recovery(it, unwind_to=back_it)
+        recoveries.append(
+            RecoveryEvent(
+                iteration=it, p=sched.plan[back_it][0], gap=float("nan"), errors=[],
+                retries=retries,
+                tier=TIER_REVERSE_REDO if back_it == it else TIER_DEEP_ROLLBACK,
+            )
+        )
+        it = back_it
+    tl = sched.finish(q_corrected=_has_area3_fault(injector, n, config.nb))
+    return FTResult(
+        n=n,
+        nb=config.nb,
+        a=None,
+        taus=None,
+        timeline=tl,
+        seconds=tl.makespan,
+        iterations=len(sched.plan),
+        recoveries=recoveries,
+        detections=len(planned),
+    )
 
+
+def ft_gehrd(
+    a: np.ndarray | int,
+    config: FTConfig | None = None,
+    *,
+    injector: FaultInjector | None = None,
+    workspace: Workspace | None = None,
+) -> FTResult:
+    """Run the fault-tolerant Algorithm 3 on the simulated hybrid machine.
+
+    Parameters
+    ----------
+    a:
+        Square input matrix, or just the order N to price the schedule
+        without data.
+    config:
+        Driver settings (see :class:`~repro.core.config.FTConfig`).
+    injector:
+        Fault plan; faults strike the encoded matrix at iteration starts.
+
+    Returns
+    -------
+    FTResult
+        Packed factorization + taus (given a matrix), simulated
+        timeline/seconds, recovery log, Q-check report, checkpoint stats.
+
+    Raises
+    ------
+    ConvergenceError
+        If an iteration keeps detecting errors past ``max_retries``
+        (an error storm outside the paper's failure model).
+    """
+    config = config or FTConfig()
+    if isinstance(a, (int, np.integer)):
+        config.validate(int(a))
+        return _price_order(int(a), config, injector)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"ft_gehrd needs a square matrix, got {a.shape}")
+    n = a.shape[0]
+    a = as_lane_matrix(a)
+    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    config.validate(n)
+
+    counter = FlopCounter()
+    sched = FTSchedule(n, config, int(a.dtype.itemsize))
+    plan = sched.plan
+    total_iters = len(plan)
+    em = EncodedMatrix(a, channels=config.channels, counter=counter)
+    detector = Detector(config.threshold, norm_a)
+    qprot = QProtector(n, eps_factor=config.eps_factor_locate)
+    store = DisklessCheckpointStore()
+    store.save_initial(em)  # the restart tier's substrate
+    taus = np.zeros(max(n - 1, 0), dtype=em.ext.dtype)
+    tau_guard = TauGuard(taus.size)
+    # callers that run many reductions back to back (the serve worker
+    # pool) pass a long-lived arena; presize is grow-only, so reuse
+    # across differently sized jobs is safe
+    ws = workspace if workspace is not None else Workspace()
+    ws.presize(n, config.nb, config.channels, dtype=em.ext.dtype)
+    sup = ResilienceSupervisor(config.ladder, config.max_retries)
+    # the phase-aware adversarial injection hook exposes every live FT
+    # structure — the encoded matrix, the tau scalars, the Q-protection
+    # checksums, the diskless checkpoint buffer and (inside an
+    # iteration) the live V block — to the fault plan
+    injector = injector if injector is not None else FaultInjector()
+    targets = InjectionTargets(em=em, taus=taus, qprot=qprot, checkpoint=store)
+
+    recoveries: list[RecoveryEvent] = []
+    tau_repairs = 0
+    consecutive_recoveries = 0
     it = 0
     while it < total_iters:
         p, ib = plan[it]
-        inject("boundary", it)
-        if functional:
-            store.save(em, p, ib)
+        injector.apply_phase(it, "boundary", targets)
+        store.save(em, p, ib)
+        # lines 4–11: panel, V/Y checksums, the extended right and left
+        # updates, then freeze the finished columns' checksum segment
+        pf = lahr2(em.ext, p, ib, n, counter=counter, workspace=ws)
+        vce = v_col_checksums(pf, em, counter=counter)
+        ychk = y_col_checksums(em, pf, counter=counter)
+        live = dataclasses.replace(targets, panel_v=pf.v)
+        injector.apply_phase(it, "post_panel", live)
+        right_update_encoded(em, pf, vce, ychk, counter=counter, workspace=ws)
+        injector.apply_phase(it, "post_right", live)
+        left_update_encoded(em, pf, vce, counter=counter, workspace=ws)
+        em.refresh_finished_segment(p, ib, counter=counter)
+        sched.iteration(it, redo=consecutive_recoveries > 0)
 
-        pf_cell: dict = {}
-        vy_cell: dict = {}
-
-        def make_fns(p=p, ib=ib, it=it):
-            if not functional:
-                return {}
-
-            def panel_fn():
-                pf_cell["pf"] = lahr2(em.ext, p, ib, n, counter=counter, workspace=ws)
-
-            def chk_fn():
-                pf = pf_cell["pf"]
-                vy_cell["vce"] = v_col_checksums(pf, em, counter=counter)
-                vy_cell["ychk"] = y_col_checksums(em, pf, counter=counter)
-
-            def right_fn():
-                inject("post_panel", it, panel_v=pf_cell["pf"].v)
-                right_update_encoded(
-                    em, pf_cell["pf"], vy_cell["vce"], vy_cell["ychk"],
-                    counter=counter, workspace=ws,
-                )
-
-            def left_fn():
-                inject("post_right", it, panel_v=pf_cell["pf"].v)
-                left_update_encoded(
-                    em, pf_cell["pf"], vy_cell["vce"], counter=counter, workspace=ws
-                )
-
-            def refresh_fn():
-                em.refresh_finished_segment(p, ib, counter=counter)
-
-            return {
-                "panel": panel_fn,
-                "chk": chk_fn,
-                "right": right_fn,
-                "left": left_fn,
-                "refresh": refresh_fn,
-            }
-
-        fns = make_fns()
-
-        check_here = (it % config.detect_every == 0) or (it == total_iters - 1)
-        redo_seq += 1
-        frontier, _, _ = schedule_body(
-            it, p, ib, frontier, redo=consecutive_recoveries > 0, fns=fns,
-            check_here=check_here,
-        )
-
-        if functional:
-            detected = check_here and detector.check(em, counter=counter)
-        else:
-            detected = (it in planned) and (it not in handled_detections)
-
-        if not detected:
+        if not (sched.checks(it) and detector.check(em, counter=counter)):
             consecutive_recoveries = 0
-            if functional:
-                taus[p : p + ib] = pf_cell["pf"].taus
-                tau_guard.record(taus, p, ib)
-                qprot.update_for_panel(em.data, p, ib, counter=counter)
+            taus[p : p + ib] = pf.taus
+            tau_guard.record(taus, p, ib)
+            qprot.update_for_panel(em.data, p, ib, counter=counter)
             # optional extension: periodic full audit — catches finished-H
             # corruption, which the Σ test is structurally blind to (it
             # never feeds a maintained update). No rollback needed: such
             # errors cannot propagate, so in-place correction suffices.
-            audit_here = config.audit_every > 0 and (
-                (it + 1) % config.audit_every == 0 or it == total_iters - 1
-            )
-            if audit_here:
-                frontier = [
-                    rt.submit(
-                        f"audit@{it}",
-                        "gpu",
-                        2 * config.channels * rt.cost.gemv("gpu", n, n),
-                        frontier,
-                        "abft_detect",
+            if sched.audits(it):
+                report = locate_errors(
+                    em, p + ib, norm_a, eps_factor=config.eps_factor_locate, counter=counter
+                )
+                if report.errors:
+                    if len([e for e in report.errors if e.kind == "data"]) > _MAX_SIMULTANEOUS:
+                        raise UncorrectableError("audit decoded an implausible error count")
+                    correct_all(em, report.errors, p + ib, counter=counter)
+                    detector.detections += 1
+                    recoveries.append(
+                        RecoveryEvent(iteration=it, p=p + ib, gap=0.0, errors=report.errors,
+                                      retries=1, tier=TIER_AUDIT)
                     )
-                ]
-                if functional:
-                    report = locate_errors(
-                        em, p + ib, norm_a,
-                        eps_factor=config.eps_factor_locate, counter=counter,
-                    )
-                    if report.errors:
-                        if len([e for e in report.errors if e.kind == "data"]) > max_simultaneous:
-                            raise UncorrectableError(
-                                "audit decoded an implausible error count"
-                            )
-                        correct_all(em, report.errors, p + ib, counter=counter)
-                        detector.detections += 1
-                        recoveries.append(
-                            RecoveryEvent(iteration=it, p=p + ib, gap=0.0,
-                                          errors=report.errors, retries=1,
-                                          tier=TIER_AUDIT)
-                        )
-                        frontier = [rt.dot("gpu", n, frontier, name=f"audit_fix@{it}",
-                                           category="abft_correct")]
+                sched.audit(it, fixed=bool(report.errors))
             it += 1
             continue
 
         # ---- recovery: the escalation ladder (lines 14–15, tiered) --------
         consecutive_recoveries += 1
-        gap = em.checksum_gap() if functional else float("nan")
+        gap = em.checksum_gap()
         errors: list = []
         back_it = it
-        if not functional:
-            # metadata mode keeps the flat pricing model: one
-            # reverse+redo (or deep rollback) per planned detection
-            if consecutive_recoveries > config.max_retries:
-                raise ConvergenceError(
-                    f"iteration {it}: errors persisted past {config.max_retries} retries"
-                )
-            back_it = planned.get(it, it)
-            handled_detections.add(it)
-            frontier = schedule_recovery(it, frontier, unwind_to=back_it)
-            recoveries.append(
-                RecoveryEvent(
-                    iteration=it, p=plan[back_it][0], gap=gap, errors=errors,
-                    retries=consecutive_recoveries,
-                    tier=TIER_REVERSE_REDO if back_it == it else TIER_DEEP_ROLLBACK,
-                )
-            )
-            it = back_it
-            continue
 
         # the adversarial model lets faults strike while recovery runs —
         # and unencoded FT state is verified against its shadow first,
         # so a corrupted tau cannot steer the rollback itself
-        inject("during_recovery", it)
-        repaired = tau_guard.verify_and_repair(taus)
-        tau_repairs += len(repaired)
+        injector.apply_phase(it, "during_recovery", targets)
+        tau_repairs += len(tau_guard.verify_and_repair(taus))
 
         within_budget = consecutive_recoveries <= config.max_retries
         recovered = False
@@ -557,34 +561,28 @@ def ft_gehrd(
 
         # -- tier 0: in-place correction, no rollback ------------------------
         if within_budget and sup.allow(TIER_IN_PLACE):
-            fixed = try_in_place(p + ib)
+            fixed = _try_in_place(em, p + ib, norm_a, config, counter)
             sup.record(TIER_IN_PLACE, it, fixed is not None)
             if fixed is not None:
                 recoveries.append(
                     RecoveryEvent(iteration=it, p=p + ib, gap=gap, errors=fixed,
                                   retries=consecutive_recoveries, tier=TIER_IN_PLACE)
                 )
-                taus[p : p + ib] = pf_cell["pf"].taus
+                taus[p : p + ib] = pf.taus
                 tau_guard.record(taus, p, ib)
                 qprot.update_for_panel(em.data, p, ib, counter=counter)
-                frontier = [rt.dot("gpu", n, frontier, name=f"fix@{it}",
-                                   category="abft_correct")]
+                sched.correct(it)
                 consecutive_recoveries = 0
                 it += 1
                 continue
 
         if within_budget:
             # -- tier 1: reverse the live iteration, restore, locate ---------
-            pf = pf_cell["pf"]
-            reverse_left_update_encoded(
-                em, pf, vy_cell["vce"], counter=counter, workspace=ws
-            )
-            reverse_right_update_encoded(
-                em, pf, vy_cell["vce"], vy_cell["ychk"], counter=counter, workspace=ws
-            )
+            reverse_left_update_encoded(em, pf, vce, counter=counter, workspace=ws)
+            reverse_right_update_encoded(em, pf, vce, ychk, counter=counter, workspace=ws)
             store.restore(em, verify=True)
             try:
-                errors = locate_and_correct(plan[it][0])
+                errors = _locate_and_correct(em, p, norm_a, config, counter)
                 recovered = True
                 sup.record(TIER_REVERSE_REDO, it, True)
             except UncorrectableError as exc:
@@ -613,16 +611,14 @@ def ft_gehrd(
                     # through them (needs channels>=2) and rebuild the
                     # column checksums afterwards
                     errors = locate_errors_rowonly(
-                        em, plan[back_it][0], norm_a,
-                        eps_factor=config.eps_factor_locate, counter=counter,
+                        em, pb, norm_a, eps_factor=config.eps_factor_locate, counter=counter
                     )
-                    if len(errors) > max_simultaneous:
+                    if len(errors) > _MAX_SIMULTANEOUS:
                         raise UncorrectableError("smeared state")
-                    correct_all(em, errors, plan[back_it][0], counter=counter)
-                    rebuild_col_checksums(em, plan[back_it][0], counter=counter)
+                    correct_all(em, errors, pb, counter=counter)
+                    rebuild_col_checksums(em, pb, counter=counter)
                     if locate_errors_rowonly(
-                        em, plan[back_it][0], norm_a,
-                        eps_factor=config.eps_factor_locate, counter=counter,
+                        em, pb, norm_a, eps_factor=config.eps_factor_locate, counter=counter
                     ):
                         raise UncorrectableError("correction did not clean the state")
                     recovered = True
@@ -631,7 +627,7 @@ def ft_gehrd(
                     sup.record(TIER_DEEP_ROLLBACK, it, False, str(exc))
 
         if recovered:
-            frontier = schedule_recovery(it, frontier, unwind_to=back_it)
+            sched.recovery(it, unwind_to=back_it)
             recoveries.append(
                 RecoveryEvent(iteration=it, p=plan[back_it][0], gap=gap,
                               errors=errors, retries=consecutive_recoveries,
@@ -652,10 +648,7 @@ def ft_gehrd(
                 RecoveryEvent(iteration=it, p=0, gap=gap, errors=[],
                               retries=consecutive_recoveries, tier=TIER_RESTART)
             )
-            frontier = [
-                rt.copy_h2d(_B * n * n, frontier, name=f"restart@{it}",
-                            category="abft_recover")
-            ]
+            sched.restart(it)
             consecutive_recoveries = 0
             it = 0
             continue
@@ -670,54 +663,26 @@ def ft_gehrd(
         )
 
     # ---- end of run: Q verification (once — §IV-F last paragraph) ------------
-    if functional and injector is not None:
-        # every fault planned at or past the last iteration strikes the
-        # finished state — however far past the end it was scheduled
-        if injector.pending_after(total_iters):
-            injector.apply_pending_after(
-                InjectionTargets(
-                    em=em, taus=taus, qprot=qprot, checkpoint=store, panel_v=None
-                ),
-                total_iters,
-            )
-        for spec in injector.unfired():
-            warnings.warn(
-                f"fault spec never fired: {spec} (its phase never occurred "
-                "at that iteration)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if functional:
-        # the tau scalars feed the formation of Q; verify against the
-        # shadow once, at the end, like the Q checksums below
-        tau_repairs += len(tau_guard.verify_and_repair(taus))
+    # every fault planned at or past the last iteration strikes the
+    # finished state — however far past the end it was scheduled
+    injector.apply_pending_after(targets, total_iters)
+    for spec in injector.unfired():
+        warnings.warn(
+            f"fault spec never fired: {spec} (its phase never occurred "
+            "at that iteration)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    # the tau scalars feed the formation of Q; verify against the
+    # shadow once, at the end, like the Q checksums below
+    tau_repairs += len(tau_guard.verify_and_repair(taus))
+    q_report = qprot.verify_and_correct(em.data, counter=counter)
+    tl = sched.finish(q_corrected=bool(q_report.errors))
 
-    op_qv = rt.submit(
-        "q_verify",
-        "cpu",
-        2 * rt.cost.gemv("cpu", n, max(n // 2, 1)),
-        frontier,
-        "abft_qprotect",
-    )
-    frontier = [op_qv]
-    q_report = None
-    if functional:
-        q_report = qprot.verify_and_correct(em.data, counter=counter)
-        if q_report.errors:
-            frontier = [rt.dot("cpu", n, frontier, name="q_correct",
-                               category="abft_correct")]
-    else:
-        if _has_area3_fault(injector, n, config.nb):
-            frontier = [rt.dot("cpu", n, frontier, name="q_correct",
-                               category="abft_correct")]
-
-    rt.copy_d2h(_B * n * config.nb, frontier, name="final_down", category="transfer")
-
-    tl = rt.timeline()
     return FTResult(
         n=n,
         nb=config.nb,
-        a=em.data if functional else None,
+        a=em.data,
         taus=taus,
         timeline=tl,
         seconds=tl.makespan,
@@ -725,12 +690,12 @@ def ft_gehrd(
         iterations=total_iters,
         recoveries=recoveries,
         q_report=q_report,
-        detections=detector.detections if functional else len(planned),
-        checks=detector.checks if functional else 0,
-        checkpoint_saves=store.saves if functional else 0,
-        checkpoint_restores=store.restores if functional else 0,
-        checkpoint_peak_bytes=store.peak_bytes if functional else 0,
+        detections=detector.detections,
+        checks=detector.checks,
+        checkpoint_saves=store.saves,
+        checkpoint_restores=store.restores,
+        checkpoint_peak_bytes=store.peak_bytes,
         restarts=sup.restarts,
         tau_repairs=tau_repairs,
-        checkpoint_corruptions=store.corruption_detected if functional else 0,
+        checkpoint_corruptions=store.corruption_detected,
     )

@@ -6,14 +6,15 @@ the lower part of the next panel travels device→host before each panel,
 the finished ``nb`` columns of M travel back asynchronously, overlapped
 with the G update (the two red lines of Algorithm 2).
 
-The driver plays this schedule on the simulated machine while executing
-the numerically identical LAPACK-style kernels of :mod:`repro.linalg`
-(when ``functional=True``). With ``functional=False`` only the schedule
-is priced, enabling paper-scale N.
+Given a matrix, the driver runs the numerically identical LAPACK-style
+kernels of :mod:`repro.linalg` and reports each iteration to the
+simulated machine, which prices it. Given only the order N, it prices
+the same schedule without data, enabling paper-scale N.
 """
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -61,9 +62,6 @@ def schedule_iteration(
     ib: int,
     deps: list[SimOp],
     *,
-    panel_fn=None,
-    right_fn=None,
-    left_fn=None,
     tag: str = "",
     elem_bytes: int = 8,
 ) -> tuple[list[SimOp], SimOp]:
@@ -81,13 +79,13 @@ def schedule_iteration(
     # line 3: lower part of the next panel, device -> host
     op_down = rt.copy_d2h(B * (m - 1) * ib, deps, name=f"panel_down{tag}", category="transfer")
     # line 4: hybrid panel factorization (host + per-column GPU gemvs)
-    op_panel = rt.panel(m, ib, [op_down], name=f"panel{tag}", fn=panel_fn)
+    op_panel = rt.panel(m, ib, [op_down], name=f"panel{tag}")
     # factorized panel (V + H columns) back to the device for the updates
     op_up = rt.copy_h2d(B * m * ib, [op_panel], name=f"panel_up{tag}", category="transfer")
 
     # line 5: right update to M (upper block rows x trailing columns)
     dur_m = rt.cost.gemm("gpu", p + ib, ib, m - 1) + rt.cost.gemm("gpu", p + ib, m - ib, ib)
-    op_m = rt.submit(f"right_M{tag}", "gpu", dur_m, [op_up], "right_update", right_fn)
+    op_m = rt.submit(f"right_M{tag}", "gpu", dur_m, [op_up], "right_update")
     # line 6: async send of the finished nb columns of M to the host …
     op_send = rt.copy_d2h(B * (p + ib) * ib, [op_m], name=f"send_M{tag}", category="transfer")
     # line 7: … overlapped with the right update to G
@@ -95,7 +93,7 @@ def schedule_iteration(
         "gpu", m - ib, m - ib, ib, [op_m], name=f"right_G{tag}", category="right_update"
     )
     # line 8: left update (DLARFB) to the trailing block
-    op_l = rt.larfb("gpu", m - 1, m - ib, ib, [op_g], name=f"larfb{tag}", fn=left_fn)
+    op_l = rt.larfb("gpu", m - 1, m - ib, ib, [op_g], name=f"larfb{tag}")
 
     return [op_l, op_send], op_panel
 
@@ -112,21 +110,20 @@ def hybrid_gehrd(
     Parameters
     ----------
     a:
-        Square matrix (functional mode) or just the order N (metadata
-        mode — pass ``functional=False`` in *config*).
+        Square matrix to reduce, or just the order N to price the
+        schedule without data.
     config:
         Driver settings.
     injector:
-        Optional fault injector; faults strike at iteration starts. The
-        baseline has **no detection** — this is how the propagation
-        experiments of Fig. 2 corrupt a run.
+        Optional fault injector; matrix faults strike at iteration
+        starts, and those planned at or past the last iteration strike
+        the finished matrix. The baseline has **no detection** — this is
+        how the propagation experiments of Fig. 2 corrupt a run.
     """
     config = config or HybridConfig()
     if isinstance(a, (int, np.integer)):
         n = int(a)
         work = None
-        if config.functional:
-            raise ShapeError("functional mode needs a concrete matrix, not an order")
     else:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"hybrid_gehrd needs a square matrix, got {a.shape}")
@@ -135,7 +132,7 @@ def hybrid_gehrd(
     config.validate(n)
 
     counter = FlopCounter()
-    rt = HybridRuntime(config.machine, functional=config.functional)
+    rt = HybridRuntime(config.machine)
     taus = np.zeros(max(n - 1, 0), dtype=work.dtype) if work is not None else None
     ws = (workspace if workspace is not None else Workspace()) if work is not None else None
 
@@ -146,41 +143,30 @@ def hybrid_gehrd(
 
     plan = iteration_plan_cached(n, config.nb)
     for it, (p, ib) in enumerate(plan):
-        if work is not None and injector is not None:
-            injector.apply_to_array(work, it)
-
-        pf_cell: dict = {}
-
-        def panel_fn(p=p, ib=ib):
-            pf_cell["pf"] = lahr2(work, p, ib, n, counter=counter, workspace=ws)
-            taus[p : p + ib] = pf_cell["pf"].taus
-
-        def right_fn(p=p, ib=ib):
-            apply_right_updates(work, pf_cell["pf"], n, counter=counter, workspace=ws)
-
-        def left_fn(p=p, ib=ib):
-            apply_left_update(work, pf_cell["pf"], n, counter=counter, workspace=ws)
-
-        frontier, _ = schedule_iteration(
-            rt,
-            n,
-            p,
-            ib,
-            frontier,
-            panel_fn=panel_fn if work is not None else None,
-            right_fn=right_fn if work is not None else None,
-            left_fn=left_fn if work is not None else None,
-            tag=f"@{it}",
-            elem_bytes=B,
-        )
+        if work is not None:
+            if injector is not None:
+                injector.apply_to_array(work, it)
+            pf = lahr2(work, p, ib, n, counter=counter, workspace=ws)
+            taus[p : p + ib] = pf.taus
+            apply_right_updates(work, pf, n, counter=counter, workspace=ws)
+            apply_left_update(work, pf, n, counter=counter, workspace=ws)
+        frontier, _ = schedule_iteration(rt, n, p, ib, frontier, tag=f"@{it}", elem_bytes=B)
 
     # final drain of whatever of the result still lives on the device
     rt.copy_d2h(B * n * config.nb, frontier, name="final_down", category="transfer")
 
-    # any faults planned beyond the last iteration strike the finished matrix
+    # every matrix fault planned at or past the last iteration strikes
+    # the finished matrix, however far past the end it was scheduled
     if work is not None and injector is not None:
-        for it in range(len(plan), len(plan) + 2):
+        for it in sorted({f.iteration for f in injector.pending_after(len(plan))}):
             injector.apply_to_array(work, it)
+        for spec in injector.unfired():
+            warnings.warn(
+                f"fault spec never fired: {spec} (the baseline driver only "
+                "strikes the matrix)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     tl = rt.timeline()
     return HybridResult(

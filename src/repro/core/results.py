@@ -16,9 +16,9 @@ from repro.linalg import flops as F
 class HybridResult:
     """Outcome of a (non-FT) hybrid Hessenberg reduction.
 
-    ``a`` is the packed factorization (H + reflectors) or ``None`` in
-    metadata mode; ``seconds`` is *simulated* time on the configured
-    machine model.
+    ``a`` is the packed factorization (H + reflectors), or ``None`` for
+    a run given only the order; ``seconds`` is *simulated* time on the
+    configured machine model.
     """
 
     n: int

@@ -60,7 +60,7 @@ class BackendUnavailableError(ReproError, RuntimeError):
     """A requested array backend cannot be used on this host.
 
     Raised at submit/CLI time — before any work is queued — when a job
-    names a backend whose runtime (``jax``, ``cupy``) is not importable.
+    names a backend whose runtime (``jax``) is not importable.
     Deliberately *not* a :class:`~repro.serve.jobs.JobSpecError`: the
     spec is well-formed, the host is just missing an optional
     dependency, and callers (the CLI maps this to exit code 2) should

@@ -1,7 +1,7 @@
 """Simulated GPU-based hybrid machine (DESIGN.md substitution for the
 paper's K40c testbed): machine models, kernel cost model, discrete-event
-scheduling engine, timeline analysis and the runtime tying functional
-execution to simulated time."""
+scheduling engine, timeline analysis and the runtime that prices a
+driver's schedule in simulated time."""
 
 from repro.hybrid.machine import DeviceSpec, LinkSpec, MachineSpec, paper_testbed, laptop_sim
 from repro.hybrid.perfmodel import CostModel

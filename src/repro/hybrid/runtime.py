@@ -1,43 +1,38 @@
-"""Hybrid runtime: functional execution + simulated time, in one place.
+"""Hybrid runtime: prices a driver's schedule on the simulated machine.
 
-Drivers express their algorithm as submissions against this runtime. Each
-submission names a kernel shape (so the cost model can price it), a
-resource (so the event engine can schedule it), and optionally a thunk
-that performs the actual NumPy computation. The thunk runs eagerly at
-submission — program order respects data dependencies in the drivers —
-so functional results are exact regardless of the simulated schedule,
-while the schedule determines the reported (simulated) wall time.
+Drivers compute with NumPy and report each phase to this runtime as
+submissions. Each submission names a kernel shape (so the cost model can
+price it) and a resource (so the event engine can schedule it); the
+runtime never runs or sees the data. The event engine is an eager list
+scheduler, so the order of submissions *is* the schedule, and the
+schedule alone determines the reported (simulated) wall time.
 
-Running with ``functional=False`` prices the same schedule without
-touching data ("metadata mode"), which is how the Fig. 6 benchmarks reach
-the paper's N≈10000 sizes instantly.
+A driver given only the order N submits the same schedule without any
+data, which is how the Fig. 6 benchmarks reach the paper's N≈10000
+sizes instantly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.hybrid.engine import SimEngine, SimOp
 from repro.hybrid.machine import MachineSpec, paper_testbed
 from repro.hybrid.perfmodel import CostModel
 from repro.hybrid.trace import Timeline
 
-_DTYPE_BYTES = 8
-
 
 class HybridRuntime:
-    """Schedules kernels on the simulated machine and (optionally) runs them."""
+    """Prices submitted kernels on the simulated machine."""
 
     def __init__(
         self,
         machine: MachineSpec | None = None,
         *,
         cost: CostModel | None = None,
-        functional: bool = True,
     ):
         self.machine = machine or paper_testbed()
         self.cost = cost or CostModel(self.machine)
-        self.functional = functional
         self.engine = SimEngine()
 
     # -- generic submission ---------------------------------------------------
@@ -49,11 +44,8 @@ class HybridRuntime:
         duration: float,
         deps: Iterable[SimOp] = (),
         category: str = "",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        """Schedule one op; execute its thunk now if in functional mode."""
-        if fn is not None and self.functional:
-            fn()
+        """Schedule one op after *deps*; returns its priced record."""
         return self.engine.submit(name, resource, duration, deps, category)
 
     # -- priced kernel wrappers -------------------------------------------------
@@ -68,9 +60,8 @@ class HybridRuntime:
         *,
         name: str = "gemm",
         category: str = "gemm",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, device, self.cost.gemm(device, m, n, k), deps, category, fn)
+        return self.submit(name, device, self.cost.gemm(device, m, n, k), deps, category)
 
     def gemv(
         self,
@@ -81,9 +72,8 @@ class HybridRuntime:
         *,
         name: str = "gemv",
         category: str = "gemv",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, device, self.cost.gemv(device, m, n), deps, category, fn)
+        return self.submit(name, device, self.cost.gemv(device, m, n), deps, category)
 
     def larfb(
         self,
@@ -95,21 +85,8 @@ class HybridRuntime:
         *,
         name: str = "larfb",
         category: str = "left_update",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, device, self.cost.larfb(device, m, n, k), deps, category, fn)
-
-    def reduction(
-        self,
-        device: str,
-        n: int,
-        deps: Iterable[SimOp] = (),
-        *,
-        name: str = "reduce",
-        category: str = "abft_detect",
-        fn: Callable[[], object] | None = None,
-    ) -> SimOp:
-        return self.submit(name, device, self.cost.reduction(device, n), deps, category, fn)
+        return self.submit(name, device, self.cost.larfb(device, m, n, k), deps, category)
 
     def dot(
         self,
@@ -119,9 +96,8 @@ class HybridRuntime:
         *,
         name: str = "dot",
         category: str = "abft_correct",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, device, self.cost.dot(device, n), deps, category, fn)
+        return self.submit(name, device, self.cost.dot(device, n), deps, category)
 
     def copy_h2d(
         self,
@@ -130,9 +106,8 @@ class HybridRuntime:
         *,
         name: str = "h2d",
         category: str = "transfer",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, "h2d", self.cost.copy(nbytes), deps, category, fn)
+        return self.submit(name, "h2d", self.cost.copy(nbytes), deps, category)
 
     def copy_d2h(
         self,
@@ -141,9 +116,8 @@ class HybridRuntime:
         *,
         name: str = "d2h",
         category: str = "transfer",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
-        return self.submit(name, "d2h", self.cost.copy(nbytes), deps, category, fn)
+        return self.submit(name, "d2h", self.cost.copy(nbytes), deps, category)
 
     def panel(
         self,
@@ -152,7 +126,6 @@ class HybridRuntime:
         deps: Iterable[SimOp] = (),
         *,
         name: str = "panel",
-        fn: Callable[[], object] | None = None,
     ) -> SimOp:
         """The hybrid panel factorization (MAGMA_DLAHR2).
 
@@ -163,7 +136,7 @@ class HybridRuntime:
         other work during the panel, matching MAGMA's behaviour.
         """
         gpu_op = self.submit(
-            f"{name}:gpu", "gpu", self.cost.panel_gpu_part(m, ib), deps, "panel", fn
+            f"{name}:gpu", "gpu", self.cost.panel_gpu_part(m, ib), deps, "panel"
         )
         cpu_op = self.submit(
             f"{name}:cpu",
@@ -183,6 +156,3 @@ class HybridRuntime:
     def elapsed(self) -> float:
         """Simulated makespan so far, in seconds."""
         return self.engine.makespan
-
-    def matrix_bytes(self, rows: int, cols: int = 1) -> float:
-        return float(_DTYPE_BYTES) * rows * cols

@@ -6,7 +6,8 @@ Structure of each iteration (Fig. 1 of the paper):
    and ``Y = Ã V T`` (panel factorization; the CPU side of the hybrid
    algorithm).
 2. right update to the trailing columns: ``A[:, p+ib:] −= Y V₂ᵀ``
-   (with the unit entry of the last reflector temporarily set to 1).
+   (V comes from the panel factors, which hold the reflectors' unit
+   entries explicitly, so the packed storage is never read).
 3. right update to the top-left block M's in-panel columns:
    ``A[0:p+1, p+1:p+ib] −= Y_top V₁ᵀ``.
 4. left update: ``A[p+1:n, p+ib:] ← (I − V Tᵀ Vᵀ) A[p+1:n, p+ib:]``
@@ -172,13 +173,7 @@ def gehrd(
             ws = Workspace()
         pf = lahr2(a, p, ib, n, counter=counter, workspace=ws)
         taus[p : p + ib] = pf.taus
-
-        # right update needs the unit entry of the last reflector in place
-        ei = a[p + ib, p + ib - 1]
-        a[p + ib, p + ib - 1] = 1.0
         apply_right_updates(a, pf, n, counter=counter, workspace=ws)
-        a[p + ib, p + ib - 1] = ei
-
         apply_left_update(a, pf, n, counter=counter, workspace=ws)
 
         if keep_panels:

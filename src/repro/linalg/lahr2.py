@@ -61,8 +61,9 @@ class PanelFactors:
     taus:
         The ``ib`` reflector scales.
     ei:
-        β of the last reflector — the subdiagonal value A[p+ib, p+ib-1]
-        that the trailing update temporarily replaces with 1.
+        β of the last reflector — the subdiagonal value lahr2 leaves at
+        A[p+ib, p+ib-1]. The updates take V's unit entries from ``v``,
+        never from the storage.
     v_full:
         The zero-padded V buffer spanning every row of the storage array
         *a* (``v_full[p+1:n] is v``; all other rows are exactly zero).

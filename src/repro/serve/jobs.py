@@ -667,7 +667,7 @@ def _execute_backend_job(spec: JobSpec, *, workspace=None):
     # ft_gehrd (validate() admits no other driver on a backend lane)
     from repro.core import FTConfig
 
-    cfg = FTConfig(nb=spec.nb, channels=1, audit_every=0, functional=True)
+    cfg = FTConfig(nb=spec.nb, channels=1, audit_every=0)
     res = ft_gehrd_stack(
         stack, cfg, backend=bk_name, injectors=[_injector(spec)]
     )
@@ -740,7 +740,7 @@ def execute_job(
         from repro.core import HybridConfig, hybrid_gehrd
         from repro.linalg import extract_hessenberg, factorization_residual, orghr
 
-        cfg = HybridConfig(nb=spec.nb, functional=spec.functional)
+        cfg = HybridConfig(nb=spec.nb)
         arg = _build_matrix(spec, workspace) if spec.functional else spec.order
         res = hybrid_gehrd(arg, cfg, workspace=workspace)
         payload["seconds_simulated"] = float(res.seconds)
@@ -760,7 +760,6 @@ def execute_job(
             nb=spec.nb,
             channels=spec.channels,
             audit_every=spec.audit_every,
-            functional=spec.functional,
         )
         if ladder is not None:
             cfg.ladder = ladder
@@ -806,7 +805,6 @@ def execute_job(
             nb=spec.nb,
             channels=spec.channels,
             audit_every=spec.audit_every,
-            functional=True,
         )
         if ladder is not None:
             cfg.ladder = ladder
@@ -985,7 +983,7 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
         from repro.eigen.ft_hqr import QRProtectConfig, ft_hqr
         from repro.linalg import extract_hessenberg
 
-        cfg = FTConfig(nb=nb, channels=channels, audit_every=0, functional=True)
+        cfg = FTConfig(nb=nb, channels=channels, audit_every=0)
         split = [_split_injectors(spec) for spec in specs]
         br = ft_gehrd_batched(
             stack, cfg, injectors=[s[0] for s in split], workspace=workspace
@@ -1027,7 +1025,7 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
     else:
         from repro.core import FTConfig
 
-        cfg = FTConfig(nb=nb, channels=channels, audit_every=0, functional=True)
+        cfg = FTConfig(nb=nb, channels=channels, audit_every=0)
         injectors = [_injector(spec) for spec in specs]
         br = ft_gehrd_batched(stack, cfg, injectors=injectors, workspace=workspace)
         ejections = len(br.ejected)
@@ -1110,7 +1108,7 @@ def _execute_jobs_backend_stack(
     else:  # ft_gehrd (batch_group_key admits no other backend driver)
         from repro.core import FTConfig
 
-        cfg = FTConfig(nb=nb, channels=1, audit_every=0, functional=True)
+        cfg = FTConfig(nb=nb, channels=1, audit_every=0)
         res = ft_gehrd_stack(
             stack,
             cfg,

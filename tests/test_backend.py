@@ -68,7 +68,7 @@ class TestRegistry:
         assert canonical_backend_name("  NumPy-Functional ") == "numpy_functional"
 
     def test_known_names(self):
-        assert BACKEND_NAMES == ("numpy", "numpy_functional", "jax", "cupy")
+        assert BACKEND_NAMES == ("numpy", "numpy_functional", "jax")
         for name in BACKEND_NAMES:
             assert is_known_backend(name)
         assert not is_known_backend("torch")
@@ -240,7 +240,7 @@ class TestFtGehrdStack:
     def test_clean_batch_fast_path(self):
         b, n = 3, 48
         stack = _stack(b, n, seed0=40)
-        res = ft_gehrd_stack(stack, FTConfig(nb=8, functional=True),
+        res = ft_gehrd_stack(stack, FTConfig(nb=8),
                              backend="numpy_functional")
         assert res.backend == "numpy_functional"
         assert res.fast_path == b and not res.ejected and not res.errors
@@ -248,7 +248,7 @@ class TestFtGehrdStack:
         assert res.seconds is not None and res.seconds > 0
         for i in range(b):
             assert res.residuals[i] < 1e-14
-            ref = ft_gehrd(stack[i].copy(order="F"), FTConfig(nb=8, functional=True))
+            ref = ft_gehrd(stack[i].copy(order="F"), FTConfig(nb=8))
             h_ref = extract_hessenberg(ref.a)
             scale = max(float(np.max(np.abs(h_ref))), 1.0)
             assert np.max(np.abs(res.h[i] - h_ref)) / scale <= _parity_tol(n)
@@ -260,7 +260,7 @@ class TestFtGehrdStack:
             FaultSpec(space="matrix", iteration=1, phase="boundary",
                       row=20, col=25, magnitude=7.0)
         )
-        res = ft_gehrd_stack(stack, FTConfig(nb=8, functional=True),
+        res = ft_gehrd_stack(stack, FTConfig(nb=8),
                              backend="numpy_functional",
                              injectors=[None, inj, None])
         assert res.ejected == [1]
@@ -283,7 +283,7 @@ class TestFtGehrdStack:
             FaultSpec(space="matrix", iteration=2, phase="boundary",
                       row=2, col=4, magnitude=1e-300)
         )
-        res = ft_gehrd_stack(stack, FTConfig(nb=8, functional=True),
+        res = ft_gehrd_stack(stack, FTConfig(nb=8),
                              backend="numpy_functional", injectors=[inj, None])
         assert 0 in res.ejected
         assert res.ejected_at[0] in (res.iterations, *range(res.iterations))
@@ -297,7 +297,7 @@ class TestFtGehrdStack:
             FaultSpec(space="row_checksum", iteration=2, phase="boundary",
                       row=0, col=12, magnitude=50.0)
         )
-        res = ft_gehrd_stack(stack, FTConfig(nb=8, functional=True),
+        res = ft_gehrd_stack(stack, FTConfig(nb=8),
                              backend="numpy_functional", injectors=[None, inj])
         assert res.ejected == [1] and res.lane_detections == 1
         assert all(r < 1e-13 for r in res.residuals)
@@ -306,11 +306,8 @@ class TestFtGehrdStack:
         from repro.errors import ShapeError
 
         stack = _stack(2, 16)
-        with pytest.raises(ShapeError, match="functional"):
-            ft_gehrd_stack(stack, FTConfig(nb=8, functional=False),
-                           backend="numpy_functional")
         with pytest.raises(ShapeError, match="channels"):
-            ft_gehrd_stack(stack, FTConfig(nb=8, functional=True, channels=2),
+            ft_gehrd_stack(stack, FTConfig(nb=8, channels=2),
                            backend="numpy_functional")
 
 
@@ -325,7 +322,7 @@ class TestJaxLane:
             FaultSpec(space="matrix", iteration=1, phase="boundary",
                       row=12, col=16, magnitude=5.0)
         )
-        res = ft_gehrd_stack(stack, FTConfig(nb=8, functional=True),
+        res = ft_gehrd_stack(stack, FTConfig(nb=8),
                              backend="jax", injectors=[None, inj])
         assert res.backend == "jax"
         assert 1 in res.ejected

@@ -20,7 +20,6 @@ from repro.batch import (
     ft_gehrd_batched,
     gehrd_batched,
 )
-from repro.errors import ShapeError
 from repro.faults import FaultInjector, FaultSpec
 from repro.linalg import flops as F
 from repro.linalg.gehrd import gehrd
@@ -81,7 +80,7 @@ def test_gehrd_batched_workspace_reuse_stays_identical():
 @pytest.mark.parametrize("n,nb,b", GRID)
 def test_ft_batched_matches_scalar_bytewise(n, nb, b):
     mats = _mats(n, b)
-    cfg = FTConfig(nb=nb, functional=True)
+    cfg = FTConfig(nb=nb)
     br = ft_gehrd_batched(as_item_f_stack(mats), cfg)
     assert isinstance(br, BatchResult)
     assert br.ejected == [] and br.errors == {}
@@ -91,7 +90,7 @@ def test_ft_batched_matches_scalar_bytewise(n, nb, b):
         res = br.results[i]
         assert np.array_equal(res.a, ref.a)
         assert np.array_equal(res.taus, ref.taus)
-        # the shared metadata pricing run prices every clean item exactly
+        # the shared order-only pricing run prices every clean item exactly
         assert res.seconds == ref.seconds
         assert res.checks == ref.checks
 
@@ -99,19 +98,13 @@ def test_ft_batched_matches_scalar_bytewise(n, nb, b):
 def test_ft_batched_two_channels_matches_scalar():
     n, nb, b = 48, 16, 3
     mats = _mats(n, b, seed=5)
-    cfg = FTConfig(nb=nb, channels=2, functional=True)
+    cfg = FTConfig(nb=nb, channels=2)
     br = ft_gehrd_batched(as_item_f_stack(mats), cfg)
     assert br.ejected == []
     for i, m in enumerate(mats):
         ref = ft_gehrd(m.copy(order="F"), cfg)
         assert np.array_equal(br.results[i].a, ref.a)
         assert np.array_equal(br.results[i].taus, ref.taus)
-
-
-def test_ft_batched_rejects_metadata_mode():
-    cfg = FTConfig(nb=16, functional=False)
-    with pytest.raises(ShapeError):
-        ft_gehrd_batched(as_item_f_stack(_mats(32, 2)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def _fault_injector(n: int) -> FaultInjector:
 def test_faulty_item_ejects_and_siblings_complete_untouched():
     n, nb, b, faulty = 48, 16, 4, 2
     mats = _mats(n, b, seed=9)
-    cfg = FTConfig(nb=nb, functional=True)
+    cfg = FTConfig(nb=nb)
     br = ft_gehrd_batched(
         as_item_f_stack(mats),
         cfg,
@@ -156,7 +149,7 @@ def test_caller_injectors_are_never_mutated():
     inj = _fault_injector(n)
     ft_gehrd_batched(
         as_item_f_stack(_mats(n, b)),
-        FTConfig(nb=32, functional=True),
+        FTConfig(nb=32),
         injectors=[None, inj, None],
     )
     # the plan replays on clones; the caller's injector still has every
@@ -171,7 +164,7 @@ def test_unbatchable_fault_plan_preejects():
     )
     br = ft_gehrd_batched(
         as_item_f_stack(_mats(n, b)),
-        FTConfig(nb=32, functional=True),
+        FTConfig(nb=32),
         injectors=[inj, None],
     )
     assert br.ejected == [0]
@@ -225,7 +218,7 @@ def test_batched_flops_scale_per_item():
 def test_batched_driver_counts_b_times_scalar_flops():
     n, nb, b = 32, 32, 3
     mats = _mats(n, b, seed=2)
-    cfg = FTConfig(nb=nb, functional=True)
+    cfg = FTConfig(nb=nb)
     br = ft_gehrd_batched(as_item_f_stack(mats), cfg)
     scalar = ft_gehrd(mats[0].copy(order="F"), cfg)
     # exact B x per-item accounting, category by category; the one

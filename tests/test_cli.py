@@ -200,7 +200,7 @@ class TestBackendsCommand:
     def test_backends_lists_registry(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy", "numpy_functional", "jax", "cupy"):
+        for name in ("numpy", "numpy_functional", "jax"):
             assert name in out
         assert "in-place" in out and "functional" in out
 

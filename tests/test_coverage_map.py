@@ -67,10 +67,10 @@ class TestAuditExtension:
         its O(N) per-iteration check."""
         from repro.core import FTConfig, HybridConfig, ft_gehrd, hybrid_gehrd, overhead_percent
 
-        base = hybrid_gehrd(4030, HybridConfig(nb=32, functional=False))
-        plain = ft_gehrd(4030, FTConfig(nb=32, functional=False))
-        audited = ft_gehrd(4030, FTConfig(nb=32, functional=False, audit_every=2))
-        sparse = ft_gehrd(4030, FTConfig(nb=32, functional=False, audit_every=8))
+        base = hybrid_gehrd(4030, HybridConfig(nb=32))
+        plain = ft_gehrd(4030, FTConfig(nb=32))
+        audited = ft_gehrd(4030, FTConfig(nb=32, audit_every=2))
+        sparse = ft_gehrd(4030, FTConfig(nb=32, audit_every=8))
         o1 = overhead_percent(plain, base)
         o2 = overhead_percent(audited, base)
         o3 = overhead_percent(sparse, base)

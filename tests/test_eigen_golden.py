@@ -42,7 +42,7 @@ class TestNumpyParity:
     def test_ft_pipeline_matches_numpy(self, n, seed, dtype):
         a = random_matrix(n, seed=seed, dtype=dtype)
         ref = np.linalg.eigvals(a.astype(np.float64))
-        res = ft_gehrd(a, FTConfig(nb=8, functional=True))
+        res = ft_gehrd(a, FTConfig(nb=8))
         fr = ft_hqr(extract_hessenberg(res.a), check_input=False)
         assert fr.detections == 0
         assert _spectrum_dist(fr.eigvals, ref) < _tol(dtype, n)

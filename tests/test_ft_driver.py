@@ -180,17 +180,17 @@ class TestMultiErrorRecovery:
 
 class TestScheduleAndOverhead:
     def test_metadata_overhead_small_and_decreasing(self):
-        base1 = hybrid_gehrd(1022, HybridConfig(nb=32, functional=False))
-        ft1 = ft_gehrd(1022, FTConfig(nb=32, functional=False))
-        base2 = hybrid_gehrd(4030, HybridConfig(nb=32, functional=False))
-        ft2 = ft_gehrd(4030, FTConfig(nb=32, functional=False))
+        base1 = hybrid_gehrd(1022, HybridConfig(nb=32))
+        ft1 = ft_gehrd(1022, FTConfig(nb=32))
+        base2 = hybrid_gehrd(4030, HybridConfig(nb=32))
+        ft2 = ft_gehrd(4030, FTConfig(nb=32))
         o1, o2 = overhead_percent(ft1, base1), overhead_percent(ft2, base2)
         assert 0 < o2 < o1 < 5.0
 
     def test_error_overhead_depends_on_moment(self):
         """Early errors redo a bigger iteration (Fig. 6's band)."""
         n = 4030
-        base = hybrid_gehrd(n, HybridConfig(nb=32, functional=False))
+        base = hybrid_gehrd(n, HybridConfig(nb=32))
         total = iteration_count(n, 32)
 
         def ovh(it):
@@ -198,7 +198,7 @@ class TestScheduleAndOverhead:
             inj = FaultInjector().add(
                 FaultSpec(iteration=it, row=p + 2, col=p + 3, magnitude=1.0)
             )
-            ft = ft_gehrd(n, FTConfig(nb=32, functional=False), injector=inj)
+            ft = ft_gehrd(n, FTConfig(nb=32), injector=inj)
             return overhead_percent(ft, base)
 
         assert ovh(1) > ovh(total - 2)
@@ -207,10 +207,8 @@ class TestScheduleAndOverhead:
         """The paper's §IV-E trick: overlapped Q checksums must be
         no slower than the serialized ablation."""
         n = 2046
-        t_overlap = ft_gehrd(n, FTConfig(nb=32, functional=False,
-                                         overlap_q_checksums=True)).seconds
-        t_serial = ft_gehrd(n, FTConfig(nb=32, functional=False,
-                                        overlap_q_checksums=False)).seconds
+        t_overlap = ft_gehrd(n, FTConfig(nb=32, overlap_q_checksums=True)).seconds
+        t_serial = ft_gehrd(n, FTConfig(nb=32, overlap_q_checksums=False)).seconds
         assert t_overlap <= t_serial
 
     def test_persistent_error_storm_raises(self):

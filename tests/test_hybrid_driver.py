@@ -56,6 +56,22 @@ class TestFunctional:
         h = extract_hessenberg(res.a)
         assert factorization_residual(a0, q, h) > 1e-8
 
+    def test_late_faults_strike_the_finished_matrix(self):
+        """n=64, nb=32 runs two iterations: a matrix fault planned for
+        iteration 5 still strikes the finished factorization, and a spec
+        the baseline can never fire (it only strikes the matrix) warns."""
+        a0 = random_matrix(64, seed=3)
+        clean = hybrid_gehrd(a0, HybridConfig(nb=32))
+        inj = FaultInjector()
+        inj.add(FaultSpec(iteration=5, row=40, col=10, magnitude=1.0))
+        inj.add(FaultSpec(iteration=0, row=3, col=0, space="tau"))
+        with pytest.warns(RuntimeWarning, match="never fired"):
+            res = hybrid_gehrd(a0, HybridConfig(nb=32), injector=inj)
+        assert inj.count_fired == 1
+        diff = res.a - clean.a
+        assert diff[40, 10] == 1.0 and np.count_nonzero(diff) == 1
+        np.testing.assert_array_equal(res.taus, clean.taus)
+
 
 class TestSchedule:
     def test_iteration_plan(self):
@@ -64,36 +80,32 @@ class TestSchedule:
         assert iteration_plan(10, 32) == [(0, 9)]
 
     def test_metadata_mode_produces_time_without_data(self):
-        res = hybrid_gehrd(1022, HybridConfig(nb=32, functional=False))
+        res = hybrid_gehrd(1022, HybridConfig(nb=32))
         assert res.a is None
         assert res.seconds > 0
         assert res.iterations == len(iteration_plan(1022, 32))
 
-    def test_functional_mode_requires_matrix(self):
-        with pytest.raises(ShapeError):
-            hybrid_gehrd(100, HybridConfig(functional=True))
-
     def test_send_overlaps_g_update(self):
         """Algorithm 2's red lines: the async d2h of M's columns and the G
         update must overlap in the schedule."""
-        res = hybrid_gehrd(512, HybridConfig(nb=32, functional=False))
+        res = hybrid_gehrd(512, HybridConfig(nb=32))
         ops = {op.name: op for op in res.timeline.ops}
         send = ops["send_M@1"]
         g = ops["right_G@1"]
         assert send.start < g.end and g.start < send.end  # time overlap
 
     def test_seconds_scale_with_n(self):
-        t1 = hybrid_gehrd(1022, HybridConfig(nb=32, functional=False)).seconds
-        t2 = hybrid_gehrd(2046, HybridConfig(nb=32, functional=False)).seconds
+        t1 = hybrid_gehrd(1022, HybridConfig(nb=32)).seconds
+        t2 = hybrid_gehrd(2046, HybridConfig(nb=32)).seconds
         assert 4.0 < t2 / t1 < 9.0  # between O(N²) transfers and O(N³) compute
 
     def test_functional_and_metadata_same_schedule(self):
         """The simulated time must not depend on whether data is real."""
         a0 = random_matrix(96, seed=4)
-        t_func = hybrid_gehrd(a0, HybridConfig(nb=32, functional=True)).seconds
-        t_meta = hybrid_gehrd(96, HybridConfig(nb=32, functional=False)).seconds
+        t_func = hybrid_gehrd(a0, HybridConfig(nb=32)).seconds
+        t_meta = hybrid_gehrd(96, HybridConfig(nb=32)).seconds
         assert t_func == pytest.approx(t_meta, rel=1e-12)
 
     def test_gflops_reported(self):
-        res = hybrid_gehrd(2046, HybridConfig(nb=32, functional=False))
+        res = hybrid_gehrd(2046, HybridConfig(nb=32))
         assert res.gflops > 50.0

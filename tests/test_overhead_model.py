@@ -104,7 +104,7 @@ class TestExactMaintainModel:
         from repro.utils.rng import random_matrix
 
         res = ft_gehrd(
-            random_matrix(n, seed=7), FTConfig(nb=nb, channels=channels, functional=True)
+            random_matrix(n, seed=7), FTConfig(nb=nb, channels=channels)
         )
         assert res.detections == 0
         measured = res.counter.by_category["abft_maintain"]
@@ -119,7 +119,7 @@ class TestExactMaintainModel:
 
         n, nb = 96, 16
         res = ft_gehrd(
-            random_matrix(n, seed=9, dtype=np.float32), FTConfig(nb=nb, functional=True)
+            random_matrix(n, seed=9, dtype=np.float32), FTConfig(nb=nb)
         )
         # flop accounting is dtype-independent: same counts on both lanes
         assert flop_abft_maintain(n, nb, 1) == res.counter.by_category["abft_maintain"]

@@ -84,14 +84,14 @@ class TestCostModel:
         the 140-190 GFLOPS range at the paper's largest size."""
         from repro.core import HybridConfig, hybrid_gehrd
 
-        res = hybrid_gehrd(10110, HybridConfig(nb=32, functional=False))
+        res = hybrid_gehrd(10110, HybridConfig(nb=32))
         assert 140.0 < res.gflops < 190.0
 
     def test_rate_increases_with_n(self):
         from repro.core import HybridConfig, hybrid_gehrd
 
         rates = [
-            hybrid_gehrd(n, HybridConfig(nb=32, functional=False)).gflops
+            hybrid_gehrd(n, HybridConfig(nb=32)).gflops
             for n in (1022, 4030, 10110)
         ]
         assert rates[0] < rates[1] < rates[2]

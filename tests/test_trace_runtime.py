@@ -52,18 +52,15 @@ class TestTimeline:
 
 
 class TestHybridRuntime:
-    def test_functional_thunks_execute(self):
-        rt = HybridRuntime(laptop_sim(), functional=True)
-        box = []
-        rt.submit("x", "cpu", 1.0, fn=lambda: box.append(1))
-        assert box == [1]
-
-    def test_metadata_mode_skips_thunks(self):
-        rt = HybridRuntime(laptop_sim(), functional=False)
-        box = []
-        rt.submit("x", "cpu", 1.0, fn=lambda: box.append(1))
-        assert box == []
+    def test_submit_only_prices(self):
+        """The runtime schedules what it is told and nothing else: a
+        submission returns its priced op and advances simulated time."""
+        rt = HybridRuntime(laptop_sim())
+        op = rt.submit("x", "cpu", 1.0, category="panel")
+        assert (op.name, op.resource, op.category) == ("x", "cpu", "panel")
+        assert (op.start, op.end) == (0.0, 1.0)
         assert rt.elapsed == 1.0
+        assert [o.name for o in rt.timeline().ops] == ["x"]
 
     def test_kernel_wrappers_price_by_cost_model(self):
         rt = HybridRuntime(laptop_sim())

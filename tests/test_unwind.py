@@ -210,14 +210,14 @@ class TestDelayedDetectionRecovery:
         intervening iterations plus the unwind kernels)."""
         from repro.core import HybridConfig, hybrid_gehrd, overhead_percent
 
-        base = hybrid_gehrd(2046, HybridConfig(nb=32, functional=False))
+        base = hybrid_gehrd(2046, HybridConfig(nb=32))
 
         def ovh(de):
             inj = FaultInjector().add(
                 FaultSpec(iteration=9, row=1000, col=1100, magnitude=1.0)
             )
             ft = ft_gehrd(
-                2046, FTConfig(nb=32, functional=False, detect_every=de, channels=2),
+                2046, FTConfig(nb=32, detect_every=de, channels=2),
                 injector=inj,
             )
             return overhead_percent(ft, base)

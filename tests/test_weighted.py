@@ -217,8 +217,8 @@ class TestWeightedDriver:
     def test_overhead_cost_of_second_channel_is_small(self):
         from repro.core import HybridConfig, hybrid_gehrd, overhead_percent
 
-        base = hybrid_gehrd(4030, HybridConfig(nb=32, functional=False))
-        f1 = ft_gehrd(4030, FTConfig(nb=32, functional=False, channels=1))
-        f2 = ft_gehrd(4030, FTConfig(nb=32, functional=False, channels=2))
+        base = hybrid_gehrd(4030, HybridConfig(nb=32))
+        f1 = ft_gehrd(4030, FTConfig(nb=32, channels=1))
+        f2 = ft_gehrd(4030, FTConfig(nb=32, channels=2))
         o1, o2 = overhead_percent(f1, base), overhead_percent(f2, base)
         assert o1 < o2 < o1 + 0.5  # the second channel costs a fraction of a percent
