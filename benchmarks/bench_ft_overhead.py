@@ -92,7 +92,7 @@ def _phase_breakdown(n: int, nb: int, dtype, *, repeats: int) -> dict:
     a = random_matrix(n, seed=4, dtype=dtype)
     plan = iteration_plan_cached(n, nb)
     cfg = FTConfig(nb=nb)
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
 
     def walk_ft() -> dict[str, float]:
         t: dict[str, float] = {"panel": 0.0, "right": 0.0, "left": 0.0,

@@ -20,10 +20,18 @@ Two hardening extensions beyond the paper:
   the locate/correct pass that follows every restore can often repair
   the damage — but the suspect columns are reported so the driver can
   escalate when it cannot.
-* **An initial full-state snapshot** (:meth:`save_initial`), the
-  restart tier's substrate: the encoded input is kept for the lifetime
-  of the run so that a recovery path corrupted beyond local repair can
-  rebuild everything and redo the factorization from iteration 0.
+* **The restart tier's substrate** (:meth:`save_initial`): a read-only
+  view of the driver's input plus copies of its encode-time checksum
+  blocks (k·2N values), kept for the lifetime of the run. A recovery
+  path corrupted beyond local repair re-encodes the input and redoes
+  the factorization from iteration 0. The kept checksums verify the
+  input first (Bosilca et al.: the state recovery depends on must be
+  verified too), so a restart never starts from a matrix that changed
+  during the run. No n² snapshot is taken.
+
+The panel checkpoint lives in store-owned buffers, allocated on the
+first save and reused by every later one; a :class:`PanelCheckpoint`
+holds views into them.
 """
 
 from __future__ import annotations
@@ -32,13 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, UncorrectableError
 from repro.abft.encoding import EncodedMatrix
 
 
 @dataclass
 class PanelCheckpoint:
-    """Snapshot taken at the top of one iteration."""
+    """Snapshot taken at the top of one iteration. Its arrays are views
+    into the store's buffers, valid until the store's next save."""
 
     p: int
     ib: int
@@ -61,12 +70,20 @@ class PanelCheckpoint:
 
 
 class DisklessCheckpointStore:
-    """Holds the single live panel checkpoint, the initial full-state
-    snapshot, and usage statistics."""
+    """Holds the single live panel checkpoint, the restart substrate, and
+    usage statistics."""
 
     def __init__(self) -> None:
         self.current: PanelCheckpoint | None = None
-        self.initial: np.ndarray | None = None  # copy of em.ext at encode time
+        # the restart substrate: a read-only view of the input and its
+        # encode-time row- and column-checksum blocks
+        self.source: np.ndarray | None = None
+        self.source_checksums: tuple[np.ndarray, np.ndarray] | None = None
+        # the panel checkpoint's buffers, allocated on the first save:
+        # the extended panel columns (data, then column checksums) and
+        # their guard sums
+        self._columns: np.ndarray | None = None
+        self._sums: np.ndarray | None = None
         self.saves = 0
         self.restores = 0
         self.peak_bytes = 0
@@ -76,15 +93,16 @@ class DisklessCheckpointStore:
 
     def save(self, em: EncodedMatrix, p: int, ib: int) -> PanelCheckpoint:
         """Snapshot panel ``[p, p+ib)`` of *em*; replaces any prior checkpoint."""
-        n = em.n
-        panel = em.data[:, p : p + ib].copy(order="F")
-        cp = PanelCheckpoint(
-            p=p,
-            ib=ib,
-            panel=panel,
-            col_chk_seg=em.ext[n:, p : p + ib].copy(order="F"),
-            guard_sums=panel.sum(axis=0),
-        )
+        n, rows, dt = em.n, em.ext.shape[0], em.ext.dtype
+        cols = self._columns
+        if cols is None or cols.shape[0] != rows or cols.shape[1] < ib or cols.dtype != dt:
+            cols = self._columns = np.empty((rows, ib), dtype=dt, order="F")
+            self._sums = np.empty(ib, dtype=dt)
+        cols = cols[:, :ib]
+        cols[...] = em.ext[:, p : p + ib]
+        panel = cols[:n]
+        sums = panel.sum(axis=0, out=self._sums[:ib])
+        cp = PanelCheckpoint(p=p, ib=ib, panel=panel, col_chk_seg=cols[n:], guard_sums=sums)
         self.current = cp
         self.saves += 1
         self.peak_bytes = max(self.peak_bytes, cp.nbytes)
@@ -118,15 +136,42 @@ class DisklessCheckpointStore:
 
     # -- the restart tier's substrate --------------------------------------
 
-    def save_initial(self, em: EncodedMatrix) -> None:
-        """Keep a full copy of the freshly encoded input (run lifetime)."""
-        self.initial = em.ext.copy(order="F")
+    def save_initial(self, em: EncodedMatrix, source: np.ndarray) -> None:
+        """Keep the restart substrate for the run: a read-only view of
+        *source*, the input *em* was just encoded from, and copies of
+        *em*'s encode-time checksum blocks. The caller must not write
+        *source* until the run ends; :meth:`restore_initial` checks it."""
+        view = source.view()
+        view.flags.writeable = False
+        n = em.n
+        self.source = view
+        self.source_checksums = (
+            em.ext[:n, n:].copy(order="F"),
+            em.ext[n:, :n].copy(order="F"),
+        )
         self.initial_saves += 1
-        self.peak_bytes = max(self.peak_bytes, self.initial.nbytes)
 
     def restore_initial(self, em: EncodedMatrix) -> None:
-        """Rebuild the entire encoded state from the initial snapshot."""
-        if self.initial is None:
-            raise ReproError("no initial snapshot to restart from")
-        em.ext[:, :] = self.initial
+        """Rebuild the entire encoded state from the input: copy it into
+        *em* and re-encode.
+
+        Raises :class:`~repro.errors.UncorrectableError` when the
+        re-encoded checksum blocks differ, bytewise (so NaN payloads
+        compare too), from the encode-time ones: the input changed
+        during the run, and restarting would reduce a different matrix.
+        """
+        if self.source is None:
+            raise ReproError("no input saved to restart from")
+        n = em.n
+        em.data[...] = self.source
+        em.encode()
+        rows, cols = self.source_checksums
+        if (
+            em.ext[:n, n:].tobytes(order="F") != rows.tobytes(order="F")
+            or em.ext[n:, :n].tobytes(order="F") != cols.tobytes(order="F")
+        ):
+            raise UncorrectableError(
+                "restart refused: the input matrix changed during the run "
+                "(its re-encoded checksums differ from the encode-time ones)"
+            )
         self.initial_restores += 1

@@ -21,7 +21,7 @@ second moment of the checksum state instead of the a-priori norm bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,8 +104,19 @@ class ThresholdPolicy:
         dtype: object = np.float64,
         m2: float | None = None,
     ) -> float:
-        eps = lane_eps(dtype)
-        kind = self.resolve(dtype)
+        return self.bound(self.resolve(dtype), lane_eps(dtype), n, norm_a, sre, sce, m2)
+
+    def bound(
+        self,
+        kind: str,
+        eps: float,
+        n: int,
+        norm_a: float,
+        sre: float = 0.0,
+        sce: float = 0.0,
+        m2: float | None = None,
+    ) -> float:
+        """:meth:`threshold` for an already resolved *kind* and lane *eps*."""
         if kind == "variance":
             if m2 is not None and math.isfinite(m2):
                 return self.sigma_factor * eps * math.sqrt(max(float(n) * m2, 1.0))
@@ -179,6 +190,26 @@ class Detector:
     norm_a: float
     checks: int = 0
     detections: int = 0
+    _run: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _constants(self, em: EncodedMatrix) -> tuple[str, float, int, float | None]:
+        """The per-run constants of :meth:`check`: the resolved policy
+        kind, the lane eps, the flop charge and, for the ``norm`` and
+        ``absolute`` kinds, the threshold itself. They are derived once
+        and kept under a key of everything they read, so a detector
+        reused on another matrix re-derives them."""
+        n, dtype, k = em.n, em.ext.dtype, getattr(em, "k", 1)
+        key = (n, dtype, k, self.policy, self.norm_a)
+        if self._run is None or self._run[0] != key:
+            kind = self.policy.resolve(dtype)
+            eps = lane_eps(dtype)
+            fixed = (
+                self.policy.bound(kind, eps, n, self.norm_a)
+                if kind in ("norm", "absolute")
+                else None
+            )
+            self._run = (key, (kind, eps, 2 * k * k * F.dot_flops(n), fixed))
+        return self._run[1]
 
     def check(self, em: EncodedMatrix, *, counter: FlopCounter | None = None) -> bool:
         """Return True when a soft error is detected (paper lines 12–13).
@@ -190,18 +221,16 @@ class Detector:
         consistent state) is checked, which widens coverage — e.g. the
         symmetric diagonal-drift blind spot of the unit statistic.
         """
-        n = em.n
-        dtype = em.ext.dtype
+        flops = self._constants(em)[2]
         sre = float(np.sum(em.row_checksums))
         sce = float(np.sum(em.col_checksums))
         self.checks += 1
         if counter is not None:
-            k = getattr(em, "k", 1)
-            counter.add("abft_detect", 2 * k * k * F.dot_flops(n))
+            counter.add("abft_detect", flops)
         # A non-finite sum is itself a detection: an exponent-field bit
         # flip can turn an element into Inf/NaN, and NaN would otherwise
         # compare False against any threshold.
-        if not (np.isfinite(sre) and np.isfinite(sce)):
+        if not (math.isfinite(sre) and math.isfinite(sce)):
             self.detections += 1
             return True
         if getattr(em, "k", 1) > 1:
@@ -212,11 +241,20 @@ class Detector:
             gap = float(np.max(gaps))
         else:
             gap = abs(sre - sce)
-        m2 = checksum_second_moment(em) if self.policy.needs_m2(dtype) else None
-        if gap > self.policy.threshold(n, self.norm_a, sre, sce, dtype=dtype, m2=m2):
+        if gap > self.tolerance(em, sre, sce):
             self.detections += 1
             return True
         return False
+
+    def tolerance(self, em: EncodedMatrix, sre: float, sce: float) -> float:
+        """The threshold :meth:`check` compares the gap with, given the
+        grand sums *sre* and *sce* (read by the ``running`` kind; the
+        ``variance`` kind reads the checksum moment of *em*)."""
+        kind, eps, _, fixed = self._constants(em)
+        if fixed is not None:
+            return fixed
+        m2 = checksum_second_moment(em) if kind == "variance" else None
+        return self.policy.bound(kind, eps, em.n, self.norm_a, sre, sce, m2)
 
     def last_gap(self, em: EncodedMatrix) -> float:
         """The current discrepancy statistic (for diagnostics/tests)."""

@@ -74,6 +74,12 @@ class EncodedMatrix:
         The (k, N) weight matrix; row 0 is all-ones (the paper's scheme).
     """
 
+    # reused scratch of refresh_finished_segment, grown on demand: the
+    # masked panel and the strictly upper triangular mask of its tail
+    # (class defaults, so views built without __init__ have them too)
+    _seg: np.ndarray | None = None
+    _upper: np.ndarray | None = None
+
     def __init__(
         self,
         a: np.ndarray,
@@ -220,13 +226,29 @@ class EncodedMatrix:
         paper describes for the analogous Q checksums in Fig. 5). The
         whole panel is one product with the columns' rows below their
         H segments masked to zero.
+
+        The masked panel is ``np.triu(ext[:rows, p:hi], -(p + 1))``, built
+        as a masked copy into reused C-ordered scratch: C is the layout
+        ``np.triu`` returns, so the product's operands, and its bits, are
+        the same without a fresh array and a ``where()`` per panel.
         """
         n = self.n
         hi = min(p + ib, n)
         if hi <= p:
             return
         rows = min(hi + 1, n)  # column j's segment is rows [0, min(j+2, n))
-        seg = np.triu(self.ext[:rows, p:hi], -(p + 1))
+        w = hi - p
+        if self._seg is None or self._seg.size < rows * w:
+            self._seg = np.empty(rows * w, dtype=self.ext.dtype)
+        if self._upper is None or self._upper.shape[1] < w:
+            self._upper = ~np.tri(w, dtype=bool)
+        seg = self._seg[: rows * w].reshape(rows, w)
+        # rows [0, p+2) are whole; row p+2+r keeps the columns right of r
+        full = min(p + 2, rows)
+        seg[:full] = self.ext[:full, p:hi]
+        low = seg[full:]
+        low[...] = 0.0
+        np.copyto(low, self.ext[full:rows, p:hi], where=self._upper[: rows - full, :w])
         self.ext[n:, p:hi] = self.weights[:, :rows] @ seg
         if counter is not None:
             counter.add("abft_maintain", self.k * F.segment_refresh_flops(n, p, ib))

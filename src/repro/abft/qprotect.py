@@ -64,9 +64,15 @@ class QProtector:
     qr_chk: np.ndarray = field(init=False)
     qc_chk: np.ndarray = field(init=False)
 
+    # the reused float64 block of _block and its cached mask
+    _buf: np.ndarray = field(init=False, repr=False, compare=False)
+    _upper: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         self.qr_chk = np.zeros(self.n)
         self.qc_chk = np.zeros(self.n)
+        self._buf = np.empty(0)
+        self._upper = np.ones((0, 0), dtype=bool)
 
     def reset(self) -> None:
         """Forget all maintained state (the full-restart tier: the Q
@@ -80,12 +86,22 @@ class QProtector:
 
         Rows run from ``lo + offset`` down, so column ``lo + c`` owns rows
         ``c ..`` of the block; the strict upper triangle, which is not
-        reflector storage, is zeroed.
+        reflector storage, is zeroed. The block is one reused F-ordered
+        buffer (valid until the next call): a plain copy, then zeros
+        through a cached mask of the strict upper triangle, which lies
+        in the block's top ``cols`` rows (not ``np.tril``, whose
+        ``where()`` crawls over F-ordered input).
         """
         src = a[lo + self.offset : self.n, lo:hi]
-        blk = np.zeros(src.shape, order="F")
-        # a masked copy, not np.tril: its where() crawls over F-ordered input
-        np.copyto(blk, src, where=np.tri(*src.shape, dtype=bool))
+        rows, cols = src.shape
+        if self._buf.size < rows * cols:
+            self._buf = np.empty(rows * cols)
+        if self._upper.shape[0] < cols:
+            self._upper = ~np.tri(cols, dtype=bool)
+        blk = self._buf[: rows * cols].reshape((rows, cols), order="F")
+        blk[...] = src
+        top = min(rows, cols)
+        np.copyto(blk[:top], 0.0, where=self._upper[:top, :cols])
         return blk
 
     # -- maintenance -------------------------------------------------------

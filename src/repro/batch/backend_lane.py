@@ -203,7 +203,7 @@ def ft_gehrd_stack(
         priced = ft_gehrd(n, config)
         seconds = priced.seconds
         norms = np.array(
-            [one_norm(np.asarray(stack[i], dtype=np.float64)) for i in batch_idx]
+            [one_norm(stack[i]) for i in batch_idx]
         )
         sub = stack[batch_idx]
         ext = encode_stack(bk, sub)

@@ -267,7 +267,7 @@ def ft_gehrd_batched(
         priced = ft_gehrd(n, config)
         seconds = priced.seconds
         norms = np.array(
-            [one_norm(np.asarray(stack[i], dtype=np.float64)) for i in batch_idx]
+            [one_norm(stack[i]) for i in batch_idx]
         )
         emb = EncodedMatrixBatch(
             stack[batch_idx], channels=config.channels, counter=counter

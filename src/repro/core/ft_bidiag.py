@@ -276,7 +276,7 @@ def ft_gebd2(
     n = a.shape[0]
 
     counter = counter if counter is not None else FlopCounter()
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
     policy = threshold or ThresholdPolicy()
     st = _FTGebd2State(np.asarray(a, dtype=np.float64), norm_a, counter)
     # reflector-storage protection: column reflectors live below the

@@ -27,6 +27,7 @@ overhead curves can be produced at paper-scale N.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -49,7 +50,13 @@ from repro.abft.unwind import locate_errors_rowonly, rebuild_col_checksums, unwi
 from repro.core.config import FTConfig
 from repro.core.hybrid_hessenberg import iteration_plan_cached
 from repro.core.results import FTResult, RecoveryEvent
-from repro.errors import ConvergenceError, EscalationExhausted, ShapeError, UncorrectableError
+from repro.errors import (
+    ConvergenceError,
+    EscalationExhausted,
+    NonFiniteInputError,
+    ShapeError,
+    UncorrectableError,
+)
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.faults.regions import AREA_NO_PROPAGATION, classify, finished_cols_at
 from repro.resilience import (
@@ -295,7 +302,7 @@ class FTSchedule:
                                 category="abft_correct")]
 
     def restart(self, it: int) -> None:
-        """Ladder tier 3: re-upload the initial snapshot."""
+        """Ladder tier 3: re-upload the input."""
         self.frontier = [
             self.rt.copy_h2d(self.elem_bytes * self.n * self.n, self.frontier,
                              name=f"restart@{it}", category="abft_recover")
@@ -443,7 +450,12 @@ def ft_gehrd(
     ----------
     a:
         Square input matrix, or just the order N to price the schedule
-        without data.
+        without data. The driver never writes *a*: it reduces a copy
+        inside the encoded storage, and the restart tier re-encodes *a*
+        itself, so the input is held read-only until the call returns.
+        Writing it during the call (another thread, a fault-plan hook)
+        makes a later restart raise :class:`UncorrectableError` instead
+        of reducing a different matrix.
     config:
         Driver settings (see :class:`~repro.core.config.FTConfig`).
     injector:
@@ -457,6 +469,8 @@ def ft_gehrd(
 
     Raises
     ------
+    NonFiniteInputError
+        If *a* holds a NaN or an infinity (checked before encoding).
     ConvergenceError
         If an iteration keeps detecting errors past ``max_retries``
         (an error storm outside the paper's failure model).
@@ -469,7 +483,13 @@ def ft_gehrd(
         raise ShapeError(f"ft_gehrd needs a square matrix, got {a.shape}")
     n = a.shape[0]
     a = as_lane_matrix(a)
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
+    if not math.isfinite(norm_a):
+        # NaN or Inf exactly when an entry is non-finite or a column sum
+        # overflows, which would overflow the encode too
+        raise NonFiniteInputError(
+            f"ft_gehrd input holds a NaN or an infinity (1-norm {norm_a})"
+        )
     config.validate(n)
 
     counter = FlopCounter()
@@ -480,7 +500,7 @@ def ft_gehrd(
     detector = Detector(config.threshold, norm_a)
     qprot = QProtector(n, eps_factor=config.eps_factor_locate)
     store = DisklessCheckpointStore()
-    store.save_initial(em)  # the restart tier's substrate
+    store.save_initial(em, a)  # the restart tier's substrate
     taus = np.zeros(max(n - 1, 0), dtype=em.ext.dtype)
     tau_guard = TauGuard(taus.size)
     # callers that run many reductions back to back (the serve worker
@@ -636,7 +656,7 @@ def ft_gehrd(
             it = back_it  # redo the rolled-back iterations
             continue
 
-        # -- tier 3: full diskless restart from the initial snapshot ---------
+        # -- tier 3: full diskless restart from the re-encoded input --------
         if sup.allow(TIER_RESTART):
             store.restore_initial(em)
             store.drop_current()

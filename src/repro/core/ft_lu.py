@@ -76,7 +76,7 @@ def ft_lu_solve(
     if b.shape != (n,):
         raise ShapeError(f"b must have length {n}, got {b.shape}")
     counter = counter if counter is not None else FlopCounter()
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
     eps = float(np.finfo(np.float64).eps)
     tol = eps_factor * eps * max(1.0, norm_a) * n
 

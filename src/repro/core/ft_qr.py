@@ -183,7 +183,7 @@ def ft_geqrf(
         raise ShapeError(f"ft_geqrf needs a square matrix, got {a.shape}")
     n = a.shape[0]
     counter = counter if counter is not None else FlopCounter()
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
     eps = float(np.finfo(np.float64).eps)
     tol = eps_factor_locate * eps * max(1.0, norm_a) * n
 

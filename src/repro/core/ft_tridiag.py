@@ -299,7 +299,7 @@ def ft_sytrd(
         raise ShapeError(f"audit_every must be >= 1, got {audit_every}")
 
     counter = counter if counter is not None else FlopCounter()
-    norm_a = one_norm(np.asarray(a, dtype=np.float64))
+    norm_a = one_norm(a)
     policy = threshold or ThresholdPolicy()
     st = _FTSytrdState(np.asarray(a, dtype=np.float64), norm_a, counter)
     qprot = QProtector(n, eps_factor=eps_factor_locate, offset=2)

@@ -16,6 +16,15 @@ class ShapeError(ReproError, ValueError):
     """An array argument has an incompatible shape or memory layout."""
 
 
+class NonFiniteInputError(ReproError, ValueError):
+    """An input matrix holds a NaN or an infinity.
+
+    Raised before any checksum is encoded: the checksums of such a
+    matrix are themselves non-finite, so no detector or recovery tier
+    can tell its entries from a soft error. Retrying cannot help.
+    """
+
+
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative algorithm failed to converge within its budget."""
 

@@ -13,11 +13,50 @@ import numpy as np
 from repro.errors import ShapeError
 
 
+#: Elements of the float64 scratch block :func:`one_norm` sweeps through.
+_NORM_BLOCK = 1 << 14
+
+
 def one_norm(a: np.ndarray) -> float:
-    """Matrix 1-norm (max absolute column sum)."""
+    """Matrix 1-norm (max absolute column sum), accumulated in float64.
+
+    The absolute values pass through a small float64 scratch block
+    instead of an n² temporary, so an fp32 input needs no float64 copy
+    either. Every column sum is bitwise the one
+    ``np.sum(np.abs(a), axis=0)`` forms over a float64 array laid out
+    like *a*: a pairwise sum down each column of a column-major input,
+    a running sum row after row of a row-major one.
+    """
     if a.ndim != 2:
         raise ShapeError(f"one_norm expects a matrix, got shape {a.shape}")
-    return float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    rows, cols = a.shape
+    sums = np.empty(cols)
+    if cols == 1 or a.flags.f_contiguous or (
+        not a.flags.c_contiguous and abs(a.strides[0]) <= abs(a.strides[1])
+    ):
+        width = max(1, _NORM_BLOCK // rows)
+        scratch = np.empty(rows * min(width, cols))
+        for lo in range(0, cols, width):
+            hi = min(lo + width, cols)
+            blk = scratch[: rows * (hi - lo)].reshape((rows, hi - lo), order="F")
+            np.abs(a[:, lo:hi], out=blk)
+            np.sum(blk, axis=0, out=sums[lo:hi])
+    else:
+        # row after row: each later block carries the running sums in
+        # its first row, so the fold continues where the last one stopped
+        height = max(1, _NORM_BLOCK // cols)
+        scratch = np.empty((min(height, rows) + 1, cols))
+        for lo in range(0, rows, height):
+            hi = min(lo + height, rows)
+            carry = 1 if lo else 0
+            blk = scratch[: hi - lo + carry]
+            if carry:
+                blk[0] = sums
+            np.abs(a[lo:hi], out=blk[carry:])
+            np.sum(blk, axis=0, out=sums)
+    return float(np.max(sums))
 
 
 def factorization_residual(a: np.ndarray, q: np.ndarray, h: np.ndarray) -> float:

@@ -1,18 +1,23 @@
 """Frozen scalar kernels — the golden reference.
 
 These are verbatim copies of the panel factorization, the
-checksum-extended updates and the residual decoders as they stood
-before their rewrites. The kernels allocate fresh temporaries on every
-call (``np.tril`` copies, ``np.vstack``, un-``out=``'d GEMMs) — exactly
-the behaviour the throughput layer removes; the decoders test one
-(row, column) pair or one line per Python call, where the live ones work
-on whole arrays. They serve two purposes:
+checksum-extended updates, the residual decoders and the clean-path
+protection helpers as they stood before their rewrites. The kernels
+allocate fresh temporaries on every call (``np.tril`` copies,
+``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
+throughput layer removes; the decoders test one (row, column) pair or
+one line per Python call, where the live ones work on whole arrays; the
+protection helpers (the input 1-norm, the segment refresh, the Q block,
+the panel checkpoint, the detector's threshold) copy or re-derive on
+every call what the live ones keep in reused buffers or derive once per
+run. They serve two purposes:
 
 * the equivalence oracle for ``tests/test_kernel_golden.py`` (the pooled
   kernels must agree to roundoff on every path, including k>1 weighted
-  channels) and ``tests/test_location_reference.py`` (the array decoders
-  must return the same errors, bit for bit, or raise the same message),
-  and
+  channels), ``tests/test_location_reference.py`` (the array decoders
+  must return the same errors, bit for bit, or raise the same message)
+  and ``tests/test_protection_reference.py`` (the protection helpers
+  must agree byte for byte), and
 * the "before" side of ``benchmarks/bench_to_json.py``.
 
 Do not modify these when optimizing the live kernels; that would defeat
@@ -21,15 +26,21 @@ the comparison.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.abft.checkpoint import PanelCheckpoint
+from repro.abft.detection import ThresholdPolicy, checksum_second_moment
 from repro.abft.encoding import EncodedMatrix
 from repro.abft.location import LocatedError
-from repro.errors import ShapeError, UncorrectableError
+from repro.abft.qprotect import QProtector
+from repro.errors import DetectionError, ShapeError, UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.householder import larfg
 from repro.linalg.lahr2 import PanelFactors
+from repro.utils.precision import lane_eps
 
 
 def lahr2_reference(
@@ -429,3 +440,118 @@ def decode_residuals_weighted_reference(
     else:
         raise UncorrectableError("weighted decode did not converge")
     return errors
+
+
+# -- the clean-path protection helpers ---------------------------------------
+
+
+def one_norm_reference(a: np.ndarray) -> float:
+    """The n²-temporary 1-norm (see :func:`repro.linalg.verify.one_norm`);
+    the drivers passed it ``np.asarray(a, dtype=np.float64)``."""
+    if a.ndim != 2:
+        raise ShapeError(f"one_norm expects a matrix, got shape {a.shape}")
+    return float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+
+
+def refresh_finished_segment_reference(
+    em: EncodedMatrix, p: int, ib: int, *, counter: FlopCounter | None = None
+) -> None:
+    """The ``np.triu`` segment refresh (see
+    :meth:`repro.abft.encoding.EncodedMatrix.refresh_finished_segment`)."""
+    n = em.n
+    hi = min(p + ib, n)
+    if hi <= p:
+        return
+    rows = min(hi + 1, n)  # column j's segment is rows [0, min(j+2, n))
+    seg = np.triu(em.ext[:rows, p:hi], -(p + 1))
+    em.ext[n:, p:hi] = em.weights[:, :rows] @ seg
+    if counter is not None:
+        counter.add("abft_maintain", em.k * F.segment_refresh_flops(n, p, ib))
+
+
+class QProtectorReference(QProtector):
+    """:class:`~repro.abft.qprotect.QProtector` with the allocating block:
+    a fresh ``np.zeros`` block and a fresh ``np.tri`` mask per call."""
+
+    def _block(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        src = a[lo + self.offset : self.n, lo:hi]
+        blk = np.zeros(src.shape, order="F")
+        # a masked copy, not np.tril: its where() crawls over F-ordered input
+        np.copyto(blk, src, where=np.tri(*src.shape, dtype=bool))
+        return blk
+
+
+def checkpoint_save_reference(em: EncodedMatrix, p: int, ib: int) -> PanelCheckpoint:
+    """The copying panel checkpoint (see
+    :meth:`repro.abft.checkpoint.DisklessCheckpointStore.save`): fresh
+    copies of the panel and the checksum segment, and fresh guard sums."""
+    n = em.n
+    panel = em.data[:, p : p + ib].copy(order="F")
+    return PanelCheckpoint(
+        p=p,
+        ib=ib,
+        panel=panel,
+        col_chk_seg=em.ext[n:, p : p + ib].copy(order="F"),
+        guard_sums=panel.sum(axis=0),
+    )
+
+
+def threshold_reference(
+    policy: ThresholdPolicy,
+    n: int,
+    norm_a: float,
+    sre: float,
+    sce: float,
+    *,
+    dtype: object = np.float64,
+    m2: float | None = None,
+) -> float:
+    """The per-call threshold (see
+    :meth:`repro.abft.detection.ThresholdPolicy.threshold`): it resolves
+    the kind and re-derives the lane eps on every call."""
+    eps = lane_eps(dtype)
+    kind = policy.resolve(dtype)
+    if kind == "variance":
+        if m2 is not None and math.isfinite(m2):
+            return policy.sigma_factor * eps * math.sqrt(max(float(n) * m2, 1.0))
+        kind = "norm"
+    if kind == "norm":
+        scale = max(1.0, norm_a) * n
+    elif kind == "running":
+        scale = max(1.0, abs(sre), abs(sce)) * n
+    elif kind == "absolute":
+        scale = 1.0
+    else:
+        raise DetectionError(f"unknown threshold policy kind {policy.kind!r}")
+    return policy.eps_factor * eps * scale
+
+
+def detector_check_reference(
+    policy: ThresholdPolicy,
+    norm_a: float,
+    em: EncodedMatrix,
+    *,
+    counter: FlopCounter | None = None,
+) -> tuple[bool, float | None]:
+    """One per-call detector check (see
+    :meth:`repro.abft.detection.Detector.check`): ``(detected, threshold)``,
+    the threshold None when a non-finite statistic decided first."""
+    n = em.n
+    dtype = em.ext.dtype
+    sre = float(np.sum(em.row_checksums))
+    sce = float(np.sum(em.col_checksums))
+    if counter is not None:
+        k = getattr(em, "k", 1)
+        counter.add("abft_detect", 2 * k * k * F.dot_flops(n))
+    if not (np.isfinite(sre) and np.isfinite(sce)):
+        return True, None
+    if getattr(em, "k", 1) > 1:
+        gaps = em.cross_gaps()
+        if not np.all(np.isfinite(gaps)):
+            return True, None
+        gap = float(np.max(gaps))
+    else:
+        gap = abs(sre - sce)
+    m2 = checksum_second_moment(em) if policy.needs_m2(dtype) else None
+    tol = threshold_reference(policy, n, norm_a, sre, sce, dtype=dtype, m2=m2)
+    return gap > tol, tol

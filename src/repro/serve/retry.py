@@ -19,8 +19,9 @@ budget.
 Infrastructure failures are handled by *where* the retry runs rather
 than *how*: a timeout or a lost worker gets one retry on a fresh worker
 process (the scheduler rebuilds the pool first). Configuration errors —
-:class:`~repro.errors.FaultConfigError`, shape/spec validation — are
-permanent: no amount of retrying fixes a malformed request.
+:class:`~repro.errors.FaultConfigError`, shape/spec validation, a NaN or
+an infinity in the input matrix — are permanent: no amount of retrying
+fixes a malformed request.
 
 Backoff is exponential with deterministic jitter: the jitter term is
 hashed from ``(job key, attempt)``, so two replicas of a service retry
@@ -37,6 +38,7 @@ from repro.errors import (
     ConvergenceError,
     EscalationExhausted,
     FaultConfigError,
+    NonFiniteInputError,
     ReproError,
     ShapeError,
 )
@@ -86,7 +88,7 @@ def classify_failure(exc: BaseException) -> str:
         return WORKER_LOST
     if isinstance(exc, FaultConfigError):
         return FAULT_CONFIG
-    if isinstance(exc, (JobSpecError, ShapeError)):
+    if isinstance(exc, (JobSpecError, ShapeError, NonFiniteInputError)):
         return INVALID
     if isinstance(exc, ReproError):
         return TRANSIENT

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.abft import EncodedMatrix
 from repro.core import FTConfig, HybridConfig, ft_gehrd, hybrid_gehrd, overhead_percent
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, NonFiniteInputError
 from repro.faults import FaultInjector, FaultSpec, finished_cols_at, iteration_count
 from repro.linalg import (
     extract_hessenberg,
@@ -230,3 +231,33 @@ class TestScheduleAndOverhead:
         inj = FaultInjector().add(FaultSpec(iteration=1, row=50, col=60, magnitude=1.0))
         with pytest.raises(ConvergenceError):
             ft_gehrd(a0, FTConfig(nb=32, max_retries=0), injector=inj)
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity in the input is rejected before encoding: its
+    checksums would be non-finite, so every tier would fail and the run
+    would end in ``EscalationExhausted`` after a restart."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_encode(self, dtype, bad, monkeypatch):
+        encodes = []
+        original = EncodedMatrix.encode
+
+        def counting(self, *args, **kw):
+            encodes.append(self)
+            return original(self, *args, **kw)
+
+        monkeypatch.setattr(EncodedMatrix, "encode", counting)
+        a = random_matrix(64, seed=3, dtype=dtype)
+        a[17, 40] = bad
+        with pytest.raises(NonFiniteInputError, match="NaN or an infinity"):
+            ft_gehrd(a, FTConfig(nb=16))
+        assert encodes == []
+        assert issubclass(NonFiniteInputError, ValueError)
+
+    def test_overflowing_column_sum_is_rejected(self):
+        a = random_matrix(32, seed=4)
+        a[:, 5] = np.finfo(np.float64).max / 4
+        with pytest.raises(NonFiniteInputError):
+            ft_gehrd(a, FTConfig(nb=8))

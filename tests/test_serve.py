@@ -9,7 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import EscalationExhausted, FaultConfigError, ShapeError, UncorrectableError
+from repro.errors import (
+    EscalationExhausted,
+    FaultConfigError,
+    NonFiniteInputError,
+    ShapeError,
+    UncorrectableError,
+)
 from repro.resilience.ladder import LadderConfig
 from repro.serve import (
     AsyncScheduler,
@@ -226,6 +232,7 @@ class TestRetryPolicy:
             (ShapeError("not square"), INVALID),
             (UncorrectableError("rectangle"), TRANSIENT),
             (RuntimeError("who knows"), UNEXPECTED),
+            (NonFiniteInputError("NaN in the input"), INVALID),
         ],
     )
     def test_classification(self, exc, expected):
@@ -443,6 +450,20 @@ class TestServiceEndToEnd:
         assert res.status == "failed"
         assert res.failure_class == "fault_config"
         assert res.retries == 0
+
+    def test_non_finite_input_fails_once_without_retries(self):
+        a = np.asfortranarray(np.random.default_rng(0).standard_normal((64, 64)))
+        a[10, 20] = np.nan
+        with _service(workers=1, retry=RetryPolicy(backoff_base=0.001)) as svc:
+            sub = svc.submit(JobSpec(driver="ft_gehrd", matrix=a))
+            res = svc.result(sub.job_id, timeout=60)
+            counts = svc.stats()["counts"]
+        assert res.status == "failed"
+        assert res.failure_class == INVALID
+        assert res.retries == 0
+        assert counts.get("executed", 0) == 1
+        assert counts.get("retries", 0) == 0
+        assert counts.get("failed", 0) == 1
 
     def test_timeout_retries_once_then_fails(self, monkeypatch):
         attempts = []
