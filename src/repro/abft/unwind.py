@@ -33,6 +33,7 @@ from repro.abft.encoding import EncodedMatrix
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
+from repro.linalg.orghr import packed_v
 from repro.linalg.wy import larft
 
 
@@ -48,10 +49,7 @@ def extract_panel_reflectors(
     n = em.n
     if not (0 <= p and p + ib < n):
         raise ShapeError(f"invalid completed panel: p={p}, ib={ib}, n={n}")
-    v = np.zeros((n - p - 1, ib), order="F", dtype=em.ext.dtype)
-    for j in range(ib):
-        v[j, j] = 1.0
-        v[j + 1 :, j] = em.data[p + j + 2 : n, p + j]
+    v = packed_v(em.data, p, p + ib)
     t = larft(v, np.asarray(taus[p : p + ib]))
     return v, t
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
-
-from repro.batch.stack import fstack
+from repro.linalg.orghr import orghr
 
 
 def orghr_batched(
@@ -29,10 +27,11 @@ def orghr_batched(
 ) -> np.ndarray:
     """Explicit Q for every packed factorization in the (B, n, n) stack.
 
-    The stacked mirror of :func:`repro.linalg.orghr.orghr` — backward
-    reflector accumulation confined to the trailing principal block,
-    with ``tau == 0`` items masked out of each rank-1 update exactly as
-    the scalar kernel skips them.
+    The stacked :func:`repro.linalg.orghr.orghr`: the same blocked
+    backward accumulation, each block one stacked ``larft`` and one
+    stacked ``larfb`` over the per-item-F Q stack, with an item's zero
+    taus masked out of its T. ``Q[b]`` is byte-identical to the scalar
+    ``orghr`` of item b.
     """
     if a_packed.ndim != 3 or a_packed.shape[1] != a_packed.shape[2]:
         raise ShapeError(
@@ -43,27 +42,7 @@ def orghr_batched(
         raise ShapeError(
             f"orghr_batched: taus must be ({b}, {max(n - 1, 0)}), got {taus.shape}"
         )
-    q = fstack(b, n, n, a_packed.dtype)
-    q[:, range(n), range(n)] = 1.0
-    for i in range(n - 2, -1, -1):
-        tau = taus[:, i]
-        active = tau != 0.0
-        if not active.any():
-            continue
-        m = n - i - 1
-        u = np.empty((b, m), dtype=a_packed.dtype)
-        u[:, 0] = 1.0
-        u[:, 1:] = a_packed[:, i + 2 : n, i]
-        block = q[:, i + 1 : n, i + 1 : n]
-        w = np.matmul(u[:, None, :], block)
-        upd = tau[:, None, None] * (u[:, :, None] * w)
-        if active.all():
-            block -= upd
-        else:
-            np.subtract(block, upd, out=block, where=active[:, None, None])
-        if counter is not None:
-            counter.add(category, F.batched_flops(int(active.sum()), 4 * m * m))
-    return q
+    return orghr(a_packed, taus, counter=counter, category=category)
 
 
 def extract_hessenberg_batched(a_packed: np.ndarray) -> np.ndarray:
@@ -74,8 +53,9 @@ def extract_hessenberg_batched(a_packed: np.ndarray) -> np.ndarray:
 
 
 def _one_norms(stack: np.ndarray) -> np.ndarray:
-    """Per-item matrix 1-norms (max absolute column sums)."""
-    return np.max(np.sum(np.abs(stack), axis=1), axis=1)
+    """Per-item matrix 1-norms (max absolute column sums), accumulated in
+    float64 down each column like :func:`~repro.linalg.verify.one_norm`."""
+    return np.max(np.sum(np.abs(stack).astype(np.float64, copy=False), axis=1), axis=1)
 
 
 def factorization_residuals_batched(

@@ -1,8 +1,9 @@
 """Frozen scalar kernels — the golden reference.
 
 These are verbatim copies of the panel factorization, the
-checksum-extended updates, the residual decoders and the clean-path
-protection helpers as they stood before their rewrites. The kernels
+checksum-extended updates, the residual decoders, the clean-path
+protection helpers and the Hessenberg Q formation as they stood before
+their rewrites. The kernels
 allocate fresh temporaries on every call (``np.tril`` copies,
 ``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
 throughput layer removes; the decoders test one (row, column) pair or
@@ -10,14 +11,17 @@ one line per Python call, where the live ones work on whole arrays; the
 protection helpers (the input 1-norm, the segment refresh, the Q block,
 the panel checkpoint, the detector's threshold) copy or re-derive on
 every call what the live ones keep in reused buffers or derive once per
-run. They serve two purposes:
+run; ``orghr`` and ``apply_q`` make one rank-1 update per reflector,
+where the live ones apply blocks of reflectors as GEMMs. They serve two
+purposes:
 
 * the equivalence oracle for ``tests/test_kernel_golden.py`` (the pooled
   kernels must agree to roundoff on every path, including k>1 weighted
   channels), ``tests/test_location_reference.py`` (the array decoders
-  must return the same errors, bit for bit, or raise the same message)
-  and ``tests/test_protection_reference.py`` (the protection helpers
-  must agree byte for byte), and
+  must return the same errors, bit for bit, or raise the same message),
+  ``tests/test_protection_reference.py`` (the protection helpers
+  must agree byte for byte) and ``tests/test_orghr_blocked.py`` (the
+  blocked Q must agree to ``n·eps``), and
 * the "before" side of ``benchmarks/bench_to_json.py``.
 
 Do not modify these when optimizing the live kernels; that would defeat
@@ -555,3 +559,67 @@ def detector_check_reference(
     m2 = checksum_second_moment(em) if policy.needs_m2(dtype) else None
     tol = threshold_reference(policy, n, norm_a, sre, sce, dtype=dtype, m2=m2)
     return gap > tol, tol
+
+
+# -- the Hessenberg Q ----------------------------------------------------------
+
+
+def orghr_reference(
+    a_packed: np.ndarray,
+    taus: np.ndarray,
+    *,
+    counter: FlopCounter | None = None,
+    category: str = "orghr",
+) -> np.ndarray:
+    """The rank-1 DORGHR (see :func:`repro.linalg.orghr.orghr`): one
+    ``np.outer`` update per reflector."""
+    n = a_packed.shape[0]
+    if a_packed.shape[1] < n or taus.shape[0] < max(n - 1, 0):
+        raise ShapeError(f"orghr: inconsistent shapes A {a_packed.shape}, taus {taus.shape}")
+    q = np.eye(n, order="F", dtype=a_packed.dtype)
+    # Accumulate Q = H_0 H_1 ... H_{n-2} by applying reflectors backwards;
+    # H_i only touches rows i+1.., whose columns <= i stay canonical, so the
+    # update can be confined to the trailing principal block.
+    for i in range(n - 2, -1, -1):
+        tau = taus[i]
+        if tau == 0.0:
+            continue
+        u = np.empty(n - i - 1, dtype=a_packed.dtype)
+        u[0] = 1.0
+        u[1:] = a_packed[i + 2 : n, i]
+        block = q[i + 1 : n, i + 1 : n]
+        w = u @ block
+        block -= tau * np.outer(u, w)
+        if counter is not None:
+            counter.add(category, 4 * (n - i - 1) * (n - i - 1))
+    return q
+
+
+def apply_q_reference(
+    a_packed: np.ndarray,
+    taus: np.ndarray,
+    c: np.ndarray,
+    *,
+    trans: bool = False,
+    counter: FlopCounter | None = None,
+    category: str = "apply_q",
+) -> np.ndarray:
+    """The rank-1 ``Q @ C`` / ``Qᵀ @ C`` (see
+    :func:`repro.linalg.orghr.apply_q`), in place."""
+    n = a_packed.shape[0]
+    if c.shape[0] != n:
+        raise ShapeError(f"apply_q: C has {c.shape[0]} rows, expected {n}")
+    order = range(n - 1) if trans else range(n - 2, -1, -1)
+    for i in order:
+        tau = taus[i]
+        if tau == 0.0:
+            continue
+        u = np.empty(n - i - 1, dtype=a_packed.dtype)
+        u[0] = 1.0
+        u[1:] = a_packed[i + 2 : n, i]
+        rows = c[i + 1 : n, :]
+        w = u @ rows
+        rows -= tau * np.outer(u, w)
+        if counter is not None:
+            counter.add(category, 4 * (n - i - 1) * c.shape[1])
+    return c

@@ -101,8 +101,21 @@ class HessService:
         return self._call(self._scheduler.submit(spec))
 
     def submit_batch(self, specs: Iterable[JobSpec]) -> list[Submission]:
-        """Admit many jobs in order; each gets its own Submission."""
-        return [self.submit(spec) for spec in specs]
+        """Admit many jobs in order, in one event-loop hop; each gets its
+        own Submission.
+
+        Every spec goes through :meth:`submit`'s admit, coalesce,
+        cache-hit and reject rules, one after another inside one
+        coroutine, so the batch-compatible specs of a wave all stage
+        before any linger timer can fire. No job finishes while the hop
+        runs, so a batch larger than the free queue capacity is refused
+        (``backpressure:``) from that point on; :meth:`submit_wait` is
+        the flow-controlled path.
+        """
+        return self._call(self._submit_all(list(specs)))
+
+    async def _submit_all(self, specs: list[JobSpec]) -> list[Submission]:
+        return [await self._scheduler.submit(spec) for spec in specs]
 
     def submit_wait(self, spec: JobSpec, *, poll: float = 0.02,
                     attempts: int = 10_000) -> Submission:

@@ -177,8 +177,25 @@ def test_unbatchable_fault_plan_preejects():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,nb,b", [(32, 32, 4), (48, 16, 3), (8, 4, 6)])
-def test_qform_batched_matches_scalar_bytewise(n, nb, b):
+QTAIL_CASES = [
+    pytest.param(n, nb, b, np.float64, False, id=f"{n}-{nb}-{b}")
+    for n, nb, b in [(32, 32, 4), (48, 16, 3), (8, 4, 6)]
+] + [
+    # one past each of orghr's 32-reflector block boundaries, on both
+    # lanes, with and without an already-Hessenberg (all tau = 0) item
+    pytest.param(
+        n, 32, b, dtype, hess,
+        id=f"{n}-32-{b}-{np.dtype(dtype).name}" + ("-hessenberg-item" if hess else ""),
+    )
+    for n in (33, 65, 97)
+    for b in (1, 3, 16)
+    for dtype in (np.float64, np.float32)
+    for hess in (False, True)
+]
+
+
+@pytest.mark.parametrize("n,nb,b,dtype,with_hessenberg_item", QTAIL_CASES)
+def test_qform_batched_matches_scalar_bytewise(n, nb, b, dtype, with_hessenberg_item):
     from repro.batch import (
         extract_hessenberg_batched,
         factorization_residuals_batched,
@@ -186,9 +203,14 @@ def test_qform_batched_matches_scalar_bytewise(n, nb, b):
     )
     from repro.linalg import extract_hessenberg, factorization_residual, orghr
 
-    mats = _mats(n, b)
+    mats = [m.astype(dtype, order="F") for m in _mats(n, b)]
+    if with_hessenberg_item:
+        # already upper Hessenberg: every tau of this item is zero
+        mats[b // 2] = np.asfortranarray(np.triu(mats[b // 2], -1))
     stack = as_item_f_stack(mats)
     facts = gehrd_batched(stack, nb=nb)
+    if with_hessenberg_item:
+        assert not facts[b // 2].taus.any()
     a_pack = as_item_f_stack([f.a for f in facts])
     taus = np.stack([f.taus for f in facts])
     qs = orghr_batched(a_pack, taus)
@@ -346,6 +368,24 @@ def test_service_batch_lane_singleton_reroutes_to_scalar_path():
     assert res.status == "done"
     assert stats["batch_lane"]["singletons"] == 1
     assert stats["batch_lane"]["batches"] == 0
+
+
+def test_submit_batch_stages_the_whole_wave_before_the_linger_fires():
+    """``submit_batch`` admits its specs in one event-loop hop, so even a
+    zero linger cannot flush the bucket between two of them."""
+    specs = [JobSpec(driver="ft_gehrd", n=32, seed=s) for s in range(4)]
+    with HessService(
+        workers=1, small_n_threshold=128, batch_max=16, batch_linger_ms=0
+    ) as svc:
+        subs = svc.submit_batch(specs)
+        assert all(s.accepted for s in subs)
+        assert [s.job_id for s in subs] == sorted(s.job_id for s in subs)
+        svc.drain(timeout=120)
+        stats = svc.stats()
+        results = [svc.result(s.job_id, timeout=5) for s in subs]
+    lane = stats["batch_lane"]
+    assert (lane["batches"], lane["batched_jobs"], lane["singletons"]) == (1, 4, 0)
+    assert all(r.status == "done" for r in results)
 
 
 def test_service_batch_lane_disabled_by_default():

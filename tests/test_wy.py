@@ -122,3 +122,40 @@ class TestLarfb:
         ext -= w @ vce.T
         a2 = ext[:, :m]
         np.testing.assert_allclose(ext[:, m], a2 @ np.ones(m), atol=1e-12)
+
+
+class TestStacked:
+    """A (B, m, k) stack runs every item through the 2-D call's BLAS
+    calls, so each item's bytes equal the 2-D call's on that item."""
+
+    def _stack(self, rng, b, m, k):
+        from repro.batch.stack import fstack
+
+        v, taus = fstack(b, m, k), np.zeros((b, k))
+        for i in range(b):
+            v[i], taus[i] = _reflector_set(rng, m, k)
+        taus[1, [0, 2]] = 0.0  # zero taus inside a block...
+        taus[2] = 0.0          # ...and an item with none live
+        return v, taus
+
+    def test_larft_matches_each_item_bytewise(self, rng):
+        v, taus = self._stack(rng, 4, 11, 5)
+        t = larft(v, taus)
+        for i in range(4):
+            assert np.array_equal(t[i], larft(v[i], taus[i]))
+        assert not t[2].any()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_larfb_matches_each_item_bytewise(self, rng, side, trans):
+        from repro.batch.stack import fstack
+
+        v, taus = self._stack(rng, 4, 11, 5)
+        t = larft(v, taus)
+        c = fstack(4, *((11, 6) if side == "left" else (6, 11)))
+        c[...] = rng.standard_normal(c.shape)
+        ref = [larfb(v[i], t[i], c[i].copy(order="F"), side=side, trans=trans)
+               for i in range(4)]
+        larfb(v, t, c, side=side, trans=trans)
+        for i in range(4):
+            assert np.array_equal(c[i], ref[i])
