@@ -303,11 +303,17 @@ class JobSpec:
         kind = "symmetric" if self.driver == "ft_sytrd" else self.kind
         return f"rng:{kind}:n={self.n}:seed={self.seed}:dtype={self.lane.name}"
 
-    def content_dict(self) -> dict:
-        """Everything that determines the result, canonically ordered."""
+    def content_dict(self, fingerprint: str | None = None) -> dict:
+        """Everything that determines the result, canonically ordered.
+
+        *fingerprint* is :meth:`matrix_fingerprint`'s value, for a caller
+        that already holds it: an inline matrix is then hashed once.
+        """
+        if fingerprint is None:
+            fingerprint = self.matrix_fingerprint()
         return {
             "driver": self.driver,
-            "matrix": self.matrix_fingerprint(),
+            "matrix": fingerprint,
             "dtype": self.lane.name,
             "backend": self.effective_backend,
             "nb": self.nb,
@@ -325,9 +331,11 @@ class JobSpec:
     @property
     def key(self) -> str:
         """The content-addressed job key (stable across processes)."""
-        blob = json.dumps(self.content_dict(), sort_keys=True, separators=(",", ":"))
+        fingerprint = self.matrix_fingerprint()
+        blob = json.dumps(self.content_dict(fingerprint), sort_keys=True,
+                          separators=(",", ":"))
         digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return f"{self.driver}:{self.matrix_fingerprint()}:{digest}"
+        return f"{self.driver}:{fingerprint}:{digest}"
 
     # -- (de)serialization --------------------------------------------------
 

@@ -20,19 +20,36 @@ completed payloads are served straight from the
 :class:`~repro.serve.cache.ResultCache`. A duplicate-heavy sweep
 therefore executes each distinct computation once.
 
-**Fairness + priority.** Work items are queued per (lane, submitter).
-Lanes drain strictly in priority order; within a lane, submitters are
-served round-robin, so one client flooding the queue cannot starve
-another's occasional job.
+**Two executors, each with its own runners.** One routing rule
+(:meth:`AsyncScheduler._in_thread`) sends every work item to one of
+two executors, and each executor has its own queue and its own runner
+tasks, so neither waits on the other:
 
-**Execution lanes.** CPU-heavy jobs ship to a
-:class:`~repro.utils.procpool.ResilientProcessPool` whose workers hold
-per-process :func:`~repro.perf.workspace.process_workspace` arenas (the
-PR 1 pooling, amortized across jobs). Jobs at or below
-``small_n_threshold`` run on an in-process thread instead — too small
-to amortize a pickle round-trip. A worker crash (BrokenProcessPool)
-rebuilds the pool and re-queues the job through the retry policy: no
-job is ever lost to infrastructure.
+* the **pool**: CPU-heavy jobs ship to a
+  :class:`~repro.utils.procpool.ResilientProcessPool` whose workers hold
+  per-process :func:`~repro.perf.workspace.process_workspace` arenas
+  (the PR 1 pooling, amortized across jobs). ``workers`` is the pool
+  size, and ``workers`` pool runners each keep one job in it. A worker
+  crash (BrokenProcessPool) rebuilds the pool and re-queues the job
+  through the retry policy: no job is ever lost to infrastructure.
+* the **host**: jobs at or below ``small_n_threshold`` (crash-chaos
+  jobs excepted: the hook kills its host) run on an in-process thread
+  instead, too small to amortize a pickle round-trip. One host runner
+  takes them. In-thread jobs and batches (below) share one host lock:
+  they are interpreter-bound and share one GIL, so two host threads
+  would only take turns.
+
+A host job therefore never waits out a pool job, and the pool never
+idles while a host job runs. The one exception is a rebuilt pool: it
+forks its new workers under the host lock, between host jobs, because
+a fork while a host thread holds a lock wedges the child.
+
+**Fairness + priority.** Within each executor's queue, work items are
+queued per (lane, submitter). Lanes drain strictly in priority order;
+within a lane, submitters are served round-robin, so one client
+flooding the queue cannot starve another's occasional job. Priority
+orders work on one executor only: a ``high`` pool job does not delay a
+``low`` host job, since the two never compete for the same resource.
 
 **Batch coalescing.** With ``batch_max > 1``, compatible small-n jobs
 (same driver/order/nb/channels, at or below ``small_n_threshold``, on
@@ -164,6 +181,56 @@ class _Work:
         return [j for j in self.jobs if j.result.status != CANCELLED]
 
 
+#: the two executors: the process pool and the host (in-thread jobs and
+#: batches); each has its own queue and its own runners
+POOL, HOST = "pool", "host"
+
+
+class _LaneQueues:
+    """One executor's queued work items, per (lane, submitter).
+
+    Lanes drain strictly in priority order; within a lane, submitters
+    are served round-robin. Cancelled items stay queued (already
+    de-counted) and are discarded when popped.
+    """
+
+    def __init__(self) -> None:
+        self.lanes: dict[str, dict[str, collections.deque]] = {ln: {} for ln in LANES}
+        self._rr: dict[str, collections.deque] = {ln: collections.deque() for ln in LANES}
+
+    def push(self, work: _Work) -> None:
+        lane = self.lanes[work.lane]
+        if work.submitter not in lane:
+            lane[work.submitter] = collections.deque()
+            self._rr[work.lane].append(work.submitter)
+        lane[work.submitter].append(work)
+
+    def holds(self, work: _Work) -> bool:
+        return work in self.lanes[work.lane].get(work.submitter, ())
+
+    def pop(self) -> _Work | None:
+        """Highest non-empty lane; round-robin over submitters within it."""
+        for lane in LANES:
+            ring = self._rr[lane]
+            buckets = self.lanes[lane]
+            for _ in range(len(ring)):
+                submitter = ring[0]
+                ring.rotate(-1)
+                dq = buckets.get(submitter)
+                work = None
+                while dq:
+                    cand = dq.popleft()
+                    if not cand.cancelled:
+                        work = cand
+                        break  # cancelled items were already de-counted
+                if dq is not None and not dq:
+                    buckets.pop(submitter, None)
+                    ring.remove(submitter)
+                if work is not None:
+                    return work
+        return None
+
+
 class AsyncScheduler:
     """The asyncio half of the service (see module docstring).
 
@@ -214,9 +281,7 @@ class AsyncScheduler:
         self._factor_min_bytes = 0 if transport == "shm" else self.shm_min_bytes
         self._shm_factors = transport != "pickle" and shm_available()
 
-        # (lane, submitter) -> FIFO of work items; round-robin ring per lane
-        self._lanes: dict[str, dict[str, collections.deque]] = {ln: {} for ln in LANES}
-        self._rr: dict[str, collections.deque] = {ln: collections.deque() for ln in LANES}
+        self._queues = {POOL: _LaneQueues(), HOST: _LaneQueues()}
         self._queued = 0  # non-cancelled queued work items (admission gauge)
         self._running = 0
 
@@ -229,8 +294,13 @@ class AsyncScheduler:
         self._pool = ResilientProcessPool(
             self.workers, initializer=pool_worker_init, registry=self._registry
         )
-        self._thread_lane = asyncio.Lock()  # the in-thread lane is single-file
+        # in-thread jobs and batches take turns on the host: they are
+        # interpreter-bound, so two host threads would only share a GIL
+        self._host_lock = asyncio.Lock()
         self._thread_ws = Workspace()
+        # the pool generation whose workers were forked while no host
+        # thread ran (start() forks generation 0)
+        self._warm_gen = 0
         self._runners: list[asyncio.Task] = []
         self._stopped = False
 
@@ -241,7 +311,6 @@ class AsyncScheduler:
         self._batch_buckets: dict[tuple, list[_Work]] = {}
         self._batch_timers: dict[tuple, asyncio.TimerHandle] = {}
         self._batch_tasks: set[asyncio.Task] = set()
-        self._batch_lock = asyncio.Lock()  # batched execution is single-file
         self._batch_ws = Workspace()
         self._batch_counts = collections.Counter()
 
@@ -266,10 +335,12 @@ class AsyncScheduler:
         # holds a lock mid-execution; the child inherits the locked
         # mutex and wedges (fork-vs-threads), stranding the job.
         self._pool.warm()
+        # one runner per pool worker and one for the host, so neither
+        # executor waits on the other
         self._runners = [
-            asyncio.create_task(self._runner(), name=f"serve-runner-{i}")
+            asyncio.create_task(self._runner(POOL), name=f"serve-pool-runner-{i}")
             for i in range(self.workers)
-        ]
+        ] + [asyncio.create_task(self._runner(HOST), name="serve-host-runner")]
 
     async def stop(self) -> None:
         async with self._cond:
@@ -388,16 +459,24 @@ class AsyncScheduler:
         self._emit("submitted", job_id=job.result.job_id, key=key, lane=work.lane,
                    submitter=work.submitter, queue_depth=self._queued)
         async with self._cond:
-            self._cond.notify()
+            # every runner waits on this condition, and only the item's
+            # own executor's runners can take it: wake them all
+            self._cond.notify_all()
         return Submission(True, job.result.job_id, key, queue_depth=self._queued)
 
+    def _in_thread(self, spec: JobSpec) -> bool:
+        """The routing rule: does this job run on the host (in-thread)
+        rather than in the pool? Crash-chaos jobs always run out of
+        process: the hook kills its host."""
+        return spec.order <= self.small_n_threshold and not spec.crash
+
+    def _queue_of(self, work: _Work) -> _LaneQueues:
+        return self._queues[HOST if self._in_thread(work.spec) else POOL]
+
     def _enqueue_lane(self, work: _Work) -> None:
-        """Append a (counted, in-flight) work item to its priority lane."""
-        lane = self._lanes[work.lane]
-        if work.submitter not in lane:
-            lane[work.submitter] = collections.deque()
-            self._rr[work.lane].append(work.submitter)
-        lane[work.submitter].append(work)
+        """Append a (counted, in-flight) work item to its priority lane
+        on its executor's queue."""
+        self._queue_of(work).push(work)
 
     def _new_job(self, spec: JobSpec, key: str) -> _Job:
         self._next_id += 1
@@ -446,9 +525,7 @@ class AsyncScheduler:
         staged = next(
             (b for b in self._batch_buckets.values() if work in b), None
         )
-        if staged is None and work not in _queued_items(
-            self._lanes, work.lane, work.submitter
-        ):
+        if staged is None and not self._queue_of(work).holds(work):
             return False  # running: too late to cancel
         self._finish_job(job, CANCELLED, error="cancelled while queued")
         self._counts["cancelled"] += 1
@@ -471,14 +548,14 @@ class AsyncScheduler:
 
     # -- the runner loop -----------------------------------------------------
 
-    async def _runner(self) -> None:
+    async def _runner(self, executor: str) -> None:
         while True:
             async with self._cond:
                 work = None
                 while work is None:
                     if self._stopped:
                         return
-                    work = self._pop_work()
+                    work = self._pop_work(executor)
                     if work is None:
                         await self._cond.wait()
                 self._queued -= 1
@@ -496,27 +573,9 @@ class AsyncScheduler:
                     self._running -= 1
                     self._cond.notify_all()
 
-    def _pop_work(self) -> _Work | None:
-        """Highest non-empty lane; round-robin over submitters within it."""
-        for lane in LANES:
-            ring = self._rr[lane]
-            buckets = self._lanes[lane]
-            for _ in range(len(ring)):
-                submitter = ring[0]
-                ring.rotate(-1)
-                dq = buckets.get(submitter)
-                work = None
-                while dq:
-                    cand = dq.popleft()
-                    if not cand.cancelled:
-                        work = cand
-                        break  # cancelled items were already de-counted
-                if dq is not None and not dq:
-                    buckets.pop(submitter, None)
-                    ring.remove(submitter)
-                if work is not None:
-                    return work
-        return None
+    def _pop_work(self, executor: str = POOL) -> _Work | None:
+        """The next work item for *executor*'s runners, if any."""
+        return self._queues[executor].pop()
 
     # -- the batch-coalescing lane -------------------------------------------
 
@@ -596,7 +655,7 @@ class AsyncScheduler:
                        keys=[w.key for w in works])
             specs = [w.spec for w in works]
             try:
-                async with self._batch_lock:
+                async with self._host_lock:
                     self._counts["executed"] += 1
                     out = await asyncio.to_thread(
                         execute_jobs_batched, specs, workspace=self._batch_ws
@@ -718,13 +777,11 @@ class AsyncScheduler:
             return
 
     async def _execute(self, work: _Work) -> dict:
-        """One attempt: in-thread for small jobs, process pool otherwise."""
+        """One attempt, on the executor the routing rule picks."""
         spec = work.spec
         timeout = spec.timeout if spec.timeout is not None else self.default_timeout
-        # crash-chaos jobs must run out-of-process: the hook kills its host
-        in_thread = spec.order <= self.small_n_threshold and not spec.crash
-        if in_thread:
-            async with self._thread_lane:
+        if self._in_thread(spec):
+            async with self._host_lock:
                 try:
                     # max_sweeps only rides along once a convergence
                     # retry raised it (keeps the call signature stable
@@ -761,6 +818,13 @@ class AsyncScheduler:
                 self._counts["shm_matrices"] += 1
             if work.shm_matrix is not None:
                 send_spec = dataclasses.replace(spec, matrix=work.shm_matrix)
+        # A rebuilt pool forks its workers on first use, and a fork while
+        # a host thread holds a lock wedges the child (see start()). Fork
+        # them under the host lock, between host jobs.
+        while self._warm_gen != self._pool.generation:
+            async with self._host_lock:
+                self._pool.warm()
+                self._warm_gen = self._pool.generation
         # capture the pool instance this attempt runs on: concurrent
         # failures from one dead pool must rebuild it once, not tear
         # down each other's replacement (ResilientProcessPool.generation).
@@ -782,10 +846,12 @@ class AsyncScheduler:
             self._pool.rebuild(gen)
             raise JobTimeout(f"job {work.key} exceeded {timeout}s") from None
         except asyncio.CancelledError:
-            if fut.cancelled():
-                # the future was swept by a concurrent rebuild's
-                # cancel_futures, not by the scheduler being stopped
-                self._pool.rebuild(gen)
+            # A concurrent rebuild's cancel_futures sweeps a pending
+            # future, and rebuild moves the generation before that
+            # cancellation reaches the loop. Otherwise this runner itself
+            # was cancelled (stop()): wrap_future cancels a pending
+            # future then too, and that is no lost worker.
+            if fut.cancelled() and self._pool.generation != gen:
                 raise WorkerLost(
                     f"pool was rebuilt under queued job {work.key}"
                 ) from None
@@ -884,13 +950,15 @@ class AsyncScheduler:
             # share of lookups served without executing a driver: cache
             # hits plus duplicates coalesced onto an in-flight run
             "hit_rate": ((hits + coalesced) / lookups) if lookups else 0.0,
-            "lanes": {
-                lane: {sub: len(dq) for sub, dq in buckets.items()}
-                for lane, buckets in self._lanes.items()
-                if buckets
-            },
+            "lanes": self._lane_depths(),
         }
 
-
-def _queued_items(lanes: dict, lane: str, submitter: str):
-    return lanes.get(lane, {}).get(submitter, ())
+    def _lane_depths(self) -> dict[str, dict[str, int]]:
+        """Queued items per (lane, submitter), summed over both executors."""
+        depths: dict[str, dict[str, int]] = {}
+        for lane in LANES:
+            for queues in self._queues.values():
+                for sub, dq in queues.lanes[lane].items():
+                    per_sub = depths.setdefault(lane, {})
+                    per_sub[sub] = per_sub.get(sub, 0) + len(dq)
+        return depths

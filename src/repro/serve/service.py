@@ -35,11 +35,17 @@ from repro.serve.scheduler import AsyncScheduler, Submission
 class HessService:
     """Batch-reduction service: scheduler + cache + worker pool, one handle.
 
-    Parameters mirror the scheduler's: ``workers`` pool processes,
-    ``max_queue`` admission bound, ``cache_bytes`` LRU budget (``0``
-    disables caching), ``spill_dir`` optional on-disk spill,
-    ``small_n_threshold`` routes jobs of order <= threshold to the
-    in-thread lane, ``default_timeout`` bounds each attempt.
+    Jobs run on two executors that do not wait on each other (see
+    ``docs/serving.md``): the process pool, drained by ``workers`` pool
+    runners, and the host, drained by one host runner (in-thread jobs
+    and batches take turns on it). Priority lanes and round-robin
+    fairness order the work of each executor separately.
+
+    Parameters mirror the scheduler's: ``workers`` pool processes (the
+    pool size), ``max_queue`` admission bound, ``cache_bytes`` LRU
+    budget (``0`` disables caching), ``spill_dir`` optional on-disk
+    spill, ``small_n_threshold`` routes jobs of order <= threshold to
+    the host (in-thread), ``default_timeout`` bounds each attempt.
     ``transport`` picks the cross-process data plane (``"auto"`` /
     ``"shm"`` / ``"pickle"``; see ``docs/performance.md``) and
     ``shm_min_bytes`` tunes the auto threshold below which a pickle is

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -83,6 +85,26 @@ class TestJobSpec:
         c = JobSpec(driver="gehrd", matrix=m + 1e-16 * np.eye(4))
         assert a.key == b.key
         assert a.key != c.key  # near-duplicates are different jobs
+
+    def test_key_hashes_an_inline_matrix_once(self, monkeypatch):
+        """``key`` fingerprints an inline matrix once and reuses it in the
+        content hash; the key itself is unchanged (frozen below)."""
+        import repro.serve.jobs as jobs_mod
+
+        calls = []
+        real = jobs_mod.hash_update_array
+
+        def counting(h, arr):
+            calls.append(arr.shape)
+            real(h, arr)
+
+        monkeypatch.setattr(jobs_mod, "hash_update_array", counting)
+        m = np.asfortranarray(np.arange(64.0).reshape(8, 8) / 7.0)
+        key = JobSpec(driver="ft_gehrd", n=8, matrix=m).key
+        assert calls == [(8, 8)]
+        assert key == "ft_gehrd:sha256:535ed615045ef121:7472c13144f99524"
+        fp32 = JobSpec(driver="gehrd", n=8, matrix=m.astype(np.float32))
+        assert fp32.key == "gehrd:sha256:bac20dac884a17b3:9d4d223a2524bf40"
 
     def test_sytrd_pins_matrix_kind(self):
         spec = JobSpec(driver="ft_sytrd", n=64, kind="uniform")
@@ -324,9 +346,15 @@ class TestAdmission:
         assert not distinct.accepted  # the queue really was full
         assert dup.key == first.key
 
-    def test_priority_lanes_and_round_robin_fairness(self):
+    @pytest.mark.parametrize(
+        "small_n, pop_args", [(0, ()), (64, ("host",))], ids=["pool", "host"]
+    )
+    def test_priority_lanes_and_round_robin_fairness(self, small_n, pop_args):
+        """Each executor's queue drains by lane, round-robin within one:
+        n=24 jobs queue for the pool at ``small_n_threshold=0`` and for
+        the host at 64."""
         async def run():
-            sched = AsyncScheduler(workers=1, max_queue=16)
+            sched = AsyncScheduler(workers=1, max_queue=16, small_n_threshold=small_n)
             order = [
                 ("low", "a", 0), ("normal", "a", 1), ("normal", "a", 2),
                 ("normal", "a", 3), ("normal", "b", 4), ("high", "b", 5),
@@ -339,7 +367,7 @@ class TestAdmission:
                 )
             popped = []
             while True:
-                work = sched._pop_work()
+                work = sched._pop_work(*pop_args)
                 if work is None:
                     return popped
                 popped.append((work.lane, work.submitter, work.spec.seed))
@@ -562,6 +590,193 @@ class TestServiceCrashRecovery:
         assert res.status == "done", (res.error, res.failure_class)
         assert res.retries == 1
         assert stats["pool_rebuilds"] == 1
+
+    def test_stop_does_not_resubmit_a_pending_pool_job(self, monkeypatch):
+        """Stopping cancels a runner that awaits a still-pending pool
+        future; that is no lost worker, so no retry and no resubmission,
+        and ``close`` returns without waiting for the pool."""
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=4, small_n_threshold=0)
+        q = svc.subscribe()
+        try:
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            pool.wait_for(1)
+            svc.close(drain=False, timeout=5)
+        finally:
+            pool.release()
+            svc.close(drain=False, timeout=30)
+        stats = svc.stats()
+        assert [e["event"] for e in _events(q)] == ["submitted", "started", "stopped"]
+        assert len(pool.futures) == 1
+        assert stats["counts"]["executed"] == 1
+        assert stats["counts"].get("retries", 0) == 0
+
+    def test_rebuild_sweeping_a_pending_pool_job_retries_it(self, monkeypatch):
+        """A rebuild's ``cancel_futures`` sweeps a pool future still
+        pending in the executor: the job retries once as a lost worker."""
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=4, small_n_threshold=0,
+                          retry=RetryPolicy(backoff_base=0.001))
+        q = svc.subscribe()
+        try:
+            sub = svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            pool.wait_for(1)
+            svc._scheduler._pool.rebuild()
+            pool.futures[0].cancel()
+            pool.wait_for(2)
+            pool.futures[1].set_result(dict(_POOL_PAYLOAD))
+            res = svc.result(sub.job_id, timeout=5)
+            stats = svc.stats()
+        finally:
+            pool.release()
+            svc.close()
+        assert res.status == "done" and res.retries == 1
+        retried = [e for e in _events(q) if e["event"] == "retrying"]
+        assert [e["failure_class"] for e in retried] == [WORKER_LOST]
+        assert stats["pool_rebuilds"] == 1
+        assert stats["counts"]["executed"] == 2
+
+
+_POOL_PAYLOAD = {"driver": "gehrd", "elapsed_s": 0.0}
+
+
+class _HeldPool:
+    """Stands in for the pool's ``submit``: every call hands out a
+    future the test resolves, until :meth:`release` resolves them all
+    (and every later one on arrival)."""
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.utils.procpool import ResilientProcessPool
+
+        self.futures: list[Future] = []
+        self._released = False
+        self._lock = threading.Lock()
+
+        def submit(_pool, fn, /, *args, **kwargs):
+            fut = Future()
+            with self._lock:
+                if self._released:
+                    fut.set_result(dict(_POOL_PAYLOAD))
+                else:
+                    self.futures.append(fut)
+            return fut
+
+        monkeypatch.setattr(ResilientProcessPool, "submit", submit)
+
+    def wait_for(self, count: int, timeout: float = 5.0) -> None:
+        deadline = time.monotonic() + timeout
+        while len(self.futures) < count:
+            assert time.monotonic() < deadline, f"{len(self.futures)}/{count} submitted"
+            time.sleep(0.005)
+
+    def release(self) -> None:
+        with self._lock:
+            self._released = True
+            held = list(self.futures)
+        for fut in held:
+            if not fut.done():
+                fut.set_result(dict(_POOL_PAYLOAD))
+
+
+def _events(q) -> list[dict]:
+    out = []
+    while not q.empty():
+        out.append(q.get())
+    return out
+
+
+class TestExecutors:
+    """The pool and the host each have their own runners: a job on one
+    never waits for a job on the other, but for a rebuilt pool's fork."""
+
+    def test_host_job_finishes_while_the_pool_is_busy(self, monkeypatch):
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=8, small_n_threshold=64)
+        try:
+            big = svc.submit(JobSpec(driver="gehrd", n=96, seed=0))
+            small = svc.submit(JobSpec(driver="gehrd", n=16, seed=0))
+            res = svc.result(small.job_id, timeout=5)
+            assert res.status == "done"
+            assert res.payload["residual"] < 1e-12  # really ran, in-thread
+            assert svc.status(big.job_id) == "running"
+        finally:
+            pool.release()  # else the pool job holds close() forever
+            svc.close()
+
+    def test_pool_job_finishes_while_the_host_is_busy(self, monkeypatch):
+        release = threading.Event()
+
+        def blocked(spec, *, workspace=None, ladder=None):
+            release.wait(30)
+            return {"driver": spec.driver, "n": spec.n, "elapsed_s": 0.0}
+
+        monkeypatch.setattr("repro.serve.scheduler.execute_job", blocked)
+        pool = _HeldPool(monkeypatch)
+        pool.release()  # every pool future arrives resolved
+        svc = HessService(workers=1, max_queue=8, small_n_threshold=64)
+        try:
+            small = svc.submit(JobSpec(driver="gehrd", n=16, seed=0))
+            big = svc.submit(JobSpec(driver="gehrd", n=96, seed=0))
+            res = svc.result(big.job_id, timeout=5)
+            assert res.status == "done"
+            assert svc.status(small.job_id) == "running"
+        finally:
+            release.set()
+            svc.close()
+
+    def test_a_rebuilt_pool_forks_between_host_jobs(self, monkeypatch):
+        """The one wait between executors: a rebuilt pool forks its
+        workers under the host lock, never while a host job runs (a fork
+        then could hand the child a lock the job holds)."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.utils.procpool import ResilientProcessPool
+
+        host_running = threading.Event()
+        release = threading.Event()
+
+        def blocked(spec, *, workspace=None, ladder=None):
+            host_running.set()
+            release.wait(30)
+            host_running.clear()
+            return {"driver": spec.driver, "n": spec.n, "elapsed_s": 0.0}
+
+        forks_during_host_job = []
+        real_warm = ResilientProcessPool.warm
+
+        def warm(pool):
+            forks_during_host_job.append(host_running.is_set())
+            real_warm(pool)
+
+        broken = []
+
+        def submit_broken_once(pool, fn, /, *args, **kwargs):
+            if not broken:
+                broken.append(fn)
+                raise BrokenProcessPool("A child process terminated abruptly")
+            fut = Future()
+            fut.set_result(dict(_POOL_PAYLOAD))
+            return fut
+
+        monkeypatch.setattr("repro.serve.scheduler.execute_job", blocked)
+        monkeypatch.setattr(ResilientProcessPool, "warm", warm)
+        monkeypatch.setattr(ResilientProcessPool, "submit", submit_broken_once)
+        svc = HessService(workers=1, max_queue=8, small_n_threshold=64,
+                          retry=RetryPolicy(backoff_base=0.001))
+        try:
+            small = svc.submit(JobSpec(driver="gehrd", n=16, seed=0))
+            assert host_running.wait(5)
+            big = svc.submit(JobSpec(driver="gehrd", n=96, seed=0))
+            time.sleep(0.3)  # the pool job fails, rebuilds and retries
+            assert svc.status(big.job_id) == "running"
+            release.set()
+            res = svc.result(big.job_id, timeout=10)
+            assert svc.result(small.job_id, timeout=10).status == "done"
+        finally:
+            release.set()
+            svc.close()
+        assert res.status == "done" and res.retries == 1
+        assert forks_during_host_job == [False, False]  # start, rebuild
 
 
 # ---------------------------------------------------------------------------
