@@ -7,9 +7,12 @@ the finished ``nb`` columns of M travel back asynchronously, overlapped
 with the G update (the two red lines of Algorithm 2).
 
 Given a matrix, the driver runs the numerically identical LAPACK-style
-kernels of :mod:`repro.linalg` and reports each iteration to the
-simulated machine, which prices it. Given only the order N, it prices
-the same schedule without data, enabling paper-scale N.
+kernels of :mod:`repro.linalg`; given only the order N, it runs none.
+Either way its phase record is the iteration plan, a function of
+(n, nb) alone, so the simulated machine prices the schedule once per
+(n, nb, machine, lane itemsize) and shares that timeline (the price
+cache, :data:`~repro.hybrid.runtime.PRICES`). Order-only runs reach
+paper-scale N.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from repro.core.config import HybridConfig
 from repro.core.results import HybridResult
 from repro.errors import ShapeError
 from repro.faults.injector import FaultInjector
-from repro.hybrid.runtime import HybridRuntime
 from repro.hybrid.engine import SimOp
+from repro.hybrid.runtime import PRICES, HybridRuntime
+from repro.hybrid.trace import Timeline
 from repro.linalg.flops import FlopCounter
 from repro.linalg.gehrd import apply_left_update, apply_right_updates
 from repro.linalg.lahr2 import lahr2
@@ -98,6 +102,21 @@ def schedule_iteration(
     return [op_l, op_send], op_panel
 
 
+def price_hybrid_record(n: int, elem_bytes: int, machine, nb: int) -> Timeline:
+    """Price Algorithm 2's schedule for an order-*n* run, uncached."""
+    rt = HybridRuntime(machine)
+    # line 1: ship A to the device
+    frontier: list[SimOp] = [
+        rt.copy_h2d(elem_bytes * n * n, name="upload_A", category="transfer")
+    ]
+    for it, (p, ib) in enumerate(iteration_plan_cached(n, nb)):
+        frontier, _ = schedule_iteration(rt, n, p, ib, frontier, tag=f"@{it}",
+                                         elem_bytes=elem_bytes)
+    # final drain of whatever of the result still lives on the device
+    rt.copy_d2h(elem_bytes * n * nb, frontier, name="final_down", category="transfer")
+    return rt.timeline()
+
+
 def hybrid_gehrd(
     a: np.ndarray | int,
     config: HybridConfig | None = None,
@@ -132,28 +151,18 @@ def hybrid_gehrd(
     config.validate(n)
 
     counter = FlopCounter()
-    rt = HybridRuntime(config.machine)
     taus = np.zeros(max(n - 1, 0), dtype=work.dtype) if work is not None else None
     ws = (workspace if workspace is not None else Workspace()) if work is not None else None
 
-    # transfer pricing follows the lane itemsize (fp32 moves half the bytes)
-    B = 8 if work is None else int(work.dtype.itemsize)
-    # line 1: ship A to the device
-    frontier: list[SimOp] = [rt.copy_h2d(B * n * n, name="upload_A", category="transfer")]
-
     plan = iteration_plan_cached(n, config.nb)
-    for it, (p, ib) in enumerate(plan):
-        if work is not None:
+    if work is not None:
+        for it, (p, ib) in enumerate(plan):
             if injector is not None:
                 injector.apply_to_array(work, it)
             pf = lahr2(work, p, ib, n, counter=counter, workspace=ws)
             taus[p : p + ib] = pf.taus
             apply_right_updates(work, pf, n, counter=counter, workspace=ws)
             apply_left_update(work, pf, n, counter=counter, workspace=ws)
-        frontier, _ = schedule_iteration(rt, n, p, ib, frontier, tag=f"@{it}", elem_bytes=B)
-
-    # final drain of whatever of the result still lives on the device
-    rt.copy_d2h(B * n * config.nb, frontier, name="final_down", category="transfer")
 
     # every matrix fault planned at or past the last iteration strikes
     # the finished matrix, however far past the end it was scheduled
@@ -168,7 +177,9 @@ def hybrid_gehrd(
                 stacklevel=2,
             )
 
-    tl = rt.timeline()
+    # transfer pricing follows the lane itemsize (fp32 moves half the bytes)
+    key = (n, 8 if work is None else int(work.dtype.itemsize), config.machine, config.nb)
+    tl = PRICES.timeline(("hybrid",) + key, lambda: price_hybrid_record(*key))
     return HybridResult(
         n=n,
         nb=config.nb,

@@ -17,7 +17,7 @@ captures exactly the overlap semantics the paper exploits:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import SimulationError
 
@@ -26,9 +26,13 @@ from repro.errors import SimulationError
 DEFAULT_RESOURCES = ("cpu", "gpu", "h2d", "d2h")
 
 
-@dataclass
-class SimOp:
-    """One scheduled operation."""
+class SimOp(NamedTuple):
+    """One scheduled operation.
+
+    Immutable once scheduled, so a priced timeline can be shared by
+    every run with the same schedule; a named tuple keeps that as cheap
+    to build as a plain record.
+    """
 
     index: int
     name: str

@@ -23,12 +23,16 @@ class ResourceSummary:
 
 
 class Timeline:
-    """Post-run view over a simulation's operations."""
+    """Post-run view over a simulation's operations.
+
+    Read-only: ``ops`` is a tuple of immutable :class:`SimOp` records,
+    so one priced timeline can be shared by every run with the same
+    schedule (:class:`~repro.hybrid.runtime.PriceCache`).
+    """
 
     def __init__(self, engine: SimEngine):
-        self.ops: list[SimOp] = list(engine.ops)
+        self.ops: tuple[SimOp, ...] = tuple(engine.ops)
         self.makespan: float = engine.makespan
-        self._engine = engine
 
     # -- summaries ----------------------------------------------------------
 

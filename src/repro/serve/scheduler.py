@@ -29,9 +29,16 @@ tasks, so neither waits on the other:
   :class:`~repro.utils.procpool.ResilientProcessPool` whose workers hold
   per-process :func:`~repro.perf.workspace.process_workspace` arenas
   (the PR 1 pooling, amortized across jobs). ``workers`` is the pool
-  size, and ``workers`` pool runners each keep one job in it. A worker
-  crash (BrokenProcessPool) rebuilds the pool and re-queues the job
-  through the retry policy: no job is ever lost to infrastructure.
+  size, and two pool runners per worker keep each worker holding one
+  running job and one waiting job: the worker takes the waiting job
+  from the executor's call queue the moment it finishes, while the
+  result's trip back and the next job's encode and submit overlap the
+  run. A waiting job's timeout and ``started_at`` run from the moment
+  the job ahead of it finishes (:class:`_WorkerSlots`). A worker crash
+  (BrokenProcessPool) rebuilds the pool and re-queues the job through
+  the retry policy: no job is ever lost to infrastructure. A job that
+  was still waiting never ran, so it re-runs at no cost to its retry
+  budget.
 * the **host**: jobs at or below ``small_n_threshold`` (crash-chaos
   jobs excepted: the hook kills its host) run on an in-process thread
   instead, too small to amortize a pickle round-trip. One host runner
@@ -66,7 +73,9 @@ immediately (a batch of one is pure overhead).
 **Resilience-aware retries.** Failures are classified by
 :mod:`repro.serve.retry`; ``EscalationExhausted`` re-runs with a
 stricter ladder, timeouts and lost workers get one fresh-worker retry,
-config errors fail permanently.
+config errors fail permanently. A pool timeout stops the timed-out
+pool's workers, so a wedged job stops running; the other jobs that
+stop kills re-run at no cost to their budgets.
 
 **Zero-copy data plane.** Large inline matrices are written to a POSIX
 shared-memory segment once per work item and pool workers receive a
@@ -176,6 +185,8 @@ class _Work:
     # every retry of this item re-sends the ~100-byte handle, never the
     # n*n pickle (released by the runner when the item resolves)
     shm_matrix: SharedMatrix | None = None
+    # started_at stamped (a pool job waits in the executor first)
+    started: bool = False
 
     def live_jobs(self) -> list[_Job]:
         return [j for j in self.jobs if j.result.status != CANCELLED]
@@ -184,6 +195,55 @@ class _Work:
 #: the two executors: the process pool and the host (in-thread jobs and
 #: batches); each has its own queue and its own runners
 POOL, HOST = "pool", "host"
+
+
+class _Requeue(Exception):
+    """A pool attempt that came to no outcome of its own: its pool went
+    away while it waited behind another job, or another job's timeout
+    stopped its worker. It re-runs at no cost to its retry budget."""
+
+
+class _WorkerSlots:
+    """Which of one pool instance's attempts run and which wait.
+
+    The executor hands its queued calls to the workers in submission
+    order as they free up, so a waiting attempt starts the moment an
+    attempt ahead of it finishes. :meth:`enter` returns a future that
+    resolves ``True`` at that moment, or ``False`` if the pool is
+    rebuilt first (the attempt never ran).
+    """
+
+    def __init__(self, generation: int, workers: int) -> None:
+        self.generation = generation
+        self.free = workers
+        self.waiting: collections.deque[asyncio.Future] = collections.deque()
+        # a timeout's rebuild killed this pool's workers, so every other
+        # attempt still on it was stopped, not lost
+        self.stopped = False
+
+    def enter(self) -> asyncio.Future:
+        started = asyncio.get_running_loop().create_future()
+        if self.free:
+            self.free -= 1
+            started.set_result(True)
+        else:
+            self.waiting.append(started)
+        return started
+
+    def leave(self, started: asyncio.Future) -> None:
+        """An attempt is over: its worker takes the next waiting one."""
+        if not started.done():
+            self.waiting.remove(started)
+        elif started.result():
+            self.free += 1
+            while self.free and self.waiting:
+                self.free -= 1
+                self.waiting.popleft().set_result(True)
+
+    def abandon(self) -> None:
+        """The pool was rebuilt: its waiting attempts never start."""
+        while self.waiting:
+            self.waiting.popleft().set_result(False)
 
 
 class _LaneQueues:
@@ -301,6 +361,7 @@ class AsyncScheduler:
         # the pool generation whose workers were forked while no host
         # thread ran (start() forks generation 0)
         self._warm_gen = 0
+        self._slots = _WorkerSlots(0, self.workers)
         self._runners: list[asyncio.Task] = []
         self._stopped = False
 
@@ -335,11 +396,12 @@ class AsyncScheduler:
         # holds a lock mid-execution; the child inherits the locked
         # mutex and wedges (fork-vs-threads), stranding the job.
         self._pool.warm()
-        # one runner per pool worker and one for the host, so neither
-        # executor waits on the other
+        # two runners per pool worker (one job running, one waiting in
+        # the executor) and one for the host, so neither executor waits
+        # on the other and a pool worker never waits on its runner
         self._runners = [
             asyncio.create_task(self._runner(POOL), name=f"serve-pool-runner-{i}")
-            for i in range(self.workers)
+            for i in range(2 * self.workers)
         ] + [asyncio.create_task(self._runner(HOST), name="serve-host-runner")]
 
     async def stop(self) -> None:
@@ -357,7 +419,9 @@ class AsyncScheduler:
             task.cancel()
         await asyncio.gather(*self._runners, return_exceptions=True)
         self._runners = []
-        self._pool.shutdown()
+        # no pool result is collected after the stop: kill a worker that
+        # holds a job rather than let it run (and then the one behind it)
+        self._pool.shutdown(stop_workers=True)
         self._emit("stopped")
 
     # -- events --------------------------------------------------------------
@@ -717,12 +781,24 @@ class AsyncScheduler:
                 self._running -= 1
                 self._cond.notify_all()
 
-    async def _run_work(self, work: _Work) -> None:
+    def _mark_started(self, work: _Work) -> None:
+        """Stamp the work item's start, once (a retry keeps the first)."""
+        if work.started:
+            return
+        work.started = True
+        now = self._now()
         for job in work.live_jobs():
-            job.result.status = RUNNING
-            job.result.started_at = self._now()
+            job.result.started_at = now
         self._emit("started", job_id=work.jobs[0].result.job_id, key=work.key,
                    lane=work.lane)
+
+    async def _run_work(self, work: _Work) -> None:
+        # a job handed to its executor is running (no longer cancellable);
+        # a pool job starts when a worker takes it (_execute)
+        for job in work.live_jobs():
+            job.result.status = RUNNING
+        if self._in_thread(work.spec):
+            self._mark_started(work)
         while True:
             if not work.live_jobs():
                 # every attached job was cancelled between retries
@@ -733,6 +809,11 @@ class AsyncScheduler:
                 payload = await self._execute(work)
             except asyncio.CancelledError:
                 raise
+            except _Requeue as exc:
+                self._counts["requeued"] += 1
+                self._emit("requeued", job_id=work.jobs[0].result.job_id, key=work.key,
+                           reason=str(exc))
+                continue
             except BaseException as exc:  # noqa: BLE001 - classified below
                 fclass = classify_failure(exc)
                 prior = work.class_failures.get(fclass, 0)
@@ -830,20 +911,42 @@ class AsyncScheduler:
         # down each other's replacement (ResilientProcessPool.generation).
         # Every pool failure below rebuilds here, so the retry path (the
         # policy's fresh_worker) needs no rebuild of its own.
-        gen = self._pool.generation
+        slots = self._live_slots()
         try:
-            # a pool whose worker just died raises from submit itself:
-            # that is a lost worker like any other, not a job failure
             fut = self._pool.submit(
                 execute_job_pooled, send_spec, work.ladder,
                 self._shm_factors, self._factor_min_bytes, work.max_sweeps,
             )
-            return await asyncio.wait_for(asyncio.wrap_future(fut), timeout)
+        except BrokenExecutor:
+            # a pool whose worker just died raises from submit itself:
+            # that is a lost worker like any other, not a job failure
+            self._rebuild(slots)
+            raise WorkerLost(f"worker died before {work.key} was sent") from None
+        done = asyncio.wrap_future(fut)
+        started = slots.enter()
+        try:
+            if not started.done():
+                # waiting behind a running job: until it finishes, or
+                # until this call resolves first
+                await asyncio.wait((done, started), return_when=asyncio.FIRST_COMPLETED)
+            promoted = started.done() and started.result()
+            if not promoted and (
+                not done.done() or done.cancelled()
+                or isinstance(done.exception(), BrokenExecutor)
+            ):
+                # its pool went away while it waited: it never ran (a
+                # call that came back with a result or a job error ran)
+                done.cancel()
+                self._rebuild(slots)
+                raise _Requeue(f"pool went away before {work.key} started")
+            self._mark_started(work)
+            return await asyncio.wait_for(done, timeout)
         except asyncio.TimeoutError:
             fut.cancel()
-            # the worker may be wedged; a rebuild guarantees the retry
-            # (or the next job) gets a responsive pool
-            self._pool.rebuild(gen)
+            # the worker may be wedged: the rebuild stops the pool's
+            # workers, so the retry (or the next job) runs on a
+            # responsive pool, alone
+            self._rebuild(slots, timed_out=True)
             raise JobTimeout(f"job {work.key} exceeded {timeout}s") from None
         except asyncio.CancelledError:
             # A concurrent rebuild's cancel_futures sweeps a pending
@@ -851,14 +954,37 @@ class AsyncScheduler:
             # cancellation reaches the loop. Otherwise this runner itself
             # was cancelled (stop()): wrap_future cancels a pending
             # future then too, and that is no lost worker.
-            if fut.cancelled() and self._pool.generation != gen:
+            if fut.cancelled() and self._pool.generation != slots.generation:
                 raise WorkerLost(
                     f"pool was rebuilt under queued job {work.key}"
                 ) from None
+            done.cancel()  # a waiting job's call: nothing reads it now
             raise
         except BrokenExecutor:
-            self._pool.rebuild(gen)
+            if slots.stopped:
+                raise _Requeue(
+                    f"another job's timeout stopped the worker running {work.key}"
+                ) from None
+            self._rebuild(slots)
             raise WorkerLost(f"worker died while running {work.key}") from None
+        finally:
+            slots.leave(started)
+
+    def _live_slots(self) -> _WorkerSlots:
+        """The live pool instance's slots (fresh after every rebuild)."""
+        if self._slots.generation != self._pool.generation:
+            self._slots.abandon()
+            self._slots = _WorkerSlots(self._pool.generation, self.workers)
+        return self._slots
+
+    def _rebuild(self, slots: _WorkerSlots, *, timed_out: bool = False) -> None:
+        """Replace *slots*' pool, if it is still the live one (its workers
+        are killed, see ResilientProcessPool.rebuild). After a timeout,
+        the other attempts that kill ends re-run uncharged."""
+        if slots.generation == self._pool.generation:
+            slots.stopped = timed_out
+            self._pool.rebuild(slots.generation)
+        self._live_slots()
 
     def _adopt_factors(self, payload: dict, live: list[_Job]) -> None:
         """Take ownership of worker-written factor segments.

@@ -36,10 +36,11 @@ class HessService:
     """Batch-reduction service: scheduler + cache + worker pool, one handle.
 
     Jobs run on two executors that do not wait on each other (see
-    ``docs/serving.md``): the process pool, drained by ``workers`` pool
-    runners, and the host, drained by one host runner (in-thread jobs
-    and batches take turns on it). Priority lanes and round-robin
-    fairness order the work of each executor separately.
+    ``docs/serving.md``): the process pool, drained by two pool runners
+    per worker (each worker holds one running and one waiting job), and
+    the host, drained by one host runner (in-thread jobs and batches
+    take turns on it). Priority lanes and round-robin fairness order the
+    work of each executor separately.
 
     Parameters mirror the scheduler's: ``workers`` pool processes (the
     pool size), ``max_queue`` admission bound, ``cache_bytes`` LRU

@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.utils.shm import SegmentRegistry
 
 
+#: how long a rebuild or shutdown waits for each killed worker to be reaped
+_STOP_JOIN_S = 1.0
+
+
 def _warm_noop() -> None:
     """Picklable no-op: the fallback worker-spawn barrier in ``warm``."""
 
@@ -115,15 +119,17 @@ class ResilientProcessPool:
         fresh one with fresh worker processes.
 
         With ``generation`` given, the rebuild is a no-op unless that
-        pool instance is still the live one (stale-failure dedup).
+        pool instance is still the live one (stale-failure dedup). The
+        old pool's workers are killed and reaped before the registry
+        sweep: a wedged worker (a timed-out job) would otherwise keep
+        running next to the new pool, hold the interpreter's exit, and
+        keep its result segments from the sweep. Every call still on
+        the old pool fails with ``BrokenProcessPool``.
         """
         if generation is not None and generation != self._generation:
             return
         if self._pool is not None:
-            # wait=False: broken pools cannot be joined; cancel_futures
-            # drops anything still queued inside the dead executor
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            self._stop()
             self._generation += 1
             self.rebuilds += 1
             if self.registry is not None:
@@ -132,13 +138,30 @@ class ResilientProcessPool:
                 # sweep can tell those orphans from everything live
                 self.registry.sweep()
 
-    def shutdown(self, *, wait: bool = False) -> None:
+    def shutdown(self, *, wait: bool = False, stop_workers: bool = False) -> None:
+        """Close the pool and unlink every segment the owner holds; with
+        ``stop_workers``, calls still running are killed, not waited out."""
         if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-            self._pool = None
+            if stop_workers:
+                self._stop()
+            else:
+                self._pool.shutdown(wait=wait, cancel_futures=True)
+                self._pool = None
         if self.registry is not None:
             self.registry.unlink_all()
             self.registry.sweep()
+
+    def _stop(self) -> None:
+        """Close the pool, then kill and reap its workers."""
+        workers = list((getattr(self._pool, "_processes", None) or {}).values())
+        # wait=False: a broken pool cannot be joined, and a killed one
+        # need not be; cancel_futures drops every call no worker has taken
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        for proc in workers:
+            proc.kill()
+        for proc in workers:
+            proc.join(timeout=_STOP_JOIN_S)
+        self._pool = None
 
     # -- submission ---------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """The multiprocess trial runner must be a pure speed knob: identical
 trial lists, serial or pooled."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,26 @@ def test_coverage_map_workers_parity():
     m2 = coverage_map(n=48, nb=16, grid=4, workers=2)
     assert (m1.grid == m2.grid).all()
     np.testing.assert_array_equal(m1.residuals, m2.residuals)
+
+
+def test_pool_rebuild_reaps_the_old_workers():
+    """A rebuild kills and reaps the old pool's workers, busy or idle (a
+    wedged one would otherwise outlive it); a stale generation leaves
+    the live pool alone."""
+    from repro.utils.procpool import ResilientProcessPool
+
+    with ResilientProcessPool(max_workers=1) as pool:
+        pool.warm()
+        gen = pool.generation
+        old = list(pool.pool._processes)
+        pool.rebuild(gen)
+        assert pool.generation == gen + 1 and pool.rebuilds == 1
+        assert old
+        for pid in old:  # reaped, by the rebuild or the pool's own thread
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        pool.warm()
+        live = list(pool.pool._processes.values())
+        pool.rebuild(gen)  # stale: a no-op
+        assert pool.rebuilds == 1 and all(p.is_alive() for p in live)
+        assert pool.submit(abs, -3).result(timeout=30) == 3

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -541,7 +543,10 @@ class TestServiceEndToEnd:
 
 
 class TestServiceCrashRecovery:
-    def test_worker_crash_loses_no_jobs(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_crash_loses_no_jobs(self, tmp_path, workers):
+        """At one worker, the job after the crash-once job waits in the
+        same worker's queue when the worker dies."""
         sentinel = str(tmp_path / "crash.once")
         specs = [
             JobSpec(driver="ft_gehrd", n=32, seed=s, submitter="c") for s in range(3)
@@ -552,7 +557,7 @@ class TestServiceCrashRecovery:
                     crash=True, crash_once_path=sentinel),
         )
         # small_n_threshold=0: everything rides the process pool
-        with HessService(workers=2, max_queue=16, small_n_threshold=0,
+        with HessService(workers=workers, max_queue=16, small_n_threshold=0,
                          retry=RetryPolicy(backoff_base=0.001)) as svc:
             subs = svc.submit_batch(specs)
             assert all(s.accepted for s in subs)
@@ -678,6 +683,52 @@ class _HeldPool:
                 fut.set_result(dict(_POOL_PAYLOAD))
 
 
+def _pool_stub(spec, *_args) -> dict:
+    """Stands in for ``execute_job_pooled`` in a real pool worker: a job
+    of ``spec.seed`` milliseconds (a crash job dies that far in), with
+    its worker's pid and its start and end on the host's monotonic
+    clock."""
+    t0 = time.monotonic()
+    time.sleep(spec.seed / 1000)
+    if spec.crash:
+        os._exit(23)
+    return {"driver": spec.driver, "n": spec.n, "elapsed_s": time.monotonic() - t0,
+            "pid": os.getpid(), "t0": t0, "t1": time.monotonic()}
+
+
+#: the mark file of :func:`_wedge_once` (set by its test before the fork)
+_WEDGE_MARK = ""
+
+
+def _wedge_once(spec, *_args) -> dict:
+    """The first call spins for 8 s (a wedged job) after writing its pid
+    to the mark file; a later call returns at once, saying whether that
+    first worker still exists."""
+    if not os.path.exists(_WEDGE_MARK):
+        with open(_WEDGE_MARK, "w") as fh:
+            fh.write(str(os.getpid()))
+        deadline = time.monotonic() + 8.0
+        while time.monotonic() < deadline:
+            pass
+    with open(_WEDGE_MARK) as fh:
+        first = int(fh.read())
+    try:
+        os.kill(first, 0)
+        first_alive = True
+    except ProcessLookupError:
+        first_alive = False
+    return {"driver": spec.driver, "elapsed_s": 0.0, "pid": os.getpid(),
+            "first_pid": first, "first_alive": first_alive}
+
+
+def _pool_service(monkeypatch, job=_pool_stub, **kw) -> HessService:
+    """A one-worker service whose pool runs *job* in real processes."""
+    monkeypatch.setattr("repro.serve.scheduler.execute_job_pooled", job)
+    kw.setdefault("workers", 1)
+    kw.setdefault("max_queue", 16)
+    return HessService(small_n_threshold=0, **kw)
+
+
 def _events(q) -> list[dict]:
     out = []
     while not q.empty():
@@ -777,6 +828,177 @@ class TestExecutors:
             svc.close()
         assert res.status == "done" and res.retries == 1
         assert forks_during_host_job == [False, False]  # start, rebuild
+
+
+class TestPoolDispatch:
+    """Each pool worker holds one running job and one waiting job; a
+    waiting job starts, and is charged, only when the job ahead of it
+    is over."""
+
+    def test_a_second_pool_job_is_in_the_executor_before_the_first_finishes(
+        self, monkeypatch
+    ):
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=8, small_n_threshold=0)
+        try:
+            first = svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=1))
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=2))
+            pool.wait_for(2, timeout=2.0)
+            assert not pool.futures[0].done()
+            assert svc.status(first.job_id) == "running"
+            time.sleep(0.05)
+            assert len(pool.futures) == 2  # one running, one waiting: no more
+            assert svc.stats()["queued"] == 1
+        finally:
+            pool.release()
+            svc.close()
+
+    def test_one_worker_runs_its_jobs_in_hand_out_order(self, monkeypatch):
+        popped = []
+        real_pop = AsyncScheduler._pop_work
+
+        def pop(self, executor="pool"):
+            work = real_pop(self, executor)
+            if work is not None:
+                popped.append(work.key)
+            return work
+
+        monkeypatch.setattr(AsyncScheduler, "_pop_work", pop)
+        specs = [JobSpec(driver="gehrd", n=32, seed=ms, submitter=who)
+                 for ms, who in ((60, "a"), (20, "b"), (40, "a"), (10, "b"), (30, "a"))]
+        with _pool_service(monkeypatch) as svc:
+            subs = svc.submit_batch(specs)
+            svc.drain(timeout=60)
+            results = {s.key: svc.peek(s.job_id) for s in subs}
+        assert sorted(popped) == sorted(results)
+        ran = sorted(results, key=lambda k: results[k].payload["t0"])
+        assert ran == popped
+        assert len({r.payload["pid"] for r in results.values()}) == 1
+        ends = [results[k].payload["t1"] for k in ran]
+        starts = [results[k].payload["t0"] for k in ran]
+        assert all(s >= e for s, e in zip(starts[1:], ends))  # one at a time
+
+    def test_a_waiting_jobs_timeout_runs_from_when_the_job_ahead_finishes(
+        self, monkeypatch
+    ):
+        with _pool_service(monkeypatch, default_timeout=0.8) as svc:
+            ahead = svc.submit(JobSpec(driver="gehrd", n=32, seed=600))
+            behind = svc.submit(JobSpec(driver="gehrd", n=32, seed=300))
+            a = svc.result(ahead.job_id, timeout=30)
+            b = svc.result(behind.job_id, timeout=30)
+            stats = svc.stats()
+        assert (a.status, b.status) == ("done", "done"), (a.error, b.error)
+        assert a.retries == b.retries == 0 and stats["pool_rebuilds"] == 0
+        # started_at is stamped when the job ahead is over, so the queue
+        # wait holds the time spent behind it and service time does not
+        assert 0 <= b.started_at - a.finished_at < 0.1
+        assert b.started_at - b.submitted_at >= 0.55
+        assert b.finished_at - b.started_at < 0.6
+
+    def test_a_job_waiting_behind_a_crash_reruns_uncharged(self, monkeypatch):
+        with _pool_service(monkeypatch,
+                           retry=RetryPolicy(worker_lost_retries=0,
+                                             backoff_base=0.001)) as svc:
+            q = svc.subscribe()
+            crash = svc.submit(JobSpec(driver="gehrd", n=32, seed=200, crash=True))
+            behind = svc.submit(JobSpec(driver="gehrd", n=32, seed=10))
+            c = svc.result(crash.job_id, timeout=60)
+            b = svc.result(behind.job_id, timeout=60)
+            stats = svc.stats()
+        assert (c.status, c.failure_class) == ("failed", WORKER_LOST)
+        assert b.status == "done" and b.retries == 0, (b.error, b.failure_class)
+        assert stats["pool_rebuilds"] == 1 and stats["counts"]["requeued"] == 1
+        events = _events(q)
+        assert [e["key"] for e in events if e["event"] == "requeued"] == [behind.key]
+
+    def test_a_timeout_rebuild_reruns_the_waiting_job_uncharged(self, monkeypatch):
+        t0 = time.monotonic()
+        with _pool_service(monkeypatch, default_timeout=0.5,
+                           retry=RetryPolicy(timeout_retries=0)) as svc:
+            wedged = svc.submit(JobSpec(driver="gehrd", n=32, seed=8000))
+            behind = svc.submit(JobSpec(driver="gehrd", n=32, seed=10))
+            w = svc.result(wedged.job_id, timeout=30)
+            b = svc.result(behind.job_id, timeout=30)
+            stats = svc.stats()
+        assert (w.status, w.failure_class) == ("failed", TIMEOUT)
+        assert b.status == "done" and b.retries == 0, (b.error, b.failure_class)
+        assert stats["pool_rebuilds"] == 1 and stats["counts"]["requeued"] == 1
+        assert time.monotonic() - t0 < 6.0  # nothing waits out the 8 s job
+
+    def test_a_timed_out_worker_is_stopped_and_the_retry_runs_alone(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(sys.modules[__name__], "_WEDGE_MARK", str(tmp_path / "mark"))
+        with _pool_service(monkeypatch, job=_wedge_once, default_timeout=0.5,
+                           retry=RetryPolicy(backoff_base=0.001)) as svc:
+            sub = svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            res = svc.result(sub.job_id, timeout=30)
+            stats = svc.stats()
+        assert res.status == "done" and res.retries == 1, (res.error, res.failure_class)
+        assert res.payload["pid"] != res.payload["first_pid"]
+        assert res.payload["first_alive"] is False  # gone before the retry ran
+        assert res.finished_at - res.started_at < 0.5 + 2.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(res.payload["first_pid"], 0)
+        assert stats["pool_rebuilds"] == 1
+
+    def test_stop_resubmits_neither_job(self, monkeypatch):
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=4, small_n_threshold=0)
+        q = svc.subscribe()
+        try:
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=1))
+            pool.wait_for(2)
+            svc.close(drain=False, timeout=5)
+        finally:
+            pool.release()
+            svc.close(drain=False, timeout=30)
+        stats = svc.stats()
+        kinds = [e["event"] for e in _events(q)]
+        # the waiting job never started
+        assert sorted(kinds[:-1]) == ["started", "submitted", "submitted"]
+        assert kinds[-1] == "stopped"
+        assert len(pool.futures) == 2
+        assert stats["counts"]["executed"] == 2
+        assert stats["counts"].get("retries", 0) == 0
+        assert stats["counts"].get("requeued", 0) == 0
+
+    def test_stop_stops_a_worker_that_holds_a_job(self, monkeypatch):
+        """Neither held job's result would ever be read: the worker is
+        killed, not left to run both."""
+        svc = _pool_service(monkeypatch)
+        try:
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=5000))
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=10))
+            time.sleep(0.3)
+            pids = list(svc._scheduler._pool.pool._processes)
+            t0 = time.monotonic()
+            svc.close(drain=False, timeout=10)
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            svc.close(drain=False, timeout=30)
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_waiting_job_can_no_longer_be_cancelled(self, monkeypatch):
+        pool = _HeldPool(monkeypatch)
+        svc = HessService(workers=1, max_queue=4, small_n_threshold=0)
+        try:
+            svc.submit(JobSpec(driver="gehrd", n=32, seed=0))
+            behind = svc.submit(JobSpec(driver="gehrd", n=32, seed=1))
+            queued = svc.submit(JobSpec(driver="gehrd", n=32, seed=2))
+            pool.wait_for(2)
+            assert svc.status(behind.job_id) == "running"
+            assert svc.cancel(behind.job_id) is False
+            assert svc.cancel(queued.job_id) is True
+        finally:
+            pool.release()
+            svc.close()
+        assert svc.peek(behind.job_id).status == "done"
 
 
 # ---------------------------------------------------------------------------
