@@ -711,6 +711,13 @@ def ft_gehrd(
                     sup.record(TIER_DEEP_ROLLBACK, it, True)
                 except UncorrectableError as exc:
                     sup.record(TIER_DEEP_ROLLBACK, it, False, str(exc))
+                    if em.k < 2:
+                        # one channel refuses only for a bad row it cannot
+                        # place in a column, and unwinding keeps the row
+                        # residual's 2-norm (the left reverse rotates it
+                        # by the orthogonal U), so deeper steps would
+                        # refuse alike: go to the restart tier
+                        break
 
         if recovered:
             sched.recovery(it, unwind_to=back_it)

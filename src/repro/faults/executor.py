@@ -563,6 +563,11 @@ def run_ft_trials(
                                 plan, area,
                                 "WorkerLost: process pool broke twice on this chunk",
                             ))
-    finally:
-        pool.shutdown()
+    except BaseException:
+        # a trial may still be running: kill and reap, do not wait it out
+        pool.shutdown(stop_workers=True)
+        raise
+    # every trial is graded and the workers are idle: join them, so no
+    # worker or pool thread outlives the call (and races the exit hook)
+    pool.shutdown(wait=True)
     return [results[i] for i in range(len(tasks))]

@@ -15,7 +15,9 @@ strategies of increasing cost and decreasing assumptions:
 ``deep_rollback``
     Unwind completed iterations from packed storage until the residual
     pattern decodes (detection lagged the fault, or recovery state was
-    itself corrupted).
+    itself corrupted). With one checksum channel the first refusal ends
+    it: unwinding keeps the row residual's 2-norm, so a bad row found
+    once stays, and one channel cannot name its column.
 ``restart``
     Rebuild the entire encoded state from the initial diskless snapshot
     and redo the factorization from iteration 0 — the backstop that
@@ -82,7 +84,10 @@ class LadderConfig:
         Across the whole run, how many times tier 0 may be attempted.
     max_deep_steps:
         Per detection, how many completed iterations the deep rollback
-        may unwind (``None`` = all the way to iteration 0).
+        may unwind (``None`` = all the way to iteration 0). It bounds
+        multi-channel runs only: with one channel the deep rollback
+        stops at its first refusal, so it unwinds one iteration at most
+        before the restart tier.
     max_restarts:
         How many full diskless restarts the run may spend. The driver
         forces this to 0 when ``max_retries < 1`` (strict fail-stop
@@ -101,8 +106,9 @@ class LadderConfig:
         Used by the serving layer when a job dies with
         :class:`~repro.errors.EscalationExhausted`: the optimistic
         zero-rollback tier is disabled (if its exact-correction premise
-        were holding, the ladder would not have exhausted), the deep
-        rollback may unwind all the way to iteration 0, and one more
+        were holding, the ladder would not have exhausted), a
+        multi-channel deep rollback may unwind all the way to iteration
+        0 (one channel still stops at its first refusal), and one more
         full restart is allowed than last time. Repeated application
         keeps widening the restart budget, so a bounded retry loop
         converges on "replay everything from the initial snapshot".

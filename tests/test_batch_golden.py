@@ -335,7 +335,9 @@ def test_service_batch_lane_forms_batches_and_matches_scalar():
         batch_max=6,
         batch_linger_ms=20.0,
     ) as svc:
-        subs = [svc.submit(s) for s in specs]
+        # one event-loop hop stages the whole wave: a job the host
+        # runner took before the rest arrived would run alone
+        subs = svc.submit_batch(specs)
         assert all(s.accepted for s in subs)
         svc.drain(timeout=120)
         stats = svc.stats()

@@ -94,3 +94,36 @@ def test_pool_rebuild_reaps_the_old_workers():
         pool.rebuild(gen)  # stale: a no-op
         assert pool.rebuilds == 1 and all(p.is_alive() for p in live)
         assert pool.submit(abs, -3).result(timeout=30) == 3
+
+
+def test_run_campaign_joins_its_pool_before_returning():
+    """No pool worker outlives the call: a script that exits right after
+    a campaign must not race the pool's exit hook."""
+    import multiprocessing
+
+    from repro.faults.executor import choose_execution_mode
+
+    before = set(multiprocessing.active_children())
+    res = run_campaign(random_matrix(48, seed=0), nb=16, moments=2, workers=2)
+    assert choose_execution_mode(2, len(res.trials)) == "pool"
+    assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_run_ft_trials_stops_its_workers_when_the_caller_raises():
+    """An exception out of the trial loop kills and reaps the workers
+    instead of waiting out the trials still running."""
+    import multiprocessing
+
+    def boom(index, outcome):
+        raise KeyboardInterrupt
+
+    a = random_matrix(N, seed=1)
+    tasks = build_fault_grid(N, NB, moments=2, seed=2)
+    before = set(multiprocessing.active_children())
+    with pytest.raises(KeyboardInterrupt):
+        run_ft_trials(a, tasks, FTConfig(nb=NB), residual_tol=TOL, workers=2,
+                      chunksize=1, on_result=boom)
+    workers = set(multiprocessing.active_children()) - before
+    for proc in workers:  # reaped, by the stop or the pool's own thread
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)

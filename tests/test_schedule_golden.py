@@ -118,11 +118,11 @@ PINS = {
     ),
     'ft/exhausted/float64': (
         'iteration 2: no tier could produce a clean state',
-        'escalation exhausted at iteration 2 (no tier could produce a clean state); tier successes/attempts: in_place: 0/1, reverse_redo: 0/1, deep_rollback: 0/2',
+        'escalation exhausted at iteration 2 (no tier could produce a clean state); tier successes/attempts: in_place: 0/1, reverse_redo: 0/1, deep_rollback: 0/1',
     ),
     'ft/exhausted/float32': (
         'iteration 2: no tier could produce a clean state',
-        'escalation exhausted at iteration 2 (no tier could produce a clean state); tier successes/attempts: in_place: 0/1, reverse_redo: 0/1, deep_rollback: 0/2',
+        'escalation exhausted at iteration 2 (no tier could produce a clean state); tier successes/attempts: in_place: 0/1, reverse_redo: 0/1, deep_rollback: 0/1',
     ),
     'ft/in_place/float64': (
         95,

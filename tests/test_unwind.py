@@ -11,6 +11,7 @@ from repro.abft import (
     v_col_checksums,
     y_col_checksums,
 )
+from repro.abft.location import residual_threshold
 from repro.abft.unwind import (
     extract_panel_reflectors,
     locate_errors_rowonly,
@@ -22,6 +23,7 @@ from repro.errors import ShapeError, UncorrectableError
 from repro.faults import FaultInjector, FaultSpec
 from repro.linalg import one_norm, orghr, extract_hessenberg, factorization_residual
 from repro.linalg.lahr2 import lahr2
+from repro.resilience import LadderConfig
 from repro.utils.rng import random_matrix
 
 
@@ -115,6 +117,35 @@ class TestUnwindIteration:
         assert diff[i, j] == pytest.approx(2.5, rel=1e-8)
         diff[i, j] = 0.0
         assert np.max(np.abs(diff)) < 1e-9
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_unwinding_keeps_the_unit_row_residual_norm(self, channels):
+        """The right reverse leaves the unit-channel row residual as it
+        is and the left reverse multiplies it by the orthogonal U, so its
+        2-norm is the same at every depth while the bad rows spread —
+        why one channel's deep rollback stops at its first refusal."""
+        n = 128
+        plan = [(p, 16) for p in range(0, 64, 16)]
+        a = random_matrix(n, seed=14)
+        em = EncodedMatrix(a, channels=channels)
+        taus = np.zeros(n - 1)
+        _run_iterations(em, taus, plan, len(plan))
+        em.data[90, 100] += 1.0
+        tol = residual_threshold(em, one_norm(a))
+
+        def residual(finished):
+            return em.fresh_row_block(finished)[:, 0] - em.row_checksum_block[:, 0]
+
+        r0 = residual(64)
+        assert np.flatnonzero(np.abs(r0) > tol).tolist() == [90]
+        norms, bad_rows = [], []
+        for p, ib in reversed(plan):
+            unwind_iteration(em, p, ib, taus)
+            r = residual(p)
+            norms.append(np.linalg.norm(r))
+            bad_rows.append(int(np.count_nonzero(np.abs(r) > tol)))
+        np.testing.assert_allclose(norms, np.linalg.norm(r0), rtol=1e-12)
+        assert bad_rows[0] > 1 and bad_rows == sorted(bad_rows)
 
 
 class TestRowOnlyLocation:
@@ -223,3 +254,61 @@ class TestDelayedDetectionRecovery:
             return overhead_percent(ft, base)
 
         assert ovh(8) > ovh(1)
+
+
+def _checkpoint_plan(it):
+    """A checkpoint strike plus its trigger in the same iteration: tier 1
+    restores a corrupted panel, so only tiers 2 and 3 are left."""
+    return FaultInjector(faults=[
+        FaultSpec(iteration=it, row=20, col=5, space="checkpoint", phase="post_right"),
+        FaultSpec(iteration=it, row=60, col=70, phase="post_right"),
+    ])
+
+
+class TestDeepRollbackStops:
+    """One channel's deep rollback makes one step per detection; more
+    channels keep unwinding while a deeper state may decode."""
+
+    @pytest.fixture
+    def unwound(self, monkeypatch):
+        """The panel starts ``ft_gehrd`` unwinds, in call order."""
+        import repro.core.ft_hessenberg as fth
+
+        calls = []
+        real = fth.unwind_iteration
+
+        def spy(em, p, ib, taus, **kw):
+            calls.append(p)
+            return real(em, p, ib, taus, **kw)
+
+        monkeypatch.setattr(fth, "unwind_iteration", spy)
+        return calls
+
+    def test_one_channel_restart_unwinds_one_iteration(self, unwound):
+        a = random_matrix(96, seed=0)
+        res = ft_gehrd(a, FTConfig(nb=16), injector=_checkpoint_plan(3))
+        assert unwound == [32]
+        del unwound[:]
+        ref = ft_gehrd(a, FTConfig(nb=16, ladder=LadderConfig(max_deep_steps=0)),
+                       injector=_checkpoint_plan(3))
+        assert unwound == []
+        assert [(r.iteration, r.tier) for r in res.recoveries] == [(3, "restart")]
+        assert res.a.tobytes() == ref.a.tobytes()
+        assert res.taus.tobytes() == ref.taus.tobytes()
+        assert res.recoveries == ref.recoveries
+        assert (res.restarts, res.detections, res.tau_repairs) == (
+            ref.restarts, ref.detections, ref.tau_repairs)
+        assert res.q_report.errors == ref.q_report.errors
+        for side in ("row_residuals", "col_residuals"):
+            assert getattr(res.q_report, side).tobytes() == getattr(ref.q_report, side).tobytes()
+        assert res.timeline.to_csv() == ref.timeline.to_csv()
+
+    def test_two_channel_lagged_fault_unwinds_to_the_fault(self, unwound):
+        a = random_matrix(96, seed=0)
+        inj = FaultInjector(faults=[FaultSpec(iteration=1, row=60, col=70)])
+        res = ft_gehrd(a, FTConfig(nb=16, channels=2, detect_every=3), injector=inj)
+        assert unwound == [32, 16]
+        assert [(r.iteration, r.tier, r.p) for r in res.recoveries] == [
+            (3, "deep_rollback", 16)]
+        q = orghr(res.a, res.taus)
+        assert factorization_residual(a, q, extract_hessenberg(res.a)) < 1e-12
