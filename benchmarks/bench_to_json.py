@@ -36,9 +36,6 @@ relative symlink to it so the two can never drift:
 * ``serve_dataplane`` — inline n=256 matrices through the service under
                         ``transport="pickle"`` vs ``"auto"`` (bytes per
                         submitted job each way; see ``bench_serve.py``);
-* ``cluster``         — a 200-job distinct-key batch through the sharded
-                        serve tier, 3 shards vs 1 shard (aggregate
-                        jobs/sec; see ``bench_cluster.py``);
 * ``ft_eig``          — the full protected eigensolver pipeline
                         (FT reduction + checkpointed Francis QR) vs the
                         unprotected ``hybrid_gehrd`` +
@@ -48,12 +45,7 @@ relative symlink to it so the two can never drift:
                         unprotected ``hybrid_gehrd`` at the paper's
                         n=512, both precision lanes, with the measured
                         ABFT flop share and a per-phase wall breakdown
-                        (see ``bench_ft_overhead.py``);
-* ``backend_gehrd``   — the array-namespace backend lane: production
-                        NumPy engines vs the whole-stack functional
-                        kernels (eager NumPy reference and, when
-                        importable, jit'd JAX-CPU with compile vs
-                        steady-state; see ``bench_backend.py``).
+                        (see ``bench_ft_overhead.py``).
 
 Honest wall-clock numbers: speedups are whatever this host produces —
 on a single-core box the campaign rows will show pool overhead, not
@@ -95,8 +87,6 @@ from repro.perf.reference import (                                # noqa: E402
 from repro.perf.workspace import Workspace                        # noqa: E402
 from repro.utils.rng import random_matrix                         # noqa: E402
 
-from bench_backend import bench_backend_gehrd                     # noqa: E402
-from bench_cluster import bench_cluster                           # noqa: E402
 from bench_ft_overhead import bench_ft_overhead                   # noqa: E402
 from bench_serve import (                                         # noqa: E402
     bench_serve,
@@ -356,21 +346,12 @@ def bench_ft_eig(n: int = 192, nb: int = 32, *, repeats: int = 3) -> dict:
 
 
 def main() -> None:
-    from repro.backend import backend_probe, canonical_backend_name
-
-    # the host's default backend (REPRO_BACKEND or "numpy") and its
-    # version stamp the run, so rows are attributable to the lane that
-    # actually produced them
-    active = canonical_backend_name(None)
-    _, active_version, _ = backend_probe(active)
     payload = {
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "backend": active,
-            "backend_version": active_version,
         },
         "panel": bench_panel(),
         "encoded_updates": bench_encoded_updates(),
@@ -382,10 +363,8 @@ def main() -> None:
         "serve_batched": bench_serve_batched(),
         "serve_batched_fp32": bench_serve_batched_lanes(),
         "serve_dataplane": bench_serve_dataplane(),
-        "cluster": bench_cluster(),
         "ft_eig": bench_ft_eig(),
         "ft_overhead": bench_ft_overhead(),
-        "backend_gehrd": bench_backend_gehrd(),
     }
     payload["campaign_fp32"]["bytes_copied_vs_fp64"] = (
         payload["campaign"]["bytes_copied_shm"]

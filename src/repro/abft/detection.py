@@ -134,43 +134,6 @@ class ThresholdPolicy:
         return self.eps_factor * eps * scale
 
 
-def checksum_gap_and_threshold(
-    policy: ThresholdPolicy,
-    n: int,
-    norm_a: float,
-    row_bank: np.ndarray,
-    col_bank: np.ndarray,
-    *,
-    dtype: object = np.float64,
-) -> tuple[float, float, bool]:
-    """Σ-test statistic and tolerance from raw checksum banks.
-
-    The backend-lane entry point: whole-stack backends hold their
-    checksum state as device arrays, so detection pulls the two O(n)
-    banks to host floats (``Backend.to_numpy``) and hands them here —
-    this function owns the same gap/threshold/m2 derivation as
-    :meth:`Detector.check` without needing an
-    :class:`~repro.abft.encoding.EncodedMatrix` wrapper. Unit-weight
-    single-channel banks only.
-
-    Returns ``(gap, tolerance, finite)``; a non-finite bank reports
-    ``finite=False`` and must be treated as a detection (NaN compares
-    False against any threshold).
-    """
-    rc = np.asarray(row_bank, dtype=np.float64)
-    cc = np.asarray(col_bank, dtype=np.float64)
-    sre = float(np.sum(rc))
-    sce = float(np.sum(cc))
-    if not (math.isfinite(sre) and math.isfinite(sce)):
-        return float("inf"), 0.0, False
-    gap = abs(sre - sce)
-    m2 = None
-    if policy.needs_m2(dtype):
-        m2 = float(np.sum(rc * rc) + np.sum(cc * cc))
-    tol = policy.threshold(n, norm_a, sre, sce, dtype=dtype, m2=m2)
-    return gap, tol, True
-
-
 @dataclass
 class Detector:
     """Per-factorization detector holding the threshold context.

@@ -27,11 +27,6 @@ from repro.batch.updates import (
     y_col_checksums_batched,
 )
 from repro.batch.driver import BatchResult, ft_gehrd_batched, gehrd_batched
-from repro.batch.backend_lane import (
-    BackendStackResult,
-    ft_gehrd_stack,
-    gehrd_stack,
-)
 from repro.batch.qform import (
     extract_hessenberg_batched,
     factorization_residuals_batched,
@@ -54,11 +49,8 @@ __all__ = [
     "v_col_checksums_batched",
     "y_col_checksums_batched",
     "BatchResult",
-    "BackendStackResult",
     "ft_gehrd_batched",
-    "ft_gehrd_stack",
     "gehrd_batched",
-    "gehrd_stack",
     "extract_hessenberg_batched",
     "factorization_residuals_batched",
     "orghr_batched",

@@ -13,7 +13,6 @@ Usage::
     python -m repro demo
     python -m repro submit --jobs jobs.jsonl --workers 2
     python -m repro serve --jobs jobs.jsonl --stats stats.json
-    python -m repro cluster --jobs jobs.jsonl --shards 3 --chaos-kill-shard 0
 
 Each subcommand prints the same rendered text the benchmark harness
 writes to ``benchmarks/results/``. The ``submit``/``serve`` pair runs a
@@ -202,70 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the service stats dump to this JSON file")
         s.add_argument("--results", type=str, default=None, metavar="PATH",
                        help="write one JobResult JSON per line to this file")
-        s.add_argument("--backend", type=str, default=None,
-                       help="run every loaded job on this array backend "
-                            "(numpy / numpy_functional / jax; "
-                            "overrides the specs and the REPRO_BACKEND "
-                            "env default — see 'repro backends')")
-
-    sub.add_parser(
-        "backends",
-        help="list the registered array backends (availability, version, "
-             "update contract) — see docs/backends.md",
-    )
-
-    cl = sub.add_parser(
-        "cluster",
-        help="run a JSONL job file through the sharded serve tier "
-             "(consistent-hash routing, cache replication, self-healing "
-             "shards; see docs/cluster.md)",
-    )
-    cl.add_argument("--jobs", type=str, required=True,
-                    help="JSONL file of JobSpec objects ('-' reads stdin)")
-    cl.add_argument("--shards", type=int, default=3,
-                    help="fleet size (each shard is a full HessService)")
-    cl.add_argument("--vnodes", type=int, default=64,
-                    help="virtual nodes per shard on the hash ring")
-    cl.add_argument("--workers", type=int, default=1,
-                    help="pool worker processes per shard")
-    cl.add_argument("--max-queue", type=int, default=32,
-                    help="per-shard admission bound")
-    cl.add_argument("--spill-threshold", type=int, default=None,
-                    help="queue depth at which the router spills a job to "
-                         "the key's ring successor (default: max queue)")
-    cl.add_argument("--small-n", type=int, default=64,
-                    help="jobs of order <= this run on each shard's "
-                         "in-thread lane")
-    cl.add_argument("--cache-mb", type=float, default=8.0,
-                    help="per-shard result-cache budget in MiB (0 disables "
-                         "caching and replication)")
-    cl.add_argument("--no-replicate", action="store_true",
-                    help="disable push-on-fill cache replication")
-    cl.add_argument("--timeout", type=float, default=None,
-                    help="per-attempt wall-clock budget in seconds")
-    cl.add_argument("--transport", choices=("auto", "shm", "pickle"),
-                    default="auto",
-                    help="cross-process data plane within each shard")
-    cl.add_argument("--batch-max", type=int, default=0,
-                    help="per-shard batch-coalescing lane width "
-                         "(<= 1 disables)")
-    cl.add_argument("--batch-linger-ms", type=float, default=5.0,
-                    help="per-shard batch linger")
-    cl.add_argument("--health-interval", type=float, default=0.1,
-                    help="seconds between shard heartbeats")
-    cl.add_argument("--chaos-kill-shard", type=int, default=None,
-                    metavar="INDEX",
-                    help="chaos drill: kill this shard mid-batch (the "
-                         "health monitor restarts it and replays its "
-                         "in-flight jobs)")
-    cl.add_argument("--chaos-kill-after", type=int, default=None,
-                    metavar="JOBS",
-                    help="how many submissions to place before the chaos "
-                         "kill (default: half the batch)")
-    cl.add_argument("--stats", type=str, default=None, metavar="PATH",
-                    help="write the cluster stats dump to this JSON file")
-    cl.add_argument("--results", type=str, default=None, metavar="PATH",
-                    help="write one JobResult JSON per line to this file")
 
     return p
 
@@ -547,18 +482,6 @@ def _run_jobs(args, *, stream: bool) -> str:
     from repro.utils import Table
 
     specs = _load_jobs(args.jobs)
-    if getattr(args, "backend", None):
-        import dataclasses
-
-        specs = [dataclasses.replace(s, backend=args.backend) for s in specs]
-    from repro.backend import get_backend
-
-    for name in sorted({s.effective_backend for s in specs}):
-        if name != "numpy":
-            # surface an unknown/unavailable backend here — a typed
-            # BackendUnavailableError before the service spins up
-            # (exit code 2), not a per-job rejection inside a worker
-            get_backend(name)
     t0 = time.perf_counter()
     svc = HessService(
         workers=args.workers,
@@ -663,149 +586,6 @@ def _run_jobs(args, *, stream: bool) -> str:
     return t.render() + "\n" + tail
 
 
-def _cmd_cluster(args) -> str:
-    import json
-    import time
-
-    from repro.cluster import ClusterService
-    from repro.utils import Table
-
-    specs = _load_jobs(args.jobs)
-    kill_index = args.chaos_kill_shard
-    if kill_index is not None and not 0 <= kill_index < args.shards:
-        raise SystemExit(
-            f"--chaos-kill-shard {kill_index} is not a shard index "
-            f"(fleet has {args.shards})"
-        )
-    kill_after = (
-        args.chaos_kill_after if args.chaos_kill_after is not None
-        else len(specs) // 2
-    )
-
-    t0 = time.perf_counter()
-    svc = ClusterService(
-        shards=args.shards,
-        vnodes=args.vnodes,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        cache_bytes=int(args.cache_mb * 1024 * 1024),
-        small_n_threshold=args.small_n,
-        default_timeout=args.timeout,
-        transport=args.transport,
-        batch_max=args.batch_max,
-        batch_linger_ms=args.batch_linger_ms,
-        replicate=not args.no_replicate,
-        spill_threshold=args.spill_threshold,
-        health_interval=args.health_interval,
-    )
-    backpressured = 0
-    killed = None
-    pairs = []  # (spec, submission)
-    try:
-        for placed, spec in enumerate(specs):
-            if kill_index is not None and killed is None and placed >= kill_after:
-                killed = svc.kill_shard(kill_index)
-            sub = svc.submit(spec)
-            if not sub.accepted and sub.reason.startswith("backpressure"):
-                backpressured += 1
-                sub = svc.submit_wait(spec)
-            pairs.append((spec, sub))
-        svc.drain()
-        results = [
-            svc.peek(sub.job_id) if sub.accepted else None for _, sub in pairs
-        ]
-        describes = [
-            svc.describe(sub.job_id) if sub.accepted else None
-            for _, sub in pairs
-        ]
-        stats = svc.stats()
-        latencies = svc.router.latencies()
-    finally:
-        svc.close(drain=False)
-    elapsed = time.perf_counter() - t0
-
-    terminal = [r for r in results if r is not None]
-    dump = {
-        "jobs": len(specs),
-        "elapsed_s": elapsed,
-        "jobs_per_sec": len(terminal) / elapsed if elapsed > 0 else 0.0,
-        "backpressure_waits": backpressured,
-        "chaos_killed": killed,
-        "p50_latency_s": latencies[len(latencies) // 2] if latencies else None,
-        "p99_latency_s": (
-            latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
-            if latencies else None
-        ),
-        "stats": stats,
-    }
-    if args.stats:
-        with open(args.stats, "w") as fh:
-            json.dump(dump, fh, indent=2)
-    if args.results:
-        with open(args.results, "w") as fh:
-            for r in terminal:
-                fh.write(json.dumps(r.to_json()) + "\n")
-
-    counts = stats["router"]["counts"]
-    t = Table(
-        ["shard", "alive", "restarts", "jobs done", "cache keys replicated"],
-        title=f"cluster of {args.shards} shards x {args.workers} workers "
-              f"({len(specs)} jobs)",
-    )
-    repl = stats.get("replication") or {}
-    by_owner = repl.get("by_owner", {})
-    for sid, shard_stats in sorted(stats["shards"].items()):
-        done_here = sum(
-            1 for d in describes if d is not None and d.get("shard") == sid
-        )
-        t.add_row(
-            [
-                sid,
-                "yes" if shard_stats["alive"] else "no",
-                shard_stats["restarts"],
-                done_here,
-                by_owner.get(sid, 0),
-            ]
-        )
-    tail = (
-        f"done: {sum(r.status == 'done' for r in terminal)}  "
-        f"failed: {sum(r.status == 'failed' for r in terminal)}  "
-        f"jobs/sec: {dump['jobs_per_sec']:.2f}  "
-        f"routes: owner={counts['owner']} spillover={counts['spillover']} "
-        f"failover={counts['failover']} coalesced={counts['coalesced']}  "
-        f"replayed: {counts['replayed']}"
-    )
-    if killed is not None:
-        h = stats["health"]
-        tail += (
-            f"\nchaos: killed {killed} after {kill_after} submissions; "
-            f"restarts={h['restarts']} replayed={h['replayed']} "
-            f"rehydrated={h['rehydrated']} lost="
-            f"{len(specs) - len(terminal)}"
-        )
-    return t.render() + "\n" + tail
-
-
-def _cmd_backends() -> str:
-    """Registry listing: one row per adapter, default marked."""
-    from repro.backend import available_backends
-    from repro.utils import Table
-
-    t = Table(["name", "available", "version", "contract", "default", "note"])
-    for row in available_backends():
-        t.add_row(
-            [
-                row["name"],
-                "yes" if row["available"] else "no",
-                row["version"] or "-",
-                row["contract"],
-                "*" if row["default"] else "",
-                row["reason"] or "",
-            ]
-        )
-    return t.render()
-
-
 def _cmd_submit(args) -> str:
     return _run_jobs(args, stream=False)
 
@@ -830,16 +610,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "coverage": lambda: _cmd_coverage(args),
         "submit": lambda: _cmd_submit(args),
         "serve": lambda: _cmd_serve(args),
-        "cluster": lambda: _cmd_cluster(args),
-        "backends": lambda: _cmd_backends(),
     }
-    from repro.errors import BackendUnavailableError
-
-    try:
-        print(dispatch[args.command]())
-    except BackendUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(dispatch[args.command]())
     return 0
 
 

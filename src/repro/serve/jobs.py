@@ -54,11 +54,6 @@ DRIVERS = ("gehrd", "hybrid_gehrd", "ft_gehrd", "ft_sytrd", "campaign",
 #: Drivers built on the protected Francis QR stage.
 EIG_DRIVERS = ("ft_eig", "ft_schur")
 
-#: Drivers the non-NumPy backend lane can serve (the functional
-#: whole-stack kernels of :mod:`repro.batch.backend_lane`). Everything
-#: else runs on the NumPy engine regardless of the requested backend.
-BACKEND_DRIVERS = ("gehrd", "ft_gehrd")
-
 #: Priority lanes, highest first. The scheduler always drains a higher
 #: lane before looking at a lower one.
 LANES = ("high", "normal", "low")
@@ -119,11 +114,6 @@ class JobSpec:
     seed: int = 0
     kind: str = "uniform"
     dtype: str = "float64"
-    # array backend the job runs on: "" resolves through REPRO_BACKEND
-    # then "numpy" (see repro.backend). Part of the content key — the
-    # functional lanes agree with NumPy to rounding, not byte-identity,
-    # so results from different backends must never share a cache entry.
-    backend: str = ""
     nb: int = 32
     channels: int = 1
     audit_every: int = 0
@@ -157,42 +147,6 @@ class JobSpec:
             lane_dtype(self.dtype)
         except ShapeError as exc:
             raise JobSpecError(str(exc)) from exc
-        from repro.backend import backend_available, get_backend, is_known_backend
-
-        if not is_known_backend(self.backend):
-            from repro.backend import BACKEND_NAMES
-
-            raise JobSpecError(
-                f"unknown backend {self.backend!r} "
-                f"(registered: {', '.join(BACKEND_NAMES)})"
-            )
-        eff = self.effective_backend
-        if eff != "numpy":
-            if self.driver not in BACKEND_DRIVERS:
-                raise JobSpecError(
-                    f"backend {eff!r} serves {BACKEND_DRIVERS} only, "
-                    f"not driver {self.driver!r} (the other drivers run "
-                    "on the NumPy engine)"
-                )
-            if not self.functional:
-                raise JobSpecError(
-                    f"backend {eff!r} runs functional mode only "
-                    "(metadata pricing has no arrays to route)"
-                )
-            if self.channels != 1:
-                raise JobSpecError(
-                    f"backend {eff!r} maintains unit-weight checksums only "
-                    f"(channels=1), got channels={self.channels}"
-                )
-            if self.audit_every:
-                raise JobSpecError(
-                    f"backend {eff!r} has no audit machinery (audit_every "
-                    "must be 0; audits run on the NumPy engine)"
-                )
-            # availability is a submit-time failure, not a worker-time one;
-            # raises a typed BackendUnavailableError with an install hint
-            if not backend_available(eff):
-                get_backend(eff)
         if self.driver == "ft_sytrd" and self.lane != np.float64:
             raise JobSpecError(
                 "ft_sytrd runs in the float64 lane only "
@@ -257,17 +211,6 @@ class JobSpec:
         return self.n
 
     @property
-    def effective_backend(self) -> str:
-        """The canonical backend name this job runs on.
-
-        An explicit ``backend`` wins; ``""`` resolves through the
-        ``REPRO_BACKEND`` environment variable, then ``"numpy"``.
-        """
-        from repro.backend import canonical_backend_name
-
-        return canonical_backend_name(self.backend)
-
-    @property
     def lane(self) -> np.dtype:
         """The precision lane the job actually runs at.
 
@@ -315,7 +258,8 @@ class JobSpec:
             "driver": self.driver,
             "matrix": fingerprint,
             "dtype": self.lane.name,
-            "backend": self.effective_backend,
+            # a literal so keys, spilled cache entries and results files from before still match
+            "backend": "numpy",
             "nb": self.nb,
             "channels": self.channels,
             "audit_every": self.audit_every,
@@ -608,84 +552,6 @@ def _pack_factor(arr: np.ndarray, *, shm_factors: bool, shm_min_bytes: int) -> d
     return {"data": arr.tolist(), "dtype": str(arr.dtype)}
 
 
-def _backend_ft_payload(spec: JobSpec, res, i: int) -> dict:
-    """The ``ft_gehrd`` payload rows for item *i* of a
-    :class:`~repro.batch.backend_lane.BackendStackResult`: fast-path
-    items report the shared priced timeline and zero recovery traffic;
-    ejected items report their scalar re-run's own accounting."""
-    sr = res.scalar_results.get(i)
-    payload = {
-        "driver": spec.driver,
-        "n": spec.order,
-        "nb": spec.nb,
-        "dtype": spec.lane.name,
-        "backend": res.backend,
-        "residual": float(res.residuals[i]),
-    }
-    if sr is None:
-        payload.update(
-            seconds_simulated=float(res.seconds),
-            detections=0,
-            recoveries=0,
-            restarts=0,
-            tau_repairs=0,
-            tier_tally={},
-        )
-    else:
-        payload.update(
-            seconds_simulated=float(sr.seconds),
-            detections=int(sr.detections),
-            recoveries=len(sr.recoveries),
-            restarts=int(sr.restarts),
-            tau_repairs=int(sr.tau_repairs),
-            tier_tally=_tier_tally(sr.recoveries, sr.restarts),
-        )
-    return payload
-
-
-def _execute_backend_job(spec: JobSpec, *, workspace=None):
-    """Run one gehrd/ft_gehrd job on a non-NumPy backend (B=1 stack).
-
-    Returns ``(payload, factors_or_None)`` with exactly the payload keys
-    the NumPy path produces, plus a ``"backend"`` row naming the lane
-    that actually ran.
-    """
-    from repro.batch.backend_lane import ft_gehrd_stack, gehrd_stack
-
-    bk_name = spec.effective_backend
-    a = _build_matrix(spec, workspace)
-    stack = np.asarray(a)[None, :, :]
-
-    if spec.driver == "gehrd":
-        from repro.linalg.verify import factorization_residual
-
-        hs, qs = gehrd_stack(stack, backend=bk_name, nb=spec.nb)
-        h, q = hs[0], qs[0]
-        payload = {
-            "driver": spec.driver,
-            "n": spec.order,
-            "nb": spec.nb,
-            "dtype": spec.lane.name,
-            "backend": bk_name,
-            "residual": float(factorization_residual(np.asarray(a), q, h)),
-        }
-        factors = {"h": h, "q": q} if spec.return_factors else None
-        return payload, factors
-
-    # ft_gehrd (validate() admits no other driver on a backend lane)
-    from repro.core import FTConfig
-
-    cfg = FTConfig(nb=spec.nb, channels=1, audit_every=0)
-    res = ft_gehrd_stack(
-        stack, cfg, backend=bk_name, injectors=[_injector(spec)]
-    )
-    if 0 in res.errors:
-        raise res.errors[0]
-    payload = _backend_ft_payload(spec, res, 0)
-    factors = {"h": res.h[0], "q": res.q[0]} if spec.return_factors else None
-    return payload, factors
-
-
 def execute_job(
     spec: JobSpec,
     *,
@@ -720,18 +586,6 @@ def execute_job(
         "dtype": spec.lane.name,
     }
     factors: "dict[str, np.ndarray] | None" = None
-
-    if spec.effective_backend != "numpy":
-        payload, factors = _execute_backend_job(spec, workspace=workspace)
-        if factors is not None:
-            payload["factors"] = {
-                name: _pack_factor(
-                    arr, shm_factors=shm_factors, shm_min_bytes=shm_min_bytes
-                )
-                for name, arr in factors.items()
-            }
-        payload["elapsed_s"] = time.perf_counter() - t0
-        return payload
 
     if spec.driver == "gehrd":
         from repro.linalg import extract_hessenberg, factorization_residual, gehrd, orghr
@@ -917,19 +771,9 @@ def batch_group_key(spec: JobSpec) -> tuple:
 
     The precision lane is part of the key: the stacked engine runs one
     dtype per `(B, n, n)` stack, so fp32 and fp64 jobs at identical
-    shapes still bucket into separate batch lanes. So is the effective
-    backend — NumPy and functional-lane results agree to rounding, not
-    bytes, so jobs on different backends must never coalesce into one
-    stack (or share a cache entry; see :meth:`JobSpec.content_dict`).
+    shapes still bucket into separate batch lanes.
     """
-    return (
-        spec.driver,
-        spec.order,
-        spec.nb,
-        spec.channels,
-        spec.lane.name,
-        spec.effective_backend,
-    )
+    return (spec.driver, spec.order, spec.nb, spec.channels, spec.lane.name)
 
 
 def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
@@ -957,7 +801,7 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
             f"incompatible batch group: {len(bad)} unbatchable specs, "
             f"{len(keys)} distinct group keys"
         )
-    driver, n, nb, channels, _lane, backend_name = keys.pop()
+    driver, n, nb, channels, _lane = keys.pop()
 
     from repro.batch import as_item_f_stack, ft_gehrd_batched, gehrd_batched
     from repro.batch.qform import (
@@ -968,11 +812,6 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
 
     t0 = time.perf_counter()
     mats = [_build_matrix(spec, workspace) for spec in specs]
-
-    if backend_name != "numpy":
-        return _execute_jobs_backend_stack(
-            specs, mats, driver=driver, backend_name=backend_name, nb=nb, t0=t0
-        )
 
     stack = as_item_f_stack(mats)  # the drivers copy; this stays pristine
     outcomes: list[dict] = []
@@ -1067,70 +906,6 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
                 "residual": float(residuals[i]),
             }
             outcomes.append({"ok": True, "payload": payload})
-
-    per_item = (time.perf_counter() - t0) / len(specs)
-    for oc in outcomes:
-        if oc["ok"]:
-            oc["payload"]["elapsed_s"] = per_item
-    return {"outcomes": outcomes, "ejections": ejections, "batch_size": len(specs)}
-
-
-def _execute_jobs_backend_stack(
-    specs: list[JobSpec],
-    mats: list[np.ndarray],
-    *,
-    driver: str,
-    backend_name: str,
-    nb: int,
-    t0: float,
-) -> dict:
-    """The backend twin of the NumPy branch of :func:`execute_jobs_batched`:
-    one whole-stack functional run over the coalesced ``(B, n, n)`` stack,
-    same outcome/ejection bookkeeping."""
-    from repro.batch.backend_lane import ft_gehrd_stack, gehrd_stack
-
-    stack = np.stack([np.ascontiguousarray(m) for m in mats])
-    outcomes: list[dict] = []
-    ejections = 0
-
-    if driver == "gehrd":
-        from repro.linalg.verify import factorization_residual
-
-        hs, qs = gehrd_stack(stack, backend=backend_name, nb=nb)
-        for i, spec in enumerate(specs):
-            outcomes.append(
-                {
-                    "ok": True,
-                    "payload": {
-                        "driver": spec.driver,
-                        "n": spec.order,
-                        "nb": nb,
-                        "dtype": spec.lane.name,
-                        "backend": backend_name,
-                        "residual": float(
-                            factorization_residual(stack[i], qs[i], hs[i])
-                        ),
-                    },
-                }
-            )
-    else:  # ft_gehrd (batch_group_key admits no other backend driver)
-        from repro.core import FTConfig
-
-        cfg = FTConfig(nb=nb, channels=1, audit_every=0)
-        res = ft_gehrd_stack(
-            stack,
-            cfg,
-            backend=backend_name,
-            injectors=[_injector(spec) for spec in specs],
-        )
-        ejections = len(res.ejected)
-        for i, spec in enumerate(specs):
-            if i in res.errors:
-                outcomes.append({"ok": False, "error": res.errors[i]})
-            else:
-                outcomes.append(
-                    {"ok": True, "payload": _backend_ft_payload(spec, res, i)}
-                )
 
     per_item = (time.perf_counter() - t0) / len(specs)
     for oc in outcomes:

@@ -442,20 +442,9 @@ class AsyncScheduler:
     def _now(self) -> float:
         return time.perf_counter() - self._t0
 
-    # -- gauges (cheap, lock-free reads for health checks) --------------------
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since this scheduler was constructed."""
-        return self._now()
-
     @property
     def queue_depth(self) -> int:
-        """Work items currently queued or running (admission pressure).
-
-        The gauge a health/routing layer polls per submission — a plain
-        attribute read, unlike :meth:`stats` which builds a full dict.
-        """
+        """Work items currently queued or running (admission pressure)."""
         return self._queued + self._running
 
     # -- submission ----------------------------------------------------------

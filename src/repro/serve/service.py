@@ -165,24 +165,6 @@ class HessService:
     def stats(self) -> dict:
         return self._scheduler.stats()
 
-    # -- health gauges --------------------------------------------------------
-    # Plain attribute reads off the scheduler (no event-loop hop, no
-    # dict building): what a heartbeat or a routing tier polls per
-    # submission without perturbing the loop it is checking on.
-
-    @property
-    def alive(self) -> bool:
-        """Is the service able to take work (open + loop thread running)?"""
-        return not self._closed and self._thread.is_alive()
-
-    def uptime_s(self) -> float:
-        """Seconds since the service's scheduler came up."""
-        return self._scheduler.uptime_s
-
-    def queue_depth(self) -> int:
-        """Work items currently queued or running (admission pressure)."""
-        return self._scheduler.queue_depth
-
     # -- progress events -----------------------------------------------------
 
     def subscribe(self):

@@ -550,51 +550,3 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     # the transposed product buffer, k columns) in the trailing dims
     assert all(k not in s[-2:] for s in calls)
 
-
-# ---------------------------------------------------------------------------
-# serve: backend-lane batched groups
-# ---------------------------------------------------------------------------
-
-
-def test_execute_jobs_batched_backend_group_matches_scalar_route():
-    n = 32
-    specs = [
-        JobSpec(driver="ft_gehrd", n=n, seed=s, backend="numpy_functional")
-        for s in range(3)
-    ]
-    assert len({batch_group_key(s) for s in specs}) == 1
-    out = execute_jobs_batched(specs)
-    assert out["batch_size"] == len(specs)
-    assert out["ejections"] == 0
-    for spec, oc in zip(specs, out["outcomes"]):
-        assert oc["ok"]
-        ref = execute_job(spec)  # the single-job backend route
-        got = dict(oc["payload"])
-        got.pop("elapsed_s"), ref.pop("elapsed_s")
-        assert got == ref
-        assert got["backend"] == "numpy_functional"
-        assert got["residual"] < 1e-13
-
-
-def test_execute_jobs_batched_backend_group_fault_ejects_to_scalar():
-    n = 32
-    specs = [
-        JobSpec(driver="ft_gehrd", n=n, seed=s, backend="numpy_functional")
-        for s in range(2)
-    ]
-    specs.append(
-        JobSpec(
-            driver="ft_gehrd", n=n, seed=9, backend="numpy_functional",
-            # iteration 0: n=32/nb=32 is a single blocked iteration, so
-            # this fires mid-run and the scalar ladder must recover it
-            faults=({"iteration": 0, "row": n // 2, "col": n - 2,
-                     "magnitude": 2.0},),
-        )
-    )
-    out = execute_jobs_batched(specs)
-    assert out["ejections"] == 1  # the fault finished on the scalar ladder
-    for oc in out["outcomes"]:
-        assert oc["ok"]
-        assert oc["payload"]["residual"] < 1e-13
-    # the ejected item's scalar re-run reports its own recovery traffic
-    assert out["outcomes"][-1]["payload"]["recoveries"] >= 1

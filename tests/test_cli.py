@@ -19,8 +19,6 @@ class TestParser:
             ["demo", "--n", "96"],
             ["submit", "--jobs", "jobs.jsonl", "--workers", "4"],
             ["serve", "--jobs", "-", "--max-queue", "8", "--cache-mb", "16"],
-            ["cluster", "--jobs", "jobs.jsonl", "--shards", "3",
-             "--chaos-kill-shard", "0", "--chaos-kill-after", "4"],
             ["trace", "--n", "256", "--chrome", "t.json", "--csv", "t.csv"],
         ):
             assert p.parse_args(args).command == args[0]
@@ -151,39 +149,6 @@ class TestSubmitCommand:
             main(["submit", "--jobs", str(jobs)])
 
 
-class TestClusterCommand:
-    def test_cluster_runs_jsonl_batch(self, capsys, tmp_path):
-        import json
-
-        jobs = tmp_path / "jobs.jsonl"
-        lines = []
-        for seed in range(8):
-            lines.append(json.dumps({"driver": "ft_gehrd", "n": 32,
-                                     "seed": seed}))
-        jobs.write_text("\n".join(lines) + "\n")
-        stats_file = tmp_path / "stats.json"
-        assert main(
-            [
-                "cluster", "--jobs", str(jobs), "--shards", "2",
-                "--small-n", "64", "--stats", str(stats_file),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cluster of 2 shards" in out
-        assert "routes: owner=8" in out
-        stats = json.loads(stats_file.read_text())
-        assert stats["jobs"] == 8
-        assert stats["stats"]["router"]["counts"]["done"] == 8
-        assert stats["p99_latency_s"] is not None
-
-    def test_cluster_chaos_kill_index_validated(self, tmp_path):
-        jobs = tmp_path / "jobs.jsonl"
-        jobs.write_text('{"driver": "ft_gehrd", "n": 32, "seed": 0}\n')
-        with pytest.raises(SystemExit, match="not a shard index"):
-            main(["cluster", "--jobs", str(jobs), "--shards", "2",
-                  "--chaos-kill-shard", "5"])
-
-
 class TestCoverageCommand:
     def test_coverage_plain(self, capsys):
         assert main(["coverage", "--n", "64", "--grid", "5"]) == 0
@@ -195,50 +160,3 @@ class TestCoverageCommand:
         out = capsys.readouterr().out
         assert "SILENT CORRUPTION (undetected, result wrong): 0" in out
 
-
-class TestBackendsCommand:
-    def test_backends_lists_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("numpy", "numpy_functional", "jax"):
-            assert name in out
-        assert "in-place" in out and "functional" in out
-
-    def test_backends_respects_env_default(self, capsys, monkeypatch):
-        import repro.backend as B
-
-        monkeypatch.setenv(B.ENV_VAR, "numpy_functional")
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        # exactly one row is marked as the host default
-        marked = [ln for ln in out.splitlines() if "*" in ln]
-        assert len(marked) == 1 and "numpy_functional" in marked[0]
-
-    def test_submit_unavailable_backend_exits_2(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        import repro.backend as B
-
-        # force-unavailable even on hosts where jax IS installed (the
-        # CI backend-smoke runner) so the degradation path always runs
-        monkeypatch.setattr(B, "_DISABLED", {"jax"})
-        jobs = tmp_path / "jobs.jsonl"
-        jobs.write_text(json.dumps({"driver": "ft_gehrd", "n": 32, "seed": 0}) + "\n")
-        assert main(["submit", "--jobs", str(jobs), "--backend", "jax"]) == 2
-        err = capsys.readouterr().err
-        assert "unavailable" in err and "repro[jax]" in err
-
-    def test_submit_runs_on_functional_backend(self, capsys, tmp_path):
-        import json
-
-        jobs = tmp_path / "jobs.jsonl"
-        for seed in (0, 1):
-            with jobs.open("a") as fh:
-                fh.write(json.dumps({"driver": "gehrd", "n": 32, "seed": seed}) + "\n")
-        stats_file = tmp_path / "stats.json"
-        assert main(
-            ["submit", "--jobs", str(jobs), "--backend", "numpy_functional",
-             "--stats", str(stats_file)]
-        ) == 0
-        stats = json.loads(stats_file.read_text())
-        assert stats["jobs"] == 2
