@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg.flops import FlopCounter
 from repro.linalg.orghr import orghr
+from repro.linalg.verify import extract_hessenberg, residual_matrix
 
 
 def orghr_batched(
@@ -47,9 +48,9 @@ def orghr_batched(
 
 def extract_hessenberg_batched(a_packed: np.ndarray) -> np.ndarray:
     """Stacked :func:`~repro.linalg.verify.extract_hessenberg` — zero
-    below the first subdiagonal of every item (exact, so trivially
-    bit-identical)."""
-    return np.triu(a_packed, -1)
+    below the first subdiagonal of every item, per-item F-ordered like
+    the scalar H (exact, so trivially bit-identical)."""
+    return extract_hessenberg(a_packed)
 
 
 def _one_norms(stack: np.ndarray) -> np.ndarray:
@@ -63,12 +64,14 @@ def factorization_residuals_batched(
 ) -> np.ndarray:
     """Per-item Table II residuals ``‖A − Q H Qᵀ‖₁ / (N ‖A‖₁)`` over
     (B, n, n) stacks — the stacked
-    :func:`~repro.linalg.verify.factorization_residual`."""
+    :func:`~repro.linalg.verify.factorization_residual`, through the
+    same :func:`~repro.linalg.verify.residual_matrix`, so ``res[b]``
+    equals the scalar residual of item b."""
     if a.shape != q.shape or a.shape != h.shape:
         raise ShapeError(f"shape mismatch: A {a.shape}, Q {q.shape}, H {h.shape}")
     n = a.shape[1]
     na = _one_norms(a)
-    resid = _one_norms(a - np.matmul(np.matmul(q, h), q.transpose(0, 2, 1)))
+    resid = _one_norms(residual_matrix(a, q, h))
     out = np.zeros(a.shape[0])
     np.divide(resid, n * na, out=out, where=na != 0.0)
     return out

@@ -34,7 +34,7 @@ def larft(
     category: str = "larft",
 ) -> np.ndarray:
     """Form the upper-triangular T of the compact WY form (DLARFT,
-    forward / columnwise).
+    forward / columnwise) by the UT transform.
 
     Parameters
     ----------
@@ -45,43 +45,87 @@ def larft(
     taus:
         Length-k reflector scales ((..., k) for a stack).
 
-    A stack runs each item through the same GEMVs as a 2-D call (stacked
-    ``np.matmul`` dispatches the identical per-item BLAS call), so for
-    per-item F-ordered input ``T[b]`` is byte-identical to
-    ``larft(v[b], taus[b])``. A zero tau leaves its column of T zero:
-    the 2-D call skips it, a stack masks it per item.
+    ``T⁻¹ = diag(1/τ) + striu(VᵀV)`` (Joffrain, Low, Quintana-Ortí and
+    van de Geijn, "Accumulating Householder transformations, revisited",
+    ACM TOMS 2006): one Gram GEMM per block, where the column loop of
+    DLARFT makes k - 1 GEMVs, and one k x k triangular inverse. The
+    inverse is taken by recursive doubling over the triangle's diagonal
+    blocks, as LAPACK 3.12's recursive DLARFT does:
+    ``[[S11, G12], [0, S22]]⁻¹ = [[T11, -T11 G12 T22], [0, T22]]``,
+    starting from the 1 x 1 blocks ``(1/τ)⁻¹ = τ``. k is padded to a
+    power of two with zero taus, and every level is two stacked GEMMs
+    over all its diagonal blocks at once. There is no 1/τ, no pivot
+    and no division: T's diagonal is τ exactly, a zero tau leaves its
+    row and column of T zero, and a non-finite or huge tau gives
+    garbage out, as the loop does, and never an exception. The loop is
+    kept as the oracle :func:`repro.perf.reference.larft_reference`.
+
+    A stack runs each item through the same GEMMs as a 2-D call
+    (stacked ``np.matmul`` dispatches the identical per-item calls), so
+    for per-item F-ordered input ``T[b]`` is byte-identical to
+    ``larft(v[b], taus[b])``.
     """
     m, k = v.shape[-2:]
     if taus.shape != v.shape[:-2] + (k,):
         raise ShapeError(f"larft: taus {taus.shape} does not match V {v.shape}")
-    # per-item F-ordered: one V gets np.zeros((k, k), order="F")
-    t = np.zeros(v.shape[:-2] + (k, k), dtype=v.dtype).swapaxes(-1, -2)
-    live = taus != 0.0
-    t[..., range(k), range(k)] = np.where(live, taus, 0.0)
-    items = math.prod(v.shape[:-2])
-    # counts[i]: how many items have a live reflector i
-    counts = live.reshape(items, k).sum(axis=0).tolist()
-    vt = v.swapaxes(-1, -2)
-    ntaus = -taus[..., None, :]
-    for i in range(1, k):
-        if not counts[i]:
-            continue
-        # T(0:i, i) = T(0:i,0:i) @ (-tau * V(:, 0:i)ᵀ @ V(:, i))
-        col = t[..., :i, :i] @ (ntaus[..., i : i + 1] * (vt[..., :i, :] @ v[..., i : i + 1]))
-        if counts[i] < items:
-            col[~live[..., i]] = 0.0
-        t[..., :i, i : i + 1] = col
-        if counter is not None:
-            counter.add(
-                category, F.batched_flops(counts[i], F.gemv_flops(i, m) + F.trmv_flops(i))
-            )
-    return t
+    lead = v.shape[:-2]
+    kp = 1 << max(k - 1, 0).bit_length()  # k padded to a power of two
+    # T and -VᵀV fill the first kp² entries of buffers kp·(kp + 1) long,
+    # which puts the diagonal blocks of every size one reshape away
+    # (_blocks); only the strict upper blocks of -VᵀV are read
+    tbuf = np.zeros(lead + (kp * (kp + 1),), dtype=v.dtype)
+    gbuf = np.zeros_like(tbuf)
+    t = tbuf[..., : kp * kp].reshape(lead + (kp, kp))
+    g = gbuf[..., : kp * kp].reshape(lead + (kp, kp))
+    np.matmul(v.swapaxes(-1, -2), v, out=g[..., :k, :k])
+    np.negative(g, out=g)
+    diag = np.arange(k)
+    t[..., diag, diag] = taus
+    half = 1
+    while half < kp:
+        tb, gb = _blocks(tbuf, kp, 2 * half), _blocks(gbuf, kp, 2 * half)
+        np.matmul(
+            tb[..., :half, :half] @ gb[..., :half, half:],
+            tb[..., half:, half:],
+            out=tb[..., :half, half:],
+        )
+        half *= 2
+    if counter is not None:
+        # DLARFT's count: the strict upper Gram triangle (k(k-1)/2 dots
+        # of length m) and the triangular T (~k³/3)
+        counter.add(
+            category,
+            F.batched_flops(
+                math.prod(lead), k * (k - 1) * m + (k - 1) * k * (2 * k - 1) // 6
+            ),
+        )
+    return t[..., :k, :k]
+
+
+def _blocks(buf: np.ndarray, kp: int, size: int) -> np.ndarray:
+    """The (size x size) diagonal blocks of the C-ordered (kp, kp)
+    matrix in the first kp² entries of *buf*'s last axis, as one
+    writable view of shape (..., kp // size, size, size). Entry (a, b)
+    of block j sits at ``j·size·(kp + 1) + a·kp + b``, so rows of
+    ``size·(kp + 1)`` entries hold one block each; *buf* holds
+    ``kp·(kp + 1)`` entries for that."""
+    lead = buf.shape[:-1]
+    rows = buf.reshape(lead + (kp // size, size * (kp + 1)))[..., : size * kp]
+    return rows.reshape(lead + (kp // size, size, kp))[..., :size]
 
 
 def block_reflector(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Return the explicit orthogonal factor ``U = I - V T Vᵀ`` (tests only)."""
     m = v.shape[0]
     return np.eye(m) - v @ t @ v.T
+
+
+def _product_like(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in a fresh array laid out like *c* (per item, for a
+    stack). For a column-major C, ``np.matmul`` forms the product
+    transposed, as :meth:`repro.perf.workspace.Workspace.product` does
+    for the drivers, and ``c -= ...`` reads both operands in one order."""
+    return np.matmul(a, b, out=np.empty_like(c))
 
 
 def larfb(
@@ -105,7 +149,9 @@ def larfb(
     fault-tolerant algorithm substitutes the checksum-extended ``Vce``
     here, and the reverse-computation path substitutes the transposed T.
     (..., m, k) stacks of V, T and C apply every item's block through
-    the same per-item GEMMs as a 2-D call (see :func:`larft`).
+    the same per-item GEMMs as a 2-D call (see :func:`larft`). The
+    final product is formed in C's own layout (see :func:`_product_like`),
+    so the fold into C is one unit-stride sweep.
     """
     m, k = v.shape[-2:]
     if t.shape[-2:] != (k, k):
@@ -118,7 +164,7 @@ def larfb(
         n = c.shape[-1]
         w = v.swapaxes(-1, -2) @ c  # k x n
         w = opt @ w                 # k x n
-        c -= v @ w
+        c -= _product_like(c, v, w)
         if counter is not None:
             counter.add(
                 category,
@@ -133,7 +179,7 @@ def larfb(
         rows = c.shape[-2]
         w = c @ v                   # rows x k
         w = w @ opt                 # rows x k
-        c -= w @ v.swapaxes(-1, -2)
+        c -= _product_like(c, w, v.swapaxes(-1, -2))
         if counter is not None:
             counter.add(
                 category,

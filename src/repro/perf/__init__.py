@@ -9,7 +9,7 @@ implementations use on real hardware, transplanted to the NumPy layer:
   that pre-sizes and reuses the V/Y/T/checksum buffers across iterations,
   so no per-iteration allocation survives in the O(n²)-per-iteration path;
 * :mod:`~repro.perf.reference` — the frozen pre-pooling kernels, kept as
-  the golden reference for equivalence tests and before/after benchmarks.
+  the golden reference for the equivalence tests.
 """
 
 from repro.perf.workspace import Workspace, process_workspace

@@ -2,8 +2,8 @@
 
 These are verbatim copies of the panel factorization, the
 checksum-extended updates, the residual decoders, the clean-path
-protection helpers and the Hessenberg Q formation as they stood before
-their rewrites. The kernels
+protection helpers, the Hessenberg Q formation and the compact-WY T as
+they stood before their rewrites. The kernels
 allocate fresh temporaries on every call (``np.tril`` copies,
 ``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
 throughput layer removes; the decoders test one (row, column) pair or
@@ -12,17 +12,17 @@ protection helpers (the input 1-norm, the segment refresh, the Q block,
 the panel checkpoint, the detector's threshold) copy or re-derive on
 every call what the live ones keep in reused buffers or derive once per
 run; ``orghr`` and ``apply_q`` make one rank-1 update per reflector,
-where the live ones apply blocks of reflectors as GEMMs. They serve two
-purposes:
-
-* the equivalence oracle for ``tests/test_kernel_golden.py`` (the pooled
-  kernels must agree to roundoff on every path, including k>1 weighted
-  channels), ``tests/test_location_reference.py`` (the array decoders
-  must return the same errors, bit for bit, or raise the same message),
-  ``tests/test_protection_reference.py`` (the protection helpers
-  must agree byte for byte) and ``tests/test_orghr_blocked.py`` (the
-  blocked Q must agree to ``n·eps``), and
-* the "before" side of ``benchmarks/bench_to_json.py``.
+where the live ones apply blocks of reflectors as GEMMs; ``larft``
+builds T one column at a time, where the live one inverts the UT
+transform's triangle. They serve as the equivalence oracle for
+``tests/test_kernel_golden.py`` (the pooled kernels must agree to
+roundoff on every path, including k>1 weighted channels),
+``tests/test_location_reference.py`` (the array decoders must return
+the same errors, bit for bit, or raise the same message),
+``tests/test_protection_reference.py`` (the protection helpers must
+agree byte for byte), ``tests/test_orghr_blocked.py`` (the blocked Q
+must agree to ``n·eps``) and ``tests/test_larft_ut.py`` (T must agree
+to roundoff).
 
 Do not modify these when optimizing the live kernels; that would defeat
 the comparison.
@@ -562,6 +562,48 @@ def detector_check_reference(
 
 
 # -- the Hessenberg Q ----------------------------------------------------------
+
+
+def larft_reference(
+    v: np.ndarray,
+    taus: np.ndarray,
+    *,
+    counter: FlopCounter | None = None,
+    category: str = "larft",
+) -> np.ndarray:
+    """The column-loop DLARFT (see :func:`repro.linalg.wy.larft`): one
+    GEMV and one TRMV per reflector, forward / columnwise.
+
+    A stack runs each item through the same GEMVs as a 2-D call, so for
+    per-item F-ordered input ``T[b]`` is byte-identical to
+    ``larft_reference(v[b], taus[b])``. A zero tau leaves its column of
+    T zero: the 2-D call skips it, a stack masks it per item.
+    """
+    m, k = v.shape[-2:]
+    if taus.shape != v.shape[:-2] + (k,):
+        raise ShapeError(f"larft: taus {taus.shape} does not match V {v.shape}")
+    # per-item F-ordered: one V gets np.zeros((k, k), order="F")
+    t = np.zeros(v.shape[:-2] + (k, k), dtype=v.dtype).swapaxes(-1, -2)
+    live = taus != 0.0
+    t[..., range(k), range(k)] = np.where(live, taus, 0.0)
+    items = math.prod(v.shape[:-2])
+    # counts[i]: how many items have a live reflector i
+    counts = live.reshape(items, k).sum(axis=0).tolist()
+    vt = v.swapaxes(-1, -2)
+    ntaus = -taus[..., None, :]
+    for i in range(1, k):
+        if not counts[i]:
+            continue
+        # T(0:i, i) = T(0:i,0:i) @ (-tau * V(:, 0:i)ᵀ @ V(:, i))
+        col = t[..., :i, :i] @ (ntaus[..., i : i + 1] * (vt[..., :i, :] @ v[..., i : i + 1]))
+        if counts[i] < items:
+            col[~live[..., i]] = 0.0
+        t[..., :i, i : i + 1] = col
+        if counter is not None:
+            counter.add(
+                category, F.batched_flops(counts[i], F.gemv_flops(i, m) + F.trmv_flops(i))
+            )
+    return t
 
 
 def orghr_reference(

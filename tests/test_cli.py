@@ -95,12 +95,20 @@ class TestTraceCommand:
         doc = json.loads(out_file.read_text())
         assert len(doc["traceEvents"]) > 10
 
-    def test_trace_chrome_and_csv_flags(self, capsys, tmp_path):
+    def test_trace_chrome_and_csv_flags(self, capsys, tmp_path, monkeypatch):
         chrome = tmp_path / "chrome.json"
         csv = tmp_path / "trace.csv"
+        native = tmp_path / "trace.json"
+        # every output goes where the flags say, none into the working directory
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         assert main(
-            ["trace", "--n", "512", "--chrome", str(chrome), "--csv", str(csv)]
+            ["trace", "--n", "512", "--out", str(native),
+             "--chrome", str(chrome), "--csv", str(csv)]
         ) == 0
+        assert list(cwd.iterdir()) == []
+        assert native.exists()
         out = capsys.readouterr().out
         assert str(chrome) in out and str(csv) in out
         import json

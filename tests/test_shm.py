@@ -335,6 +335,37 @@ class TestCampaignTransport:
             assert x.residual == pytest.approx(y.residual)
             assert x.residual == pytest.approx(z.residual)
 
+    @needs_shm
+    def test_shm_primes_workers_with_a_handle_not_the_matrix(self, monkeypatch):
+        """Serialized bytes per trial: the pool's initargs are pickled to
+        every worker once, so the pickle path ships the whole matrix and
+        the shm path a ~100-byte handle (the matrix crosses as one
+        segment memcpy, not a serialization)."""
+        import repro.faults.executor as executor
+
+        class Primed(Exception):
+            pass
+
+        sent = {}
+
+        class CapturePool:
+            def __init__(self, workers, *, initializer, initargs, registry=None):
+                sent[transport] = len(pickle.dumps(initargs))
+                if registry is not None:
+                    registry.unlink_all()
+                raise Primed
+
+        monkeypatch.setattr(executor, "ResilientProcessPool", CapturePool)
+        n, nb = 256, 32
+        a = random_matrix(n, seed=2)
+        tasks = build_fault_grid(n, nb, moments=3, seed=0)
+        for transport in ("pickle", "shm"):
+            with pytest.raises(Primed):
+                run_ft_trials(a, tasks, FTConfig(nb=nb), residual_tol=1e-13,
+                              workers=2, transport=transport)
+        assert sent["pickle"] > a.nbytes
+        assert sent["pickle"] > 100 * sent["shm"]
+
     def test_crash_rebuild_leaves_no_segments(self, tmp_path):
         n, nb = 64, 16
         a = random_matrix(n, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.linalg import gehrd, orghr
 from repro.linalg.verify import (
     eigenvalue_drift,
     extract_hessenberg,
@@ -12,8 +13,14 @@ from repro.linalg.verify import (
     is_hessenberg,
     one_norm,
     orthogonality_residual,
+    residual_matrix,
 )
 from repro.utils.rng import random_matrix
+
+
+def _orthogonal(n: int, seed: int) -> np.ndarray:
+    fac = gehrd(random_matrix(n, seed=seed), nb=32)
+    return orghr(fac.a, fac.taus)
 
 
 class TestOneNorm:
@@ -63,6 +70,55 @@ class TestResiduals:
             factorization_residual(np.eye(3), np.eye(3), np.eye(4))
 
 
+class TestHessenbergAwareResidual:
+    """Q·H skips the rows below H's subdiagonal block by block; a block
+    whose skipped rows hold anything is multiplied in full."""
+
+    N = 131  # off-grid: several column blocks and a ragged last one
+
+    def test_dense_h_is_exact(self):
+        n = self.N
+        q = _orthogonal(n, seed=1)
+        h = random_matrix(n, seed=2)  # dense: nothing below the subdiagonal is zero
+        a = q @ h @ q.T
+        assert factorization_residual(a, q, h) <= 8 * np.finfo(float).eps
+        ref = np.linalg.norm(a - q @ h @ q.T, 1) / (n * np.linalg.norm(a, 1))
+        assert factorization_residual(a, q, h) == pytest.approx(ref, abs=4e-16)
+
+    @pytest.mark.parametrize("row, col", [(2, 0), (130, 0), (70, 40), (130, 128)])
+    def test_one_entry_below_the_subdiagonal_counts(self, row, col):
+        n = self.N
+        q = _orthogonal(n, seed=3)
+        h = np.triu(random_matrix(n, seed=4), -1)
+        a = q @ h @ q.T
+        h[row, col] = 1.0
+        want = np.linalg.norm(a - q @ h @ q.T, 1) / (n * np.linalg.norm(a, 1))
+        assert want > 1e-6  # far above roundoff: dropping the entry would show
+        assert factorization_residual(a, q, h) == pytest.approx(want, rel=1e-12)
+
+    def test_hessenberg_h_matches_the_full_product(self):
+        n = self.N
+        a = random_matrix(n, seed=5)
+        fac = gehrd(a.copy(order="F"), nb=32)
+        q, h = orghr(fac.a, fac.taus), extract_hessenberg(fac.a)
+        r = residual_matrix(a, q, h)
+        assert r.flags.f_contiguous
+        assert np.max(np.abs(r - (a - q @ h @ q.T))) <= 4 * n * np.finfo(float).eps
+
+    def test_stack_items_match_the_scalar_bytes(self):
+        # a mixed stack: Hessenberg items and one dense item, so one
+        # block is skipped for some items and multiplied in full for another
+        n, b = self.N, 3
+        qs = np.stack([_orthogonal(n, seed=10 + i) for i in range(b)])
+        hs = np.stack([np.triu(random_matrix(n, seed=20 + i), -1) for i in range(b)])
+        hs[1] = random_matrix(n, seed=30)
+        a = np.stack([random_matrix(n, seed=40 + i) for i in range(b)])
+        r = residual_matrix(a, qs, hs)
+        for i in range(b):
+            assert r[i].flags.f_contiguous
+            assert r[i].tobytes(order="A") == residual_matrix(a[i], qs[i], hs[i]).tobytes(order="A")
+
+
 class TestHessenbergStructure:
     def test_defect_zero_for_hessenberg(self):
         h = np.triu(random_matrix(12, seed=4), -1)
@@ -85,6 +141,21 @@ class TestHessenbergStructure:
         h = extract_hessenberg(a)
         assert is_hessenberg(h)
         np.testing.assert_array_equal(np.triu(a, -1), h)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_extract_is_one_f_ordered_copy_with_triu_bytes(self, order):
+        a = np.asarray(random_matrix(37, seed=6), order=order)
+        a[5, 0] = -0.0
+        h = extract_hessenberg(a)
+        assert h.flags.f_contiguous and not np.shares_memory(h, a)
+        assert h.tobytes(order="F") == np.triu(a, -1).tobytes(order="F")
+
+    def test_extract_stack_is_per_item_f(self):
+        a = np.stack([random_matrix(9, seed=s) for s in range(3)])
+        h = extract_hessenberg(a)
+        for i in range(3):
+            assert h[i].flags.f_contiguous
+            assert h[i].tobytes(order="F") == np.triu(a[i], -1).tobytes(order="F")
 
 
 class TestEigenvalueDrift:
