@@ -103,8 +103,11 @@ class EncodedMatrix:
         else:
             self.weights = make_weight_block(n, channels, dt)
         self.k = self.weights.shape[0]
-        self.ext = np.zeros((n + self.k, n + self.k), order="F", dtype=dt)
+        # every entry but the scratch corner is written below; the corner
+        # is zeroed so that a kernel whose operand spans it reads numbers
+        self.ext = np.empty((n + self.k, n + self.k), order="F", dtype=dt)
         self.ext[:n, :n] = a
+        self.ext[n:, n:] = 0.0
         self.encode(counter=counter)
 
     # -- views ------------------------------------------------------------

@@ -19,9 +19,8 @@ huge/tiny mixes) plus dense ordinary-mantissa pairs.  On platforms
 where the probe finds any mismatch, only the hypot itself falls back to
 a per-item ``math.hypot`` sweep — beta/tau/denominator stay vectorized
 — so batched-vs-scalar byte parity is preserved either way.  Zero-norm
-items
-take the LAPACK identity branch (``tau = 0``), enforced by masking the
-scaling so no ``0/0`` poisons the batch.
+items take the LAPACK identity branch (``tau = 0``): their scaling
+denominator is one, so no ``0/0`` poisons the batch.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
+from repro.linalg.householder import copy_below_diagonal
 from repro.linalg.lahr2 import PanelFactors
 from repro.perf.workspace import Workspace
 
@@ -113,6 +113,48 @@ class PanelFactorsBatch:
         )
 
 
+def dlarfg_batched(
+    alpha: np.ndarray, x: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked :func:`~repro.linalg.householder.dlarfg`: ``(beta,
+    tau)`` for the B pivots *alpha* over the (B, m) block *x*, with the
+    scaled vectors written to *out* (which may be *x*).
+
+    beta and tau live in the stack dtype: the scalar core derives tau and
+    the scaling denominator from a *weak* Python-float beta against the
+    strong element dtype (NEP 50), i.e. in ``x.dtype``, which is what
+    deriving them from the cast beta does here. An item of zero norm gets
+    the identity, ``beta = alpha`` and ``tau = 0``, and its row is
+    divided by one, which copies it exactly (a zero norm means finite
+    entries).
+    """
+    # per-item sqrt(x . x) — bitwise what np.linalg.norm computes on a
+    # 1-D vector
+    xnorm = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    active = xnorm != 0.0
+    # The scalar core runs hypot/copysign on Python floats (i.e. in
+    # float64) and casts the result once into the lane dtype before
+    # deriving tau and the scaling denominator — reproduced here
+    # operation for operation, so the bytes match B scalar calls
+    # exactly. Only the hypot itself is conditional: np.hypot when the
+    # one-time probe proved bit-parity with math.hypot, otherwise a
+    # per-item math.hypot sweep (hypot(|al|, 0) == |al| exactly, so
+    # running it for inactive items too is harmless — their beta is
+    # alpha).
+    a64 = np.asarray(alpha, dtype=np.float64)
+    x64 = xnorm.astype(np.float64)
+    if hypot_vectorizes_exactly():
+        h64 = np.hypot(a64, x64)
+    else:
+        h64 = np.array([math.hypot(p, q) for p, q in zip(a64.tolist(), x64.tolist())])
+    beta = np.where(active, (-np.copysign(h64, a64)).astype(x.dtype), alpha)
+    tau = np.zeros_like(beta)
+    np.divide(beta - alpha, beta, out=tau, where=active)
+    denom = np.subtract(alpha, beta, out=np.ones_like(beta), where=active)
+    np.divide(x, denom[:, None], out=out)
+    return beta, tau
+
+
 def larfg_batched(
     alpha: np.ndarray,
     x: np.ndarray,
@@ -125,52 +167,14 @@ def larfg_batched(
     *alpha* is the (B,) pivot values, *x* the (B, m) below-pivot block,
     scaled in place to the Householder vectors.  Returns ``(beta, tau)``
     arrays; items with a zero norm get the LAPACK identity reflector
-    (``beta = alpha, tau = 0``) and their *x* row is left untouched.
+    (``beta = alpha, tau = 0``) and their *x* row is left as it was.
     """
     if x.ndim != 2:
         raise ShapeError(f"larfg_batched expects a (B, m) block, got {x.shape}")
     b, m = x.shape
     if counter is not None:
         counter.add(category, F.batched_flops(b, F.larfg_flops(m + 1)))
-    # beta/tau/denom live in the stack dtype so the per-item arithmetic
-    # reproduces the scalar larfg exactly in both lanes: the scalar code
-    # computes tau and the scaling denominator with a *weak* Python-float
-    # beta against the strong element dtype (NEP 50), i.e. in x.dtype —
-    # which is what computing from the cast ``bt_c = beta[i]`` does here.
-    beta = np.empty(b, dtype=x.dtype)
-    tau = np.zeros(b, dtype=x.dtype)
-    if m == 0:
-        beta[:] = alpha
-        return beta, tau
-    # per-item sqrt(x . x) — bitwise what np.linalg.norm computes on a
-    # 1-D vector
-    xnorm = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-    active = xnorm != 0.0
-    denom = np.ones(b, dtype=x.dtype)
-    # Vectorized tail.  The scalar kernel runs hypot/copysign on Python
-    # floats (i.e. in float64) and casts the result once into the lane
-    # dtype before deriving tau and the scaling denominator — reproduced
-    # here operation for operation, so the bytes match B scalar calls
-    # exactly.  Only the hypot itself is conditional: np.hypot when the
-    # one-time probe proved bit-parity with math.hypot, otherwise a
-    # per-item math.hypot sweep (hypot(|al|, 0) == |al| exactly, so
-    # running it for inactive items too is harmless — beta is
-    # overwritten with alpha for those below).
-    a64 = np.asarray(alpha, dtype=np.float64)
-    x64 = xnorm.astype(np.float64)
-    if hypot_vectorizes_exactly():
-        h64 = np.hypot(a64, x64)
-    else:
-        h64 = np.array([math.hypot(p, q) for p, q in zip(a64.tolist(), x64.tolist())])
-    beta[:] = alpha
-    np.copyto(beta, (-np.copysign(h64, a64)).astype(x.dtype), where=active)
-    np.divide(beta - alpha, beta, out=tau, where=active)
-    np.subtract(alpha, beta, out=denom, where=active)
-    if active.all():
-        x /= denom[:, None]
-    else:
-        np.divide(x, denom[:, None], out=x, where=active[:, None])
-    return beta, tau
+    return dlarfg_batched(alpha, x, x)
 
 
 def lahr2_batched(
@@ -212,84 +216,52 @@ def lahr2_batched(
     wj = stack_buf(ws, "blahr2.wj", b, ib, 1, dtype=dt)
     wj2 = stack_buf(ws, "blahr2.wj2", b, ib, 1, dtype=dt)
     v = v_full[:, p + 1 : n, :]
-    # taus/ei are panel-lifetime outputs like v/t/y (the batched drivers
+    v[:, range(ib), range(ib)] = 1.0  # the units; rows above them stay zero
+    # taus are a panel-lifetime output like v/t/y (the batched drivers
     # copy them out right after the panel)
-    taus = ws.buf("blahr2.taus", (b, ib), zero=True, dtype=dt)
-    ei = ws.buf("blahr2.ei", (b,), zero=True, dtype=dt)
+    taus = ws.buf("blahr2.taus", (b, ib), dtype=dt)
+    arows = a[:, p + 1 : n]
+    ya = y[:, p + 1 : n]
 
     for j in range(ib):
         c = p + j  # global column of reflector j
+        bcol = arows[:, :, c : c + 1]
         if j > 0:
+            yprev = ya[:, :, :j]
+            vprev = v[:, :, :j]
+            tprev = t[:, :j, :j]
+            w = wj[:, :j]
+            w2 = wj2[:, :j]
             # (1) right-update contribution to column c
-            np.matmul(y[:, p + 1 : n, :j], v[:, j - 1, :j][:, :, None], out=g)
-            a[:, p + 1 : n, c] -= g[:, :, 0]
-            if counter is not None:
-                counter.add(category, F.batched_flops(b, F.gemv_flops(n - p - 1, j)))
-
-            # (2) left update: two stacked GEMVs against the dense V
-            bcol = a[:, p + 1 : n, c][:, :, None]
-            np.matmul(v[:, :, :j].transpose(0, 2, 1), bcol, out=wj[:, :j])
-            np.matmul(t[:, :j, :j].transpose(0, 2, 1), wj[:, :j], out=wj2[:, :j])
-            np.matmul(v[:, :, :j], wj2[:, :j], out=g)
+            np.matmul(yprev, v[:, j - 1, :j, None], out=g)
             bcol -= g
-            if counter is not None:
-                counter.add(
-                    category,
-                    F.batched_flops(
-                        b,
-                        2 * F.trmv_flops(j)
-                        + 2 * F.gemv_flops(n - p - j - 1, j)
-                        + F.trmv_flops(j),
-                    ),
-                )
-            # restore the subdiagonal entry overwritten by the unit of
-            # reflector j-1
-            a[:, p + j, p + j - 1] = ei
+            # (2) left update: two stacked GEMVs against the dense V
+            np.matmul(vprev.transpose(0, 2, 1), bcol, out=w)
+            np.matmul(tprev.transpose(0, 2, 1), w, out=w2)
+            np.matmul(vprev, w2, out=g)
+            bcol -= g
 
-        # Generate reflector j for every item
-        pivot_row = p + j + 1
-        beta, tau = larfg_batched(
-            a[:, pivot_row, c], a[:, pivot_row + 1 : n, c],
-            counter=counter, category=category,
-        )
-        np.copyto(ei, beta)
-        a[:, pivot_row, c] = 1.0
-
-        vj = a[:, pivot_row:n, c]  # (B, m) full reflector vectors
-        v[:, j:, j] = vj
+        # Generate reflector j for every item: v lands in V's column
+        # below its unit, β in the storage's subdiagonal
+        vj = v[:, j:, j]
+        beta, tau = dlarfg_batched(arows[:, j, c], arows[:, j + 1 :, c], vj[:, 1:])
+        arows[:, j, c] = beta
 
         # Y[:, p+1:n, j] = tau * (A[p+1:n, p+j+1:n] vj - Y[:, :j] (V2^T vj))
-        ycol = y[:, p + 1 : n, j][:, :, None]
-        np.matmul(a[:, p + 1 : n, pivot_row:n], vj[:, :, None], out=ycol)
+        ycol = ya[:, :, j : j + 1]
+        np.matmul(arows[:, :, c + 1 : n], vj[:, :, None], out=ycol)
         if j > 0:
-            np.matmul(v[:, j:, :j].transpose(0, 2, 1), vj[:, :, None], out=wj[:, :j])
-            np.matmul(y[:, p + 1 : n, :j], wj[:, :j], out=g)
+            np.matmul(vprev[:, j:].transpose(0, 2, 1), vj[:, :, None], out=w)
+            np.matmul(yprev, w, out=g)
             ycol -= g
             # T[:j, j] = T[:j,:j] @ (-tau * tcol)
-            np.multiply(wj[:, :j], -tau[:, None, None], out=wj2[:, :j])
-            np.matmul(t[:, :j, :j], wj2[:, :j], out=t[:, :j, j][:, :, None])
+            np.multiply(w, -tau[:, None, None], out=w2)
+            np.matmul(tprev, w2, out=t[:, :j, j : j + 1])
         ycol *= tau[:, None, None]
         t[:, j, j] = tau
-        taus[:, j] = tau
-        if counter is not None:
-            counter.add(
-                category,
-                F.batched_flops(
-                    b,
-                    F.gemv_flops(n - p - 1, n - pivot_row)
-                    + (
-                        F.gemv_flops(n - pivot_row, j)
-                        + F.gemv_flops(n - p - 1, j)
-                        + F.trmv_flops(j)
-                        if j > 0
-                        else 0
-                    )
-                    + F.scal_flops(n - p - 1),
-                ),
-            )
 
-    # restore the subdiagonal entry below the last panel column
-    a[:, p + ib, p + ib - 1] = ei
+    np.copyto(taus, t.diagonal(axis1=1, axis2=2))
+    copy_below_diagonal(arows[:, :, p : p + ib], v)
 
     # top rows of Y: Y_top = (A_top V) T, split exactly as the scalar code
     kk = p + 1
@@ -302,15 +274,7 @@ def lahr2_batched(
     np.matmul(yt, t, out=yt2)
     y[:, 0:kk, :] = yt2
     if counter is not None:
-        counter.add(
-            category,
-            F.batched_flops(
-                b,
-                F.trmm_flops(kk, ib, False)
-                + F.gemm_flops(kk, ib, max(0, n - p - 1 - ib))
-                + F.trmm_flops(kk, ib, False),
-            ),
-        )
+        counter.add(category, F.batched_flops(b, F.lahr2_flops(n, p, ib)))
 
-    return PanelFactorsBatch(p=p, ib=ib, v=v, t=t, y=y, taus=taus, ei=ei,
+    return PanelFactorsBatch(p=p, ib=ib, v=v, t=t, y=y, taus=taus, ei=beta,
                              v_full=v_full)

@@ -27,7 +27,6 @@ curves can be produced at paper-scale N.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
@@ -578,9 +577,11 @@ def ft_gehrd(
     # the phase-aware adversarial injection hook exposes every live FT
     # structure — the encoded matrix, the tau scalars, the Q-protection
     # checksums, the diskless checkpoint buffer and (inside an
-    # iteration) the live V block — to the fault plan
+    # iteration) the live V block — to the fault plan; the in-iteration
+    # hooks get ``live``, re-pointed at each panel's V
     injector = injector if injector is not None else FaultInjector()
     targets = InjectionTargets(em=em, taus=taus, qprot=qprot, checkpoint=store)
+    live = InjectionTargets(em=em, taus=taus, qprot=qprot, checkpoint=store)
 
     recoveries: list[RecoveryEvent] = []
     tau_repairs = 0
@@ -595,7 +596,7 @@ def ft_gehrd(
         pf = lahr2(em.ext, p, ib, n, counter=counter, workspace=ws)
         vce = v_col_checksums(pf, em, counter=counter)
         ychk = y_col_checksums(em, pf, counter=counter)
-        live = dataclasses.replace(targets, panel_v=pf.v)
+        live.panel_v = pf.v
         injector.apply_phase(it, "post_panel", live)
         right_update_encoded(em, pf, vce, ychk, counter=counter, workspace=ws)
         injector.apply_phase(it, "post_right", live)

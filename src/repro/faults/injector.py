@@ -168,7 +168,8 @@ class FaultSpec:
 class InjectionTargets:
     """Live state an injection phase can corrupt.
 
-    Drivers build one per hook call; only the spaces whose targets are
+    A driver may keep one for a whole run (the FT driver re-points
+    ``panel_v`` at each iteration's V); only the spaces whose targets are
     present can be struck (asking for an absent target is a
     :class:`~repro.errors.FaultConfigError` — the plan addressed state
     the driver does not expose at that phase).

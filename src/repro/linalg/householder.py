@@ -8,6 +8,7 @@ makes the in-place blocked algorithm and the checksum bookkeeping work).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -37,6 +38,30 @@ class Reflector(NamedTuple):
     v: np.ndarray
 
 
+def dlarfg(alpha, x: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+    """The arithmetic of LAPACK ``DLARFG``: ``(beta, tau)``, with
+    ``v = x / (alpha - beta)`` written to *out* (which may be *x*).
+
+    *alpha* is a scalar of *x*'s dtype (an element read from the lane
+    array), so tau and the scaling denominator round in that dtype,
+    while beta comes from a float64 ``math.hypot`` and is returned
+    unrounded. *x* must be contiguous: its norm is ``sqrt(x · x)``,
+    which is bitwise what ``np.linalg.norm`` computes for a 1-D vector.
+    A zero norm (an empty, zero or underflowing *x*) gives the identity:
+    ``(alpha, 0)``, with *x* copied to *out* unscaled. The hot-path core
+    of :func:`larfg` and of the panel, which checks nothing and counts
+    nothing.
+    """
+    xnorm = float(np.sqrt(x.dot(x)))
+    if xnorm == 0.0:
+        if out is not x:
+            np.copyto(out, x)
+        return float(alpha), 0.0
+    beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+    np.divide(x, alpha - beta, out=out)
+    return beta, (beta - alpha) / beta
+
+
 def larfg(
     alpha: float,
     x: np.ndarray,
@@ -52,22 +77,31 @@ def larfg(
     """
     if x.ndim != 1:
         raise ShapeError(f"larfg expects a vector, got shape {x.shape}")
-    n = x.size
     if counter is not None:
-        counter.add(category, F.larfg_flops(n + 1))
-    if n == 0:
-        return Reflector(float(alpha), 0.0, x)
-    # sqrt(x . x) over a contiguous operand is bitwise what np.linalg.norm
-    # computes for a 1-D vector (it ravels a strided one into a copy
-    # first); BLAS dot over a strided view sums in another order
+        counter.add(category, F.larfg_flops(x.size + 1))
+    # BLAS dot over a strided view sums in another order than over a
+    # contiguous copy, so the norm reads a copy and the scaling lands in x
     xc = x if x.flags.c_contiguous else x.copy()
-    xnorm = float(np.sqrt(xc.dot(xc)))
-    if xnorm == 0.0:
-        return Reflector(float(alpha), 0.0, x)
-    beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-    tau = (beta - alpha) / beta
-    x /= alpha - beta
+    beta, tau = dlarfg(alpha, xc, x)
     return Reflector(float(beta), float(tau), x)
+
+
+@functools.cache
+def _strictly_lower(k: int) -> np.ndarray:
+    """The k x k strictly-lower mask, built once per width and shared."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def copy_below_diagonal(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy the entries of the (..., m, k) block *src* strictly below its
+    diagonal into *dst* (m ≥ k): where the packed storage keeps the
+    reflector tails under their implicit units. Rows k.. are copied
+    whole, the top k x k square through the cached mask of width k."""
+    k = src.shape[-1]
+    np.copyto(dst[..., :k, :], src[..., :k, :], where=_strictly_lower(k))
+    np.copyto(dst[..., k:, :], src[..., k:, :])
 
 
 def full_vector(refl: Reflector) -> np.ndarray:

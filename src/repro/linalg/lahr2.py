@@ -21,9 +21,17 @@ is two plain GEMVs against it — no ``np.tril`` triangle materializations
 :class:`~repro.perf.workspace.Workspace` arena instead of a fresh
 allocation. V is kept inside a zero-padded buffer spanning *all* rows of
 the storage (``v_full``), so the checksum-extended left update can stack
-``Vce`` under V in rows ``n..n+k-1`` and apply both with one GEMM. The
-per-column loop does only the BLAS work; its flops are charged once per
-call, in closed form (:func:`~repro.linalg.flops.lahr2_flops`).
+``Vce`` under V in rows ``n..n+k-1`` and apply both with one GEMM.
+
+The per-column loop makes only the BLAS calls and elementwise steps
+DLAHR2's data dependencies need: each reflector is divided straight into
+V's column (the units are set once per panel), its β is stored once in
+the subdiagonal, and V's tails reach the storage in one copy after the
+loop (nothing in the panel reads them there). Every call has the
+operands of the per-column form frozen in :mod:`repro.perf.reference`,
+so on F-ordered storage, the layout every driver passes, the outputs
+are the same bytes. Its flops are charged once per call, in closed form
+(:func:`~repro.linalg.flops.lahr2_flops`).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
-from repro.linalg.householder import larfg
+from repro.linalg.householder import copy_below_diagonal, dlarfg
 from repro.perf.workspace import Workspace
 
 
@@ -129,7 +137,7 @@ def lahr2(
     v_full = ws.buf("lahr2.v_full", (rows, ib), zero=True, dtype=dt)
     y = ws.buf("lahr2.y", (n, ib), dtype=dt)
     t = ws.buf("lahr2.t", (ib, ib), zero=True, dtype=dt)
-    taus = ws.vec("lahr2.taus", ib, zero=True, dtype=dt)
+    taus = ws.vec("lahr2.taus", ib, dtype=dt)
     g = ws.vec("lahr2.g", m1, dtype=dt)
     wjs = ws.buf("lahr2.wjs", (ib, 2), dtype=dt)
     # the VᵀvⱼTᵀ projection chain runs through one stacked (ib, 2) block:
@@ -138,10 +146,13 @@ def lahr2(
     wj = wjs[:, 0]
     wj2 = wjs[:, 1]
     v = v_full[p + 1 : n, :]
+    np.fill_diagonal(v, 1.0)  # the units; rows above them stay zero
     # loop-invariant row windows, hoisted out of the per-column hot loop
     arows = a[p + 1 : n]
     ya = y[p + 1 : n]
-    ei = 0.0
+    # the norm needs a contiguous operand (see dlarfg)
+    contiguous = a.strides[0] == a.itemsize
+    matmul = np.matmul
 
     for j in range(ib):
         c = p + j  # global column of reflector j
@@ -154,47 +165,41 @@ def lahr2(
             w = wj[:j]
             w2 = wj2[:j]
             # (1) right-update contribution to column c. The needed V-row
-            # (global row p+j) is row j-1 of the dense block — identical
-            # to the packed storage row, unit entry included (it is still
-            # 1.0 in storage at this point).
-            np.matmul(yprev, v[j - 1, :j], out=g)
+            # (global row p+j) is row j-1 of the dense block.
+            matmul(yprev, v[j - 1, :j], out=g)
             bcol -= g
 
             # (2) left update: apply (I - V Tᵀ Vᵀ) to this column. The
             # dense V (explicit units, explicit zeros) turns the
             # triangular/rectangular split of LAPACK into two GEMVs.
-            np.matmul(vprev.T, bcol, out=w)
-            np.matmul(tprev.T, w, out=w2)
-            np.matmul(vprev, w2, out=g)
+            matmul(vprev.T, bcol, out=w)
+            matmul(tprev.T, w, out=w2)
+            matmul(vprev, w2, out=g)
             bcol -= g
-            # restore the subdiagonal entry overwritten by the unit of
-            # reflector j-1
-            a[p + j, p + j - 1] = ei
 
-        # Generate reflector j annihilating a[p+j+2 : n, c]
-        pivot_row = p + j + 1
-        ei, tau, _ = larfg(bcol[j], bcol[j + 1 :])
-        bcol[j] = 1.0
-
-        vj = bcol[j:]  # full reflector vector (unit entry in place)
-        v[j:, j] = vj  # incremental dense V (rows above j are already zero)
+        # Generate reflector j annihilating a[p+j+2 : n, c]: v lands in
+        # V's column below its unit, β in the storage's subdiagonal, and
+        # the storage takes the tails once, after the loop
+        vj = v[j:, j]
+        x = bcol[j + 1 :]
+        ei, tau = dlarfg(bcol[j], x if contiguous else x.copy(), vj[1:])
+        bcol[j] = ei
 
         # Y[p+1:n, j] = tau_j * ( A[p+1:n, p+j+1:n] @ vj  -  Y[p+1:n, :j] @ (V2ᵀ vj) )
         ycol = ya[:, j]
-        np.matmul(arows[:, pivot_row:n], vj, out=ycol)
+        matmul(arows[:, c + 1 : n], vj, out=ycol)
         if j > 0:
-            np.matmul(vprev[j:].T, vj, out=w)  # tcol
-            np.matmul(yprev, w, out=g)
+            matmul(vprev[j:].T, vj, out=w)  # tcol
+            matmul(yprev, w, out=g)
             ycol -= g
             # T[:j, j] = T[:j,:j] @ (-tau_j * tcol)
             np.multiply(w, -tau, out=w2)
-            np.matmul(tprev, w2, out=t[:j, j])
+            matmul(tprev, w2, out=t[:j, j])
         ycol *= tau
         t[j, j] = tau
-        taus[j] = tau
 
-    # restore the subdiagonal entry below the last panel column
-    a[p + ib, p + ib - 1] = ei
+    np.copyto(taus, t.diagonal())
+    copy_below_diagonal(arows[:, p : p + ib], v)
 
     # Compute Y[0 : p+1, :] — the top rows: Y_top = A_top @ V (split into
     # the unit-lower-trapezoid part and the rectangular remainder), then @ T.

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.linalg.flops import FlopCounter
+from repro.linalg.householder import copy_below_diagonal
 from repro.linalg.wy import larfb, larft
 
 NB = 32
@@ -35,7 +36,7 @@ def packed_v(a_packed: np.ndarray, k0: int, k1: int) -> np.ndarray:
     n = a_packed.shape[-2]
     m, kb = n - k0 - 1, k1 - k0
     v = np.zeros(a_packed.shape[:-2] + (kb, m), dtype=a_packed.dtype).swapaxes(-1, -2)
-    np.copyto(v, a_packed[..., k0 + 1 : n, k0:k1], where=np.tri(m, kb, -1, dtype=bool))
+    copy_below_diagonal(v, a_packed[..., k0 + 1 : n, k0:k1])
     v[..., range(kb), range(kb)] = 1.0
     return v
 

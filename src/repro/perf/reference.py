@@ -3,7 +3,7 @@
 These are verbatim copies of the panel factorization, the
 checksum-extended updates, the residual decoders, the clean-path
 protection helpers, the Hessenberg Q formation and the compact-WY T as
-they stood before their rewrites. The kernels
+they stood before their rewrites. The pre-pooling kernels
 allocate fresh temporaries on every call (``np.tril`` copies,
 ``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
 throughput layer removes; the decoders test one (row, column) pair or
@@ -14,9 +14,15 @@ every call what the live ones keep in reused buffers or derive once per
 run; ``orghr`` and ``apply_q`` make one rank-1 update per reflector,
 where the live ones apply blocks of reflectors as GEMMs; ``larft``
 builds T one column at a time, where the live one inverts the UT
-transform's triangle. They serve as the equivalence oracle for
+transform's triangle; the pooled panel (``lahr2_pooled_reference``,
+with the ``larfg`` and ``larfg_batched`` it called) scales each
+reflector in the storage, copies it into V, writes a unit the next
+column overwrites and goes through a ``Reflector`` per column, where the
+live one divides straight into V and stores the storage block once per
+panel. They serve as the equivalence oracle for
 ``tests/test_kernel_golden.py`` (the pooled kernels must agree to
 roundoff on every path, including k>1 weighted channels),
+``tests/test_panel_oracle.py`` (the panel must agree byte for byte),
 ``tests/test_location_reference.py`` (the array decoders must return
 the same errors, bit for bit, or raise the same message),
 ``tests/test_protection_reference.py`` (the protection helpers must
@@ -42,8 +48,9 @@ from repro.abft.qprotect import QProtector
 from repro.errors import DetectionError, ShapeError, UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
-from repro.linalg.householder import larfg
+from repro.linalg.householder import Reflector, larfg
 from repro.linalg.lahr2 import PanelFactors
+from repro.perf.workspace import Workspace
 from repro.utils.precision import lane_eps
 
 
@@ -665,3 +672,201 @@ def apply_q_reference(
         if counter is not None:
             counter.add(category, 4 * (n - i - 1) * c.shape[1])
     return c
+
+
+# -- the pooled panel ----------------------------------------------------------
+
+
+def larfg_reference(
+    alpha: float,
+    x: np.ndarray,
+    *,
+    counter: FlopCounter | None = None,
+    category: str = "larfg",
+) -> Reflector:
+    """The per-call DLARFG (see :func:`repro.linalg.householder.larfg`)."""
+    if x.ndim != 1:
+        raise ShapeError(f"larfg expects a vector, got shape {x.shape}")
+    n = x.size
+    if counter is not None:
+        counter.add(category, F.larfg_flops(n + 1))
+    if n == 0:
+        return Reflector(float(alpha), 0.0, x)
+    # sqrt(x . x) over a contiguous operand is bitwise what np.linalg.norm
+    # computes for a 1-D vector (it ravels a strided one into a copy
+    # first); BLAS dot over a strided view sums in another order
+    xc = x if x.flags.c_contiguous else x.copy()
+    xnorm = float(np.sqrt(xc.dot(xc)))
+    if xnorm == 0.0:
+        return Reflector(float(alpha), 0.0, x)
+    beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+    tau = (beta - alpha) / beta
+    x /= alpha - beta
+    return Reflector(float(beta), float(tau), x)
+
+
+def lahr2_pooled_reference(
+    a: np.ndarray,
+    p: int,
+    ib: int,
+    n: int,
+    *,
+    counter: FlopCounter | None = None,
+    category: str = "panel",
+    workspace: Workspace | None = None,
+) -> PanelFactors:
+    """The pooled DLAHR2 with a ``larfg`` call per column (see
+    :func:`repro.linalg.lahr2.lahr2`)."""
+    if not (0 <= p and p + ib < n <= min(a.shape)):
+        raise ShapeError(f"invalid panel: p={p}, ib={ib}, n={n}, A shape {a.shape}")
+    if ib < 1:
+        raise ShapeError(f"panel width must be >= 1, got {ib}")
+
+    rows = a.shape[0]
+    m1 = n - p - 1  # rows of the dense V block
+    dt = a.dtype
+    ws = workspace or Workspace()
+    v_full = ws.buf("lahr2.v_full", (rows, ib), zero=True, dtype=dt)
+    y = ws.buf("lahr2.y", (n, ib), dtype=dt)
+    t = ws.buf("lahr2.t", (ib, ib), zero=True, dtype=dt)
+    taus = ws.vec("lahr2.taus", ib, zero=True, dtype=dt)
+    g = ws.vec("lahr2.g", m1, dtype=dt)
+    wjs = ws.buf("lahr2.wjs", (ib, 2), dtype=dt)
+    # the VᵀvⱼTᵀ projection chain runs through one stacked (ib, 2) block:
+    # column 0 holds the raw projection, column 1 the T-scaled result —
+    # a single pooled temporary (each column is a contiguous vector).
+    wj = wjs[:, 0]
+    wj2 = wjs[:, 1]
+    v = v_full[p + 1 : n, :]
+    # loop-invariant row windows, hoisted out of the per-column hot loop
+    arows = a[p + 1 : n]
+    ya = y[p + 1 : n]
+    ei = 0.0
+
+    for j in range(ib):
+        c = p + j  # global column of reflector j
+        bcol = arows[:, c]  # rows p+1..n-1 of column c: the pivot is bcol[j]
+        if j > 0:
+            # the j reflectors so far, shared by both updates and Y/T below
+            yprev = ya[:, :j]
+            vprev = v[:, :j]
+            tprev = t[:j, :j]
+            w = wj[:j]
+            w2 = wj2[:j]
+            # (1) right-update contribution to column c. The needed V-row
+            # (global row p+j) is row j-1 of the dense block — identical
+            # to the packed storage row, unit entry included (it is still
+            # 1.0 in storage at this point).
+            np.matmul(yprev, v[j - 1, :j], out=g)
+            bcol -= g
+
+            # (2) left update: apply (I - V Tᵀ Vᵀ) to this column. The
+            # dense V (explicit units, explicit zeros) turns the
+            # triangular/rectangular split of LAPACK into two GEMVs.
+            np.matmul(vprev.T, bcol, out=w)
+            np.matmul(tprev.T, w, out=w2)
+            np.matmul(vprev, w2, out=g)
+            bcol -= g
+            # restore the subdiagonal entry overwritten by the unit of
+            # reflector j-1
+            a[p + j, p + j - 1] = ei
+
+        # Generate reflector j annihilating a[p+j+2 : n, c]
+        pivot_row = p + j + 1
+        ei, tau, _ = larfg_reference(bcol[j], bcol[j + 1 :])
+        bcol[j] = 1.0
+
+        vj = bcol[j:]  # full reflector vector (unit entry in place)
+        v[j:, j] = vj  # incremental dense V (rows above j are already zero)
+
+        # Y[p+1:n, j] = tau_j * ( A[p+1:n, p+j+1:n] @ vj  -  Y[p+1:n, :j] @ (V2ᵀ vj) )
+        ycol = ya[:, j]
+        np.matmul(arows[:, pivot_row:n], vj, out=ycol)
+        if j > 0:
+            np.matmul(vprev[j:].T, vj, out=w)  # tcol
+            np.matmul(yprev, w, out=g)
+            ycol -= g
+            # T[:j, j] = T[:j,:j] @ (-tau_j * tcol)
+            np.multiply(w, -tau, out=w2)
+            np.matmul(tprev, w2, out=t[:j, j])
+        ycol *= tau
+        t[j, j] = tau
+        taus[j] = tau
+
+    # restore the subdiagonal entry below the last panel column
+    a[p + ib, p + ib - 1] = ei
+
+    # Compute Y[0 : p+1, :] — the top rows: Y_top = A_top @ V (split into
+    # the unit-lower-trapezoid part and the rectangular remainder), then @ T.
+    k = p + 1
+    yt = ws.buf("lahr2.ytop", (k, ib), dtype=dt)
+    yt2 = ws.buf("lahr2.ytop2", (k, ib), dtype=dt)
+    np.matmul(a[0:k, p + 1 : p + 1 + ib], v[:ib, :], out=yt)
+    if n > p + 1 + ib:
+        np.matmul(a[0:k, p + 1 + ib : n], v[ib:, :], out=yt2)
+        yt += yt2
+    np.matmul(yt, t, out=yt2)
+    y[0:k, :] = yt2
+    if counter is not None:
+        counter.add(category, F.lahr2_flops(n, p, ib))
+
+    return PanelFactors(
+        p=p, ib=ib, v=v, t=t, y=y, taus=taus, ei=float(ei), v_full=v_full
+    )
+
+
+def larfg_batched_reference(
+    alpha: np.ndarray,
+    x: np.ndarray,
+    *,
+    counter: FlopCounter | None = None,
+    category: str = "larfg",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked DLARFG that scales *x* in place (see
+    :func:`repro.batch.panel.larfg_batched`)."""
+    from repro.batch.panel import hypot_vectorizes_exactly
+
+    if x.ndim != 2:
+        raise ShapeError(f"larfg_batched expects a (B, m) block, got {x.shape}")
+    b, m = x.shape
+    if counter is not None:
+        counter.add(category, F.batched_flops(b, F.larfg_flops(m + 1)))
+    # beta/tau/denom live in the stack dtype so the per-item arithmetic
+    # reproduces the scalar larfg exactly in both lanes: the scalar code
+    # computes tau and the scaling denominator with a *weak* Python-float
+    # beta against the strong element dtype (NEP 50), i.e. in x.dtype —
+    # which is what computing from the cast ``bt_c = beta[i]`` does here.
+    beta = np.empty(b, dtype=x.dtype)
+    tau = np.zeros(b, dtype=x.dtype)
+    if m == 0:
+        beta[:] = alpha
+        return beta, tau
+    # per-item sqrt(x . x) — bitwise what np.linalg.norm computes on a
+    # 1-D vector
+    xnorm = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    active = xnorm != 0.0
+    denom = np.ones(b, dtype=x.dtype)
+    # Vectorized tail.  The scalar kernel runs hypot/copysign on Python
+    # floats (i.e. in float64) and casts the result once into the lane
+    # dtype before deriving tau and the scaling denominator — reproduced
+    # here operation for operation, so the bytes match B scalar calls
+    # exactly.  Only the hypot itself is conditional: np.hypot when the
+    # one-time probe proved bit-parity with math.hypot, otherwise a
+    # per-item math.hypot sweep (hypot(|al|, 0) == |al| exactly, so
+    # running it for inactive items too is harmless — beta is
+    # overwritten with alpha for those below).
+    a64 = np.asarray(alpha, dtype=np.float64)
+    x64 = xnorm.astype(np.float64)
+    if hypot_vectorizes_exactly():
+        h64 = np.hypot(a64, x64)
+    else:
+        h64 = np.array([math.hypot(p, q) for p, q in zip(a64.tolist(), x64.tolist())])
+    beta[:] = alpha
+    np.copyto(beta, (-np.copysign(h64, a64)).astype(x.dtype), where=active)
+    np.divide(beta - alpha, beta, out=tau, where=active)
+    np.subtract(alpha, beta, out=denom, where=active)
+    if active.all():
+        x /= denom[:, None]
+    else:
+        np.divide(x, denom[:, None], out=x, where=active[:, None])
+    return beta, tau
