@@ -103,7 +103,7 @@ def _phase_breakdown(n: int, nb: int, dtype, *, repeats: int) -> dict:
         ws = Workspace()
         ws.presize(n, nb, em.k, dtype=em.ext.dtype)
         detector = Detector(cfg.threshold, norm_a)
-        for it, (p, ib) in enumerate(plan):
+        for p, ib in plan:
             t0 = time.perf_counter()
             pf = lahr2(em.ext, p, ib, n, workspace=ws)
             t["panel"] += time.perf_counter() - t0
@@ -119,8 +119,7 @@ def _phase_breakdown(n: int, nb: int, dtype, *, repeats: int) -> dict:
             t["left"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             em.refresh_finished_segment(p, ib)
-            if it % cfg.detect_every == 0 or it == len(plan) - 1:
-                detector.check(em)
+            detector.check(em)
             t["checksum"] += time.perf_counter() - t0
         return t
 

@@ -44,13 +44,16 @@ def main() -> None:
     print(f"  checkpoint corruptions caught by guard sums: "
           f"{res.checkpoint_corruptions}, restarts: {res.restarts}")
 
-    # the same storm with the restart backstop disabled fail-stops with a
-    # per-tier account instead of a traceback
+    # a checkpoint strike and a matrix fault inside the same iteration:
+    # tier 1 restores the struck panel, so one channel with the restart
+    # backstop disabled fail-stops with a per-tier account instead of a
+    # traceback
     inj = FaultInjector().add(
-        FaultSpec(iteration=1, row=60, col=70, magnitude=2.0)
-    )
+        FaultSpec(iteration=1, row=20, col=5, magnitude=2.0,
+                  space="checkpoint", phase="post_right")
+    ).add(FaultSpec(iteration=1, row=60, col=70, magnitude=2.0, phase="post_right"))
     try:
-        ft_gehrd(a, FTConfig(nb=nb, detect_every=3, channels=1,
+        ft_gehrd(a, FTConfig(nb=nb, channels=1,
                              ladder=LadderConfig(max_restarts=0)), injector=inj)
     except EscalationExhausted as exc:
         print(f"\nstrict fail-stop mode: {exc.report.summary()}")

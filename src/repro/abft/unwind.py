@@ -15,11 +15,12 @@ needs no checkpoint and no Y (the right inverse uses
 panel's pre-factorization contents reappear under the similarity, so
 the reflector storage can simply be overwritten.
 
-This is what makes recovery possible when detection lags injection
-(``detect_every > 1``): the single-iteration rollback leaves the
-corruption smeared by the intervening transforms, but unwinding past the
-injection point restores a single-element delta the locator can decode
-(the same stop-when-decodable strategy as the FT tridiagonal driver).
+A corruption that entered before the iterations unwound comes back as
+the single-element delta the locator decodes (the same
+stop-when-decodable strategy as the FT tridiagonal driver). The driver
+checks every iteration, so a fault is caught in the iteration it struck:
+unwinding earlier iterations only spreads it, the ladder's deep rollback
+refuses, and the restart tier follows.
 
 Cost: one reverse left + one reverse right update per unwound iteration
 — the same O(N²·nb) as the forward iteration it undoes.

@@ -275,7 +275,6 @@ def ft_gehrd_batched(
         taus_b = np.zeros((len(batch_idx), max(n - 1, 0)), dtype=emb.ext.dtype)
         clones = [_clone(injs[i]) for i in batch_idx]
         active = np.ones(len(batch_idx), dtype=bool)
-        checks_done = 0
 
         for it, (p, ib) in enumerate(plan):
             for j, gi in enumerate(batch_idx):
@@ -293,13 +292,10 @@ def ft_gehrd_batched(
             emb.refresh_finished_segment(p, ib, counter=counter)
             taus_b[:, p : p + ib] = pf.taus
 
-            check_here = (it % config.detect_every == 0) or (it == total - 1)
-            if check_here:
-                checks_done += 1
-                tripped = _detect_batched(emb, config, norms, active, counter)
-                for j in np.flatnonzero(tripped):
-                    active[j] = False
-                    ejected_at[batch_idx[j]] = it
+            tripped = _detect_batched(emb, config, norms, active, counter)
+            for j in np.flatnonzero(tripped):
+                active[j] = False
+                ejected_at[batch_idx[j]] = it
 
         # a fault plan that never tripped the Σ test (area-3 / masked /
         # scheduled past the end) must still finish on the scalar driver
@@ -322,7 +318,7 @@ def ft_gehrd_batched(
                     recoveries=[],
                     q_report=None,
                     detections=0,
-                    checks=checks_done,
+                    checks=total,
                 )
 
     # scalar re-runs: every ejected item restarts from its pristine input

@@ -46,9 +46,6 @@ class FTConfig(HybridConfig):
     max_retries:
         Re-execution budget per iteration before giving up (a genuine
         error storm; the paper assumes one error at a time).
-    detect_every:
-        Run the detector every k iterations (1 = the paper's on-line
-        scheme; larger values are the ablation's trade-off).
     overlap_q_checksums:
         Schedule the Q-checksum GEMVs on the idle CPU under the GPU
         update (paper's trick) instead of on the critical path
@@ -78,7 +75,6 @@ class FTConfig(HybridConfig):
     threshold: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     eps_factor_locate: float = 1.0e3
     max_retries: int = 3
-    detect_every: int = 1
     overlap_q_checksums: bool = True
     channels: int = 1
     audit_every: int = 0

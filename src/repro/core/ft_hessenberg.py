@@ -78,19 +78,21 @@ from repro.perf.workspace import Workspace
 from repro.utils.precision import as_lane_matrix
 
 _MAX_SIMULTANEOUS = 4  # decode plausibility bound (see ft_sytrd)
+#: Largest decoded data-error count tier 0 corrects in place: a lone
+#: element is corrected exactly, while a multi-element pattern is
+#: usually a smear that only looks decodable, which tier 1's exact
+#: reversal handles instead.
+_IN_PLACE_MAX_ERRORS = 1
 
 
-def _planned_detections(
-    injector: FaultInjector | None, n: int, nb: int, detect_every: int
-) -> dict[int, int]:
-    """Order-only runs: ``{detection iteration: earliest fault iteration}``.
+def _planned_detections(injector: FaultInjector | None, n: int, nb: int) -> set[int]:
+    """Order-only runs: the iterations whose detector fires.
 
     A fault in the active (area 1/2) region or in a checksum vector is
-    caught at the first detection point at or after its iteration; area-3
-    faults are only seen by the final Q check. The earliest contributing
-    fault determines how far the deep rollback must unwind.
+    caught by the check that ends its own iteration; area-3 faults are
+    only seen by the final Q check.
     """
-    out: dict[int, int] = {}
+    out: set[int] = set()
     if injector is None:
         return out
     total = len(iteration_plan_cached(n, nb))
@@ -101,11 +103,7 @@ def _planned_detections(
             p = finished_cols_at(f.iteration, n, nb)
             if classify(f.row, f.col, p, n) == AREA_NO_PROPAGATION:
                 continue
-        it = f.iteration
-        while it < total and not (it % detect_every == 0 or it == total - 1):
-            it += 1
-        it = min(it, total - 1)
-        out[it] = min(out.get(it, f.iteration), f.iteration)
+        out.add(f.iteration)
     return out
 
 
@@ -146,10 +144,6 @@ class FTSchedule:
         self.events: list[tuple] = []
         self.faulted = False  # the record holds a fault response
 
-    def checks(self, it: int) -> bool:
-        """Whether the ``detect_every`` policy runs the detector at *it*."""
-        return it % self.config.detect_every == 0 or it == len(self.plan) - 1
-
     def audits(self, it: int) -> bool:
         """Whether the optional full audit runs after iteration *it*."""
         every = self.config.audit_every
@@ -157,7 +151,7 @@ class FTSchedule:
 
     def iteration(self, it: int, *, redo: bool) -> None:
         """One FT iteration's compute (a re-execution when *redo*)."""
-        self.events.append(("iteration", it, redo, self.checks(it)))
+        self.events.append(("iteration", it, redo))
 
     def audit(self, it: int, *, fixed: bool) -> None:
         """The full checksum audit after *it*, and its in-place fix."""
@@ -223,7 +217,7 @@ class _FTPricer:
             )
         ]
 
-    def iteration(self, it: int, redo: bool, checked: bool) -> None:
+    def iteration(self, it: int, redo: bool) -> None:
         rt, n, b = self.rt, self.n, self.b
         p, ib = self.plan[it]
         m = n - p
@@ -296,20 +290,16 @@ class _FTPricer:
             [op_l],
             cat_extra or "abft_maintain",
         )
-        # lines 12–13: detection (two reductions + a scalar readback) —
-        # only scheduled at the iterations the detect_every policy checks
-        if checked:
-            op_detect = rt.submit(
-                f"detect{tag}",
-                "gpu",
-                2 * rt.cost.reduction("gpu", n),
-                [op_refresh, op_crow, op_lrow],
-                "abft_detect",
-            )
-            last = rt.copy_d2h(2 * b, [op_detect], name=f"detect_d2h{tag}",
-                               category="abft_detect")
-        else:
-            last = op_refresh
+        # lines 12–13: detection (two reductions + a scalar readback)
+        op_detect = rt.submit(
+            f"detect{tag}",
+            "gpu",
+            2 * rt.cost.reduction("gpu", n),
+            [op_refresh, op_crow, op_lrow],
+            "abft_detect",
+        )
+        last = rt.copy_d2h(2 * b, [op_detect], name=f"detect_d2h{tag}",
+                           category="abft_detect")
         self.frontier = [last, op_send, op_qchk]
 
     def audit(self, it: int, fixed: bool) -> None:
@@ -332,10 +322,10 @@ class _FTPricer:
                                      category="abft_correct")]
 
     def recovery(self, it: int, unwind_to: int) -> None:
-        """When detection lagged the fault (``unwind_to < it``) the deep
-        rollback re-applies each intervening iteration's block reflector
-        pair — one reverse left + one reverse right update per unwound
-        iteration, the same kernel shapes as the forward pass."""
+        """A deep rollback (``unwind_to < it``) re-applies each unwound
+        iteration's block reflector pair — one reverse left + one reverse
+        right update per iteration, the same kernel shapes as the
+        forward pass."""
         rt, n = self.rt, self.n
         frontier = self.frontier
         for back in range(it, unwind_to - 1, -1):
@@ -419,7 +409,7 @@ def _try_in_place(
     """Ladder tier 0: correct at the *current* state, no rollback.
 
     Only accepts patterns the decoder pins down exactly — at most
-    ``in_place_max_errors`` data elements (checksum-element errors
+    ``_IN_PLACE_MAX_ERRORS`` data elements (checksum-element errors
     are recomputed from data and are always safe to fix in place).
     The attempt is transactional: on any doubt the state is restored
     verbatim and the ladder escalates.
@@ -430,7 +420,7 @@ def _try_in_place(
             em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
         )
         data_errs = [e for e in report.errors if e.kind == "data"]
-        if not report.errors or len(data_errs) > config.ladder.in_place_max_errors:
+        if not report.errors or len(data_errs) > _IN_PLACE_MAX_ERRORS:
             return None
         if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
             # With one channel, a "row checksum" diagnosis is
@@ -455,39 +445,27 @@ def _price_order(n: int, config: FTConfig, injector: FaultInjector | None) -> FT
     """Price Algorithm 3 for an order alone, without data.
 
     The fault plan decides which iterations detect; each detection
-    prices one reverse+redo, or a deep rollback to the earliest fault it
-    covers (the flat pricing model: no in-place, restart or audit fix).
+    prices one reverse+redo of its iteration (the flat pricing model: no
+    in-place, restart or audit fix).
     """
     sched = FTSchedule(n, config)
-    planned = _planned_detections(injector, n, config.nb, config.detect_every)
+    planned = _planned_detections(injector, n, config.nb)
     recoveries: list[RecoveryEvent] = []
-    handled: set[int] = set()
-    retries = 0
-    it = 0
-    while it < len(sched.plan):
-        sched.iteration(it, redo=retries > 0)
-        if it not in planned or it in handled:
-            retries = 0
-            if sched.audits(it):
-                sched.audit(it, fixed=False)
-            it += 1
-            continue
-        retries += 1
-        if retries > config.max_retries:
-            raise ConvergenceError(
-                f"iteration {it}: errors persisted past {config.max_retries} retries"
+    for it, (p, _) in enumerate(sched.plan):
+        sched.iteration(it, redo=False)
+        if it in planned:
+            if config.max_retries < 1:
+                raise ConvergenceError(
+                    f"iteration {it}: errors persisted past {config.max_retries} retries"
+                )
+            sched.recovery(it, unwind_to=it)
+            recoveries.append(
+                RecoveryEvent(iteration=it, p=p, gap=float("nan"), errors=[], retries=1,
+                              tier=TIER_REVERSE_REDO)
             )
-        back_it = planned[it]
-        handled.add(it)
-        sched.recovery(it, unwind_to=back_it)
-        recoveries.append(
-            RecoveryEvent(
-                iteration=it, p=sched.plan[back_it][0], gap=float("nan"), errors=[],
-                retries=retries,
-                tier=TIER_REVERSE_REDO if back_it == it else TIER_DEEP_ROLLBACK,
-            )
-        )
-        it = back_it
+            sched.iteration(it, redo=True)
+        if sched.audits(it):
+            sched.audit(it, fixed=False)
     tl = sched.finish(q_corrected=_has_area3_fault(injector, n, config.nb))
     return FTResult(
         n=n,
@@ -604,7 +582,7 @@ def ft_gehrd(
         em.refresh_finished_segment(p, ib, counter=counter)
         sched.iteration(it, redo=consecutive_recoveries > 0)
 
-        if not (sched.checks(it) and detector.check(em, counter=counter)):
+        if not detector.check(em, counter=counter):
             consecutive_recoveries = 0
             taus[p : p + ib] = pf.taus
             tau_guard.record(taus, p, ib)

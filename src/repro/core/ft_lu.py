@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.abft.encoding import make_weight_block
 from repro.errors import ShapeError, UncorrectableError
-from repro.faults.injector import FaultInjector, InjectionRecord
+from repro.faults.injector import FaultInjector
 from repro.linalg.flops import FlopCounter
 from repro.linalg.getrf import getrf, getrs
 from repro.linalg.verify import one_norm
@@ -90,7 +90,7 @@ def ft_lu_solve(
     piv = np.arange(n)
     for k in range(n):
         if injector is not None:
-            _inject_lu(injector, ext, n, k)
+            injector.apply_to_array(ext, k)
         p = k + int(np.argmax(np.abs(ext[k:n, k])))
         piv[k] = p
         if p != k:
@@ -170,16 +170,3 @@ def ft_lu_solve(
         error_magnitude=m_val,  # sign-corrected above
         counter=counter,
     )
-
-
-def _inject_lu(injector: FaultInjector, ext: np.ndarray, n: int, step: int) -> None:
-    for idx, f in enumerate(injector.faults):
-        if f.iteration != step or idx in injector._fired:
-            continue
-        if f.space != "matrix":
-            continue
-        old = float(ext[f.row, f.col])
-        new = f.corrupt(old)
-        ext[f.row, f.col] = new
-        injector.injected.append(InjectionRecord(spec=f, old_value=old, new_value=new))
-        injector._fired.add(idx)

@@ -31,14 +31,16 @@ class SimOp(NamedTuple):
 
     Immutable once scheduled, so a priced timeline can be shared by
     every run with the same schedule; a named tuple keeps that as cheap
-    to build as a plain record.
+    to build as a plain record. ``deps`` holds the ``index`` of each op
+    it waited on, not the ops, so an op's ``repr`` and ``==`` stay flat
+    instead of walking the dependency graph.
     """
 
     index: int
     name: str
     resource: str
     duration: float
-    deps: tuple["SimOp", ...] = ()
+    deps: tuple[int, ...] = ()
     category: str = ""
     start: float = -1.0
     end: float = -1.0
@@ -80,18 +82,20 @@ class SimEngine:
             raise SimulationError(f"unknown resource {resource!r}")
         if duration < 0:
             raise SimulationError(f"negative duration for {name!r}: {duration}")
-        dep_tuple = tuple(deps)
-        for d in dep_tuple:
+        ready = 0.0
+        dep_index = []
+        for d in deps:
             if not d.scheduled:
                 raise SimulationError(f"dependency {d.name!r} of {name!r} not yet scheduled")
-        ready = max((d.end for d in dep_tuple), default=0.0)
+            ready = max(ready, d.end)
+            dep_index.append(d.index)
         start = max(ready, self._res_free[resource])
         op = SimOp(
             index=len(self.ops),
             name=name,
             resource=resource,
             duration=duration,
-            deps=dep_tuple,
+            deps=tuple(dep_index),
             category=category,
             start=start,
             end=start + duration,

@@ -14,10 +14,13 @@ strategies of increasing cost and decreasing assumptions:
     correct, re-execute.
 ``deep_rollback``
     Unwind completed iterations from packed storage until the residual
-    pattern decodes (detection lagged the fault, or recovery state was
-    itself corrupted). With one checksum channel the first refusal ends
-    it: unwinding keeps the row residual's 2-norm, so a bad row found
-    once stays, and one channel cannot name its column.
+    pattern decodes. The detector checks every iteration, so a fault is
+    caught in the iteration it struck: unwinding earlier iterations
+    only spreads it, and this tier has not recovered a run in the
+    adversarial campaigns; it refuses and the restart tier follows. With
+    one checksum channel the first refusal ends it: unwinding keeps the
+    row residual's 2-norm, so a bad row found once stays, and one
+    channel cannot name its column.
 ``restart``
     Rebuild the entire encoded state from the initial diskless snapshot
     and redo the factorization from iteration 0 — the backstop that
@@ -73,15 +76,9 @@ class LadderConfig:
 
     Attributes
     ----------
-    in_place:
-        Enable the zero-rollback first tier.
-    in_place_max_errors:
-        Largest decoded *data*-error count tier 0 will accept. Keep this
-        at 1: a lone element is corrected exactly, while multi-element
-        patterns are usually a smear that only looks decodable and are
-        better handled by the exact reversal of tier 1.
     max_in_place_total:
-        Across the whole run, how many times tier 0 may be attempted.
+        Across the whole run, how many times tier 0 may be attempted
+        (0 disables the zero-rollback first tier).
     max_deep_steps:
         Per detection, how many completed iterations the deep rollback
         may unwind (``None`` = all the way to iteration 0). It bounds
@@ -94,8 +91,6 @@ class LadderConfig:
         mode, used by the error-storm tests).
     """
 
-    in_place: bool = True
-    in_place_max_errors: int = 1
     max_in_place_total: int = 8
     max_deep_steps: int | None = None
     max_restarts: int = 1
@@ -114,8 +109,6 @@ class LadderConfig:
         converges on "replay everything from the initial snapshot".
         """
         return LadderConfig(
-            in_place=False,
-            in_place_max_errors=self.in_place_max_errors,
             max_in_place_total=0,
             max_deep_steps=None,
             max_restarts=self.max_restarts + 1,
@@ -176,10 +169,7 @@ class ResilienceSupervisor:
 
     def allow(self, tier: str) -> bool:
         if tier == TIER_IN_PLACE:
-            return (
-                self.ladder.in_place
-                and self.attempts.get(tier, 0) < self.ladder.max_in_place_total
-            )
+            return self.attempts.get(tier, 0) < self.ladder.max_in_place_total
         if tier == TIER_RESTART:
             budget = self.ladder.max_restarts if self.max_retries >= 1 else 0
             return self.attempts.get(tier, 0) < budget

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import FTConfig, ft_gehrd
 from repro.errors import SimulationError
+from repro.faults import FaultInjector, FaultSpec
 from repro.hybrid.engine import SimEngine
+from repro.utils.rng import random_matrix
 
 
 class TestScheduling:
@@ -45,6 +48,18 @@ class TestScheduling:
         c = eng.submit("c", "gpu", 1.0, deps=[a])
         d = eng.submit("d", "gpu", 1.0, deps=[b, c])
         assert d.start == 6.0  # waits for the slow CPU branch
+
+    def test_a_faulted_runs_ops_name_their_dependencies_by_index(self):
+        """Each op names its dependencies by index, so ``repr`` and
+        ``==`` of a faulted timeline stay linear in its op count instead
+        of walking the dependency graph."""
+        inj = FaultInjector(faults=[FaultSpec(iteration=1, row=76, col=86, magnitude=2.0,
+                                              phase="post_right")])
+        res = ft_gehrd(random_matrix(96, seed=96), FTConfig(nb=16), injector=inj)
+        assert [r.tier for r in res.recoveries] == ["reverse_redo"]
+        ops = res.timeline.ops
+        assert all(type(d) is int and d < op.index for op in ops for d in op.deps)
+        assert len(repr(ops)) < 300 * len(ops)
 
     def test_barrier_synchronizes(self):
         eng = SimEngine()

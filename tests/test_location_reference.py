@@ -374,22 +374,20 @@ class TestMaskedSums:
 # -- whole recoveries, array decoders vs the references -----------------------
 
 #: Faults that the iteration's own updates smear before the detector sees
-#: them, so tier 0 decodes a smeared pattern; the delayed plan smears over
-#: two iterations and reaches the deep rollback (two channels) or the
-#: restart (one channel).
+#: them, so tier 0 decodes a smeared pattern; the panel_v plan goes on
+#: through the deep rollback to the restart. The delayed plan strikes the
+#: checkpoint, unseen until the recovery restores it: two channels decode
+#: it with its trigger at tier 1, one channel goes on to the restart.
 SMEAR_PLANS = {
-    "post_panel": (1, [dict(iteration=1, row=90, col=100, magnitude=2.0,
-                            phase="post_panel")]),
-    "post_right": (1, [dict(iteration=2, row=100, col=110, magnitude=-3.0,
-                            phase="post_right")]),
-    "panel_v": (1, [dict(iteration=1, row=20, col=5, space="panel_v",
-                         phase="post_panel")]),
-    "delayed": (3, [dict(iteration=1, row=90, col=100, magnitude=2.0)]),
+    "post_panel": [dict(iteration=1, row=90, col=100, magnitude=2.0, phase="post_panel")],
+    "post_right": [dict(iteration=2, row=100, col=110, magnitude=-3.0, phase="post_right")],
+    "panel_v": [dict(iteration=1, row=20, col=5, space="panel_v", phase="post_panel")],
+    "delayed": [dict(iteration=1, row=20, col=5, space="checkpoint", phase="post_right"),
+                dict(iteration=1, row=90, col=100, phase="post_right")],
 }
 
 
 def _run(a, channels, plan, monkeypatch):
-    detect_every, faults = SMEAR_PLANS[plan]
     attempts = []
     record = ResilienceSupervisor.record
 
@@ -399,8 +397,8 @@ def _run(a, channels, plan, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(ResilienceSupervisor, "record", logged)
-        injector = FaultInjector(faults=[FaultSpec(**f) for f in faults])
-        cfg = FTConfig(nb=32, channels=channels, detect_every=detect_every)
+        injector = FaultInjector(faults=[FaultSpec(**f) for f in SMEAR_PLANS[plan]])
+        cfg = FTConfig(nb=32, channels=channels)
         res = ft_gehrd(a, cfg, injector=injector)
     q = res.q_report
     return {

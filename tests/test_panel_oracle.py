@@ -185,12 +185,6 @@ def test_lahr2_batched_matches_oracle_per_item(p, ib, dtype, channels):
 # -- the drivers with the frozen panel patched in --------------------------------
 
 
-def _ops(timeline) -> list[tuple]:
-    """The priced timeline, each op's dependencies by index (an op holds
-    its dependencies themselves, so comparing ops would walk the DAG)."""
-    return [op._replace(deps=tuple(d.index for d in op.deps)) for op in timeline.ops]
-
-
 PLANS = {
     "clean": [],
     # a column-checksum strike, fixed in place
@@ -215,7 +209,7 @@ def _ft_run(a, plan, channels):
         "tiers": [e.tier for e in res.recoveries],
         "counts": (res.detections, res.restarts, res.tau_repairs, res.checks),
         "flops": dict(res.counter.by_category),
-        "timeline": _ops(res.timeline),
+        "timeline": res.timeline.ops,
         "seconds": res.seconds,
     }
 
@@ -245,7 +239,7 @@ def test_gehrd_and_hybrid_identical_with_oracle_panel(dtype, monkeypatch):
         return (
             fac.a.tobytes(), fac.taus.tobytes(), dict(counter.by_category),
             hy.a.tobytes(), hy.taus.tobytes(), dict(hy.counter.by_category),
-            _ops(hy.timeline), hy.seconds,
+            hy.timeline.ops, hy.seconds,
         )
 
     live = run()

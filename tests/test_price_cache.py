@@ -24,12 +24,18 @@ from repro.utils.rng import random_matrix
 
 N, NB = 64, 16
 
+#: a checkpoint strike plus its trigger, and a strike on the live V block:
+#: both restart (the second after two channels' deep rollback refuses)
+CHECKPOINT = (dict(iteration=1, row=20, col=5, space="checkpoint", phase="post_right"),
+              dict(iteration=1, row=40, col=50, phase="post_right"))
+PANEL_V = dict(iteration=1, row=30, col=5, space="panel_v", phase="post_panel")
+
 
 def _rows(tl: Timeline) -> tuple:
     """A timeline as plain values: every op and the makespan."""
     ops = tuple(
         (op.index, op.name, op.resource, op.category, op.start, op.end, op.duration,
-         tuple(d.index for d in op.deps))
+         op.deps)
         for op in tl.ops
     )
     return ops, tl.makespan
@@ -101,8 +107,8 @@ class TestHitsEqualFreshPricing:
     @pytest.mark.parametrize("plan,kwargs", [
         ((dict(iteration=1, row=40, col=50),), {}),  # reverse + redo
         ((dict(iteration=1, row=0, col=30, space="col_checksum"),), {}),  # in place
-        ((dict(iteration=1, row=40, col=50),), {"detect_every": 2}),  # restart
-        ((dict(iteration=1, row=40, col=50),), {"detect_every": 2, "channels": 2}),
+        (CHECKPOINT, {}),  # restart
+        ((PANEL_V,), {"channels": 2}),  # deep rollback, then restart
         ((dict(iteration=2, row=3, col=10),), {"audit_every": 1}),  # audit fix
     ])
     def test_a_faulted_runs_timeline_equals_an_uncached_pricing(
@@ -115,7 +121,7 @@ class TestHitsEqualFreshPricing:
 
     def test_a_faulted_order_only_run_equals_an_uncached_pricing(self, schedules):
         inj = FaultInjector(faults=[FaultSpec(iteration=3, row=200, col=250)])
-        res = ft_gehrd(300, FTConfig(nb=32, detect_every=2), injector=inj)
+        res = ft_gehrd(300, FTConfig(nb=32), injector=inj)
         assert len(res.recoveries) == 1
         assert _rows(res.timeline) == _fresh_ft(schedules[-1])
 
@@ -124,7 +130,6 @@ class TestHitsEqualFreshPricing:
         {"machine": laptop_sim()},
         {"nb": 8},
         {"channels": 2},
-        {"detect_every": 3},
         {"audit_every": 2},
         {"overlap_q_checksums": False},
         {"lane": "float32"},
@@ -163,7 +168,7 @@ class TestFaultedRecordsStayOut:
     @pytest.mark.parametrize("spec,kwargs", [
         (dict(iteration=1, row=40, col=50), {}),  # reverse + redo
         (dict(iteration=1, row=0, col=30, space="col_checksum"), {}),  # in place
-        (dict(iteration=1, row=40, col=50), {"detect_every": 2}),  # restart
+        (PANEL_V, {}),  # restart
         (dict(iteration=2, row=3, col=10), {"audit_every": 1}),  # audit fix
         (dict(iteration=2, row=60, col=2), {}),  # Q correction (area 3)
     ])

@@ -288,19 +288,23 @@ class TestAdversarialSpaces:
         assert res.q_report is not None and res.q_report.count >= 1
 
 
+def _panel_v_strike():
+    """A strike on the live V block: the updates applied a V that tier 1
+    cannot reverse."""
+    return FaultInjector().add(
+        FaultSpec(iteration=1, row=30, col=5, space="panel_v", phase="post_panel")
+    )
+
+
 class TestEscalationOrder:
     def test_ladder_escalates_in_order_and_reports(self):
-        """An undecodable stale smear walks the tiers in order; with the
+        """An undecodable state walks the tiers in order; with the
         restart backstop disabled the run ends in a structured
         FailureReport, not a bare traceback."""
         a0 = random_matrix(128, seed=12)
-        inj = FaultInjector().add(
-            FaultSpec(iteration=1, row=90, col=100, magnitude=2.0)
-        )
-        cfg = FTConfig(nb=32, detect_every=3, channels=1,
-                       ladder=LadderConfig(max_restarts=0))
+        cfg = FTConfig(nb=32, channels=1, ladder=LadderConfig(max_restarts=0))
         with pytest.raises(EscalationExhausted) as ei:
-            ft_gehrd(a0, cfg, injector=inj)
+            ft_gehrd(a0, cfg, injector=_panel_v_strike())
         rep = ei.value.report
         assert isinstance(rep, FailureReport)
         # the attempt log walks the ladder monotonically
@@ -313,13 +317,30 @@ class TestEscalationOrder:
 
     def test_restart_closes_the_same_case(self):
         a0 = random_matrix(128, seed=12)
-        inj = FaultInjector().add(
-            FaultSpec(iteration=1, row=90, col=100, magnitude=2.0)
-        )
-        res = ft_gehrd(a0, FTConfig(nb=32, detect_every=3, channels=1),
-                       injector=inj)
+        res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=_panel_v_strike())
         assert _residual(a0, res) < 1e-12
         assert res.restarts == 1
+        assert [r.tier for r in res.recoveries] == [TIER_RESTART]
+
+
+class TestPaperCadence:
+    """The detector checks every iteration, so a fault struck inside an
+    iteration is reversed and redone in that iteration, and no trial of
+    the grid ends wrong, aborted or in the deep rollback."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_a_mid_iteration_strike_reverses_and_redoes(self, channels):
+        a0 = random_matrix(96, seed=2)
+        inj = FaultInjector().add(FaultSpec(iteration=1, row=20, col=32, phase="post_right"))
+        res = ft_gehrd(a0, FTConfig(nb=16, channels=channels), injector=inj)
+        assert [r.tier for r in res.recoveries] == [TIER_REVERSE_REDO]
+        assert _residual(a0, res) <= 1e-13
+
+    def test_two_channel_grid_is_never_wrong(self):
+        res = run_campaign(random_matrix(96, seed=2), nb=16, adversarial=True,
+                           moments=4, seed=5, config=FTConfig(nb=16, channels=2))
+        counts = res.outcome_counts
+        assert (counts["detected"], counts["aborted"], counts["escalated"]) == (0, 0, 0)
 
 
 class TestOutcomeTaxonomy:

@@ -21,14 +21,15 @@ from repro.perf.workspace import Workspace
 from repro.utils.rng import random_matrix
 
 N, NB = 96, 16
-AREA2 = dict(iteration=1, row=60, col=70)
 
 #: ladder outcome -> (FTConfig kwargs, fault plan)
 LADDER = {
     "in_place": ({}, (dict(iteration=2, row=0, col=50, space="col_checksum"),)),
     "reverse_redo": ({}, (dict(iteration=2, row=60, col=70),)),
-    "deep_rollback": ({"channels": 2, "detect_every": 3}, (AREA2,)),
-    "restart": ({"detect_every": 3}, (AREA2,)),
+    # a struck V block: two channels unwind every finished iteration in
+    # the deep rollback, refuse, and restart
+    "restart": ({"channels": 2},
+                (dict(iteration=2, row=30, col=5, space="panel_v", phase="post_panel"),)),
     "audit": ({"audit_every": 2}, (dict(iteration=3, row=5, col=20),)),
     "q": ({}, (dict(iteration=3, row=70, col=20),)),
     "tau": (

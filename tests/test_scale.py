@@ -44,13 +44,13 @@ class TestMediumScale:
         assert res.q_report.count == 1      # the area-3 hit
 
     def test_deep_rollback_at_scale(self, matrix):
-        """Three iterations of detection latency at N=384."""
+        """A struck V block at N=384: two channels unwind every finished
+        iteration, refuse, and the restart still ends Table-II clean."""
         inj = FaultInjector().add(
-            FaultSpec(iteration=2, row=300, col=310, magnitude=1.0)
+            FaultSpec(iteration=2, row=300, col=5, space="panel_v", phase="post_panel")
         )
-        res = ft_gehrd(
-            matrix, FTConfig(nb=NB, detect_every=4, channels=2), injector=inj
-        )
+        res = ft_gehrd(matrix, FTConfig(nb=NB, channels=2), injector=inj)
+        assert [r.tier for r in res.recoveries] == ["restart"]
         q = orghr(res.a, res.taus)
         h = extract_hessenberg(res.a)
         assert factorization_residual(matrix, q, h) < 1e-13

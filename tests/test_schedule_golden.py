@@ -22,7 +22,10 @@ from repro.utils.rng import random_matrix
 N, NB = 96, 16
 ORDER, ORDER_NB = 1022, 32
 
-AREA2 = dict(iteration=1, row=60, col=70)
+#: a checkpoint strike plus its trigger: tier 1 restores a struck panel,
+#: and one channel cannot decode it, so the run restarts or fail-stops
+CHECKPOINT = (dict(iteration=2, row=20, col=5, space="checkpoint", phase="post_right"),
+              dict(iteration=2, row=60, col=70, phase="post_right"))
 
 #: computing runs: name -> (FTConfig kwargs, fault plan, what the run must show)
 COMPUTING = {
@@ -32,8 +35,7 @@ COMPUTING = {
     "serial_q": ({"overlap_q_checksums": False}, (), "none"),
     "in_place": ({}, (dict(iteration=2, row=0, col=50, space="col_checksum"),), "in_place"),
     "reverse_redo": ({}, (dict(iteration=2, row=60, col=70),), "reverse_redo"),
-    "deep_rollback": ({"channels": 2, "detect_every": 3}, (AREA2,), "deep_rollback"),
-    "restart": ({"detect_every": 3}, (AREA2,), "restart"),
+    "restart": ({}, CHECKPOINT, "restart"),
     "audit_fix": ({"audit_every": 2}, (dict(iteration=3, row=5, col=20),), "audit"),
     "q_correction": ({}, (dict(iteration=3, row=70, col=20),), "q"),
     "tau_repair": (
@@ -42,24 +44,17 @@ COMPUTING = {
          dict(iteration=2, row=60, col=70)),
         "tau",
     ),
-    "exhausted": (
-        {"ladder": LadderConfig(max_restarts=0)},
-        (dict(iteration=2, row=20, col=5, space="checkpoint", phase="post_right"),
-         dict(iteration=2, row=60, col=70, phase="post_right")),
-        "exhausted",
-    ),
+    "exhausted": ({"ladder": LadderConfig(max_restarts=0)}, CHECKPOINT, "exhausted"),
 }
 
-#: order-only runs: name -> (FTConfig kwargs, fault plan)
-ORDER_FAULTS = (
-    dict(iteration=5, row=600, col=700),
-    dict(iteration=11, row=100, col=900),
-    dict(iteration=20, row=900, col=100),
-)
+#: order-only runs: name -> fault plan
 ORDER_ONLY = {
-    "clean": ({}, ()),
-    "faults_detect1": ({"detect_every": 1}, ORDER_FAULTS),
-    "faults_detect3": ({"detect_every": 3}, ORDER_FAULTS),
+    "clean": (),
+    "faults": (
+        dict(iteration=5, row=600, col=700),
+        dict(iteration=11, row=100, col=900),
+        dict(iteration=20, row=900, col=100),
+    ),
 }
 
 #: (op count, repr(seconds), sha256 of the timeline CSV); for the
@@ -106,16 +101,6 @@ PINS = {
         '0.0022795485504620867',
         'befa462fd071bb0417346043b15e648ddafc11526eaaf14f03b00926edcd940f',
     ),
-    'ft/deep_rollback/float64': (
-        138,
-        '0.0034137363358014523',
-        'be7655318845bc763aab314311a71f9fdf5145be94c30fd504e75f9e08388704',
-    ),
-    'ft/deep_rollback/float32': (
-        138,
-        '0.0033893456691347855',
-        '4cd54fca6016103aae8128917cb334e56f70aa106ef57cb93b712d96131cbca8',
-    ),
     'ft/exhausted/float64': (
         'iteration 2: no tier could produce a clean state',
         'escalation exhausted at iteration 2 (no tier could produce a clean state); tier successes/attempts: in_place: 0/1, reverse_redo: 0/1, deep_rollback: 0/1',
@@ -145,14 +130,14 @@ PINS = {
         'd081bad0aa25b894b67959138107876052587c90c7fc1acaa6da015b1ce57549',
     ),
     'ft/restart/float64': (
-        145,
-        '0.003811497173920196',
-        '6222083cbc056ab830ca0174652f14141f1898452b9210adb4da9f3969dcb418',
+        140,
+        '0.0034843866541450687',
+        '50c381a9fa8775af4391703cf8aa30567600a3834423684278c87573c98dc7e0',
     ),
     'ft/restart/float32': (
-        145,
-        '0.003779777173920196',
-        'b0b8fe9db201e7b51183fd9dbf54e95e67ec4f6642046a3f51cad6e667ea9e04',
+        140,
+        '0.0034543573208117365',
+        '013ac82db2936a646281bd17021dac97eed8db664c46bfcc4e4b4a8c43e336ed',
     ),
     'ft/reverse_redo/float64': (
         114,
@@ -189,15 +174,10 @@ PINS = {
         '0.0592971453451803',
         '3924b6ee52694c185b644263d8e438d26d4b62f7cc8c81807292290b84f64cc9',
     ),
-    'ft_order/faults_detect1': (
+    'ft_order/faults': (
         525,
         '0.06486169920845745',
         '4a7f356e5e12162a1a49e38ce19bf6f6f365a6a6523146e41ce4f90db987a5ee',
-    ),
-    'ft_order/faults_detect3': (
-        515,
-        '0.06968679690058965',
-        'a49f0d097eea8357030704edd20081ce29238976c9a44204498a41d5a792a5ab',
     ),
     'hybrid/float64': (
         50,
@@ -257,8 +237,7 @@ def test_ft_gehrd_computing(case, dtype):
 
 @pytest.mark.parametrize("case", sorted(ORDER_ONLY))
 def test_ft_gehrd_order_only(case):
-    kwargs, plan = ORDER_ONLY[case]
-    res = ft_gehrd(ORDER, FTConfig(nb=ORDER_NB, **kwargs), injector=_injector(plan))
+    res = ft_gehrd(ORDER, FTConfig(nb=ORDER_NB), injector=_injector(ORDER_ONLY[case]))
     assert res.a is None
     assert _pin(res) == PINS[f"ft_order/{case}"]
 

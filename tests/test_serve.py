@@ -300,7 +300,6 @@ class TestRetryPolicy:
     def test_stricter_ladder(self):
         cfg = LadderConfig()
         strict = cfg.stricter()
-        assert strict.in_place is False
         assert strict.max_in_place_total == 0
         assert strict.max_deep_steps is None
         assert strict.max_restarts == cfg.max_restarts + 1
@@ -468,7 +467,7 @@ class TestServiceEndToEnd:
         assert res.status == "done"
         assert res.retries == 1
         assert seen_ladders[0] is None
-        assert seen_ladders[1].in_place is False
+        assert seen_ladders[1].max_in_place_total == 0
         assert seen_ladders[1].max_restarts == LadderConfig().max_restarts + 1
 
     def test_fault_config_error_fails_permanently(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for deep rollback: unwinding completed iterations from packed
-storage, and recovery under detection latency (detect_every > 1)."""
+storage, and the tier that runs it, which refuses and hands over to the
+restart when the detector checks every iteration."""
 
 import numpy as np
 import pytest
@@ -179,83 +180,6 @@ class TestRowOnlyLocation:
         )
 
 
-class TestDelayedDetectionRecovery:
-    def _check(self, a0, res):
-        q = orghr(res.a, res.taus)
-        h = extract_hessenberg(res.a)
-        return factorization_residual(a0, q, h)
-
-    def test_one_iteration_latency(self):
-        a0 = random_matrix(128, seed=10)
-        inj = FaultInjector().add(FaultSpec(iteration=1, row=90, col=100, magnitude=2.0))
-        res = ft_gehrd(a0, FTConfig(nb=32, detect_every=3, channels=2), injector=inj)
-        assert self._check(a0, res) < 1e-12
-        assert res.detections == 1
-        e = res.recoveries[0].errors[0]
-        assert (e.row, e.col) == (90, 100)
-
-    def test_two_iteration_latency(self):
-        a0 = random_matrix(128, seed=11)
-        inj = FaultInjector().add(FaultSpec(iteration=1, row=100, col=110, magnitude=1.5))
-        res = ft_gehrd(a0, FTConfig(nb=32, detect_every=4, channels=2), injector=inj)
-        assert self._check(a0, res) < 1e-12
-
-    def test_single_channel_latency_restarts(self):
-        """One channel cannot decode a stale smear — the deep rollback
-        exhausts, and the ladder's restart tier turns what used to be a
-        refusal into a (slow) clean success."""
-        a0 = random_matrix(128, seed=12)
-        inj = FaultInjector().add(FaultSpec(iteration=1, row=90, col=100, magnitude=2.0))
-        res = ft_gehrd(a0, FTConfig(nb=32, detect_every=3, channels=1), injector=inj)
-        assert self._check(a0, res) < 1e-12
-        assert res.restarts == 1
-        assert [r.tier for r in res.recoveries] == ["restart"]
-
-    def test_single_channel_latency_refused_without_restart_budget(self):
-        """With the backstop disabled the old fail-stop contract holds:
-        detected, not decodable, structured refusal (never silent)."""
-        from repro.resilience import EscalationExhausted, LadderConfig
-
-        a0 = random_matrix(128, seed=12)
-        inj = FaultInjector().add(FaultSpec(iteration=1, row=90, col=100, magnitude=2.0))
-        cfg = FTConfig(
-            nb=32, detect_every=3, channels=1, ladder=LadderConfig(max_restarts=0)
-        )
-        with pytest.raises(EscalationExhausted) as ei:
-            ft_gehrd(a0, cfg, injector=inj)
-        report = ei.value.report
-        assert report is not None
-        assert report.attempts.get("reverse_redo", 0) >= 1
-        assert report.attempts.get("deep_rollback", 0) >= 1
-        assert report.attempts.get("restart", 0) == 0
-
-    def test_latency_zero_unaffected(self):
-        """detect_every=1 (the paper's mode) never needs the deep path."""
-        a0 = random_matrix(96, seed=13)
-        inj = FaultInjector().add(FaultSpec(iteration=2, row=70, col=80, magnitude=1.0))
-        res = ft_gehrd(a0, FTConfig(nb=32, detect_every=1, channels=1), injector=inj)
-        assert self._check(a0, res) < 1e-13
-
-    def test_metadata_mode_prices_unwinds(self):
-        """Delayed detection costs more simulated time (redo of the
-        intervening iterations plus the unwind kernels)."""
-        from repro.core import HybridConfig, hybrid_gehrd, overhead_percent
-
-        base = hybrid_gehrd(2046, HybridConfig(nb=32))
-
-        def ovh(de):
-            inj = FaultInjector().add(
-                FaultSpec(iteration=9, row=1000, col=1100, magnitude=1.0)
-            )
-            ft = ft_gehrd(
-                2046, FTConfig(nb=32, detect_every=de, channels=2),
-                injector=inj,
-            )
-            return overhead_percent(ft, base)
-
-        assert ovh(8) > ovh(1)
-
-
 def _checkpoint_plan(it):
     """A checkpoint strike plus its trigger in the same iteration: tier 1
     restores a corrupted panel, so only tiers 2 and 3 are left."""
@@ -265,9 +189,63 @@ def _checkpoint_plan(it):
     ])
 
 
+class TestDelayedDetectionRecovery:
+    """The detector checks every iteration; a checkpoint strike stays
+    latent until the recovery restores it."""
+
+    def _check(self, a0, res):
+        q = orghr(res.a, res.taus)
+        h = extract_hessenberg(res.a)
+        return factorization_residual(a0, q, h)
+
+    def test_single_channel_latency_restarts(self):
+        """One channel cannot decode the restored strike with its
+        trigger: tier 2 refuses, and the ladder's restart tier turns
+        what used to be a refusal into a (slow) clean success."""
+        a0 = random_matrix(128, seed=12)
+        res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=_checkpoint_plan(1))
+        assert self._check(a0, res) < 1e-12
+        assert res.restarts == 1
+        assert [r.tier for r in res.recoveries] == ["restart"]
+
+    def test_single_channel_latency_refused_without_restart_budget(self):
+        """With the backstop disabled the old fail-stop contract holds:
+        detected, not decodable, structured refusal (never silent)."""
+        from repro.resilience import EscalationExhausted
+
+        a0 = random_matrix(128, seed=12)
+        cfg = FTConfig(nb=32, channels=1, ladder=LadderConfig(max_restarts=0))
+        with pytest.raises(EscalationExhausted) as ei:
+            ft_gehrd(a0, cfg, injector=_checkpoint_plan(1))
+        report = ei.value.report
+        assert report is not None
+        assert report.attempts.get("reverse_redo", 0) >= 1
+        assert report.attempts.get("deep_rollback", 0) == 1
+        assert report.attempts.get("restart", 0) == 0
+
+    def test_latency_zero_unaffected(self):
+        """A matrix fault is caught in its own iteration and never needs
+        the deep path."""
+        a0 = random_matrix(96, seed=13)
+        inj = FaultInjector().add(FaultSpec(iteration=2, row=70, col=80, magnitude=1.0))
+        res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=inj)
+        assert [r.tier for r in res.recoveries] == ["reverse_redo"]
+        assert self._check(a0, res) < 1e-13
+
+
+def _panel_v_plan(it):
+    """A strike on the live V block: the updates applied a V that tier 1
+    cannot reverse, so only tiers 2 and 3 are left, at any channel count."""
+    return FaultInjector(faults=[
+        FaultSpec(iteration=it, row=30, col=5, space="panel_v", phase="post_panel"),
+    ])
+
+
 class TestDeepRollbackStops:
     """One channel's deep rollback makes one step per detection; more
-    channels keep unwinding while a deeper state may decode."""
+    channels keep unwinding while a deeper state may decode. The fault
+    was caught in its own iteration, so no deeper state decodes and the
+    restart tier finishes the run."""
 
     @pytest.fixture
     def unwound(self, monkeypatch):
@@ -303,12 +281,10 @@ class TestDeepRollbackStops:
             assert getattr(res.q_report, side).tobytes() == getattr(ref.q_report, side).tobytes()
         assert res.timeline.to_csv() == ref.timeline.to_csv()
 
-    def test_two_channel_lagged_fault_unwinds_to_the_fault(self, unwound):
+    def test_two_channel_unwinds_to_iteration_zero(self, unwound):
         a = random_matrix(96, seed=0)
-        inj = FaultInjector(faults=[FaultSpec(iteration=1, row=60, col=70)])
-        res = ft_gehrd(a, FTConfig(nb=16, channels=2, detect_every=3), injector=inj)
-        assert unwound == [32, 16]
-        assert [(r.iteration, r.tier, r.p) for r in res.recoveries] == [
-            (3, "deep_rollback", 16)]
+        res = ft_gehrd(a, FTConfig(nb=16, channels=2), injector=_panel_v_plan(3))
+        assert unwound == [32, 16, 0]
+        assert [(r.iteration, r.tier) for r in res.recoveries] == [(3, "restart")]
         q = orghr(res.a, res.taus)
-        assert factorization_residual(a, q, extract_hessenberg(res.a)) < 1e-12
+        assert factorization_residual(a, q, extract_hessenberg(res.a)) < 1e-13
