@@ -34,10 +34,7 @@ from repro.errors import (
 from repro.core import (
     FTConfig,
     HybridConfig,
-    ft_gebd2,
     ft_gehrd,
-    ft_geqrf,
-    ft_lu_solve,
     ft_sytrd,
     hybrid_gehrd,
     overhead_percent,
@@ -50,10 +47,7 @@ __all__ = [
     "__version__",
     "FTConfig",
     "HybridConfig",
-    "ft_gebd2",
     "ft_gehrd",
-    "ft_geqrf",
-    "ft_lu_solve",
     "ft_sytrd",
     "hybrid_gehrd",
     "overhead_percent",

@@ -174,7 +174,7 @@ def decode_residuals(dr: np.ndarray, dc: np.ndarray, tol: float) -> list[Located
     ``dc[j]``; a corrupted row-checksum element contributes ``−m`` to
     ``dr[i]`` only). The arrays are consumed (modified in place on a copy
     made by the caller). Shared by the H-matrix locator, the Q protector
-    and the tridiagonal and bidiagonal audits.
+    and the tridiagonal audit.
 
     The magnitude peel works on whole arrays: the (bad rows x bad
     columns) match table is built once with NumPy, in blocks of

@@ -33,16 +33,14 @@ from repro.abft.location import LocatedError, LocationReport, decode_residuals
 #: Columns per block when :meth:`QProtector.fresh_sums` sweeps the region.
 _SWEEP_COLS = 64
 
+#: The first protected subdiagonal: the Hessenberg and tridiagonal
+#: reductions store their reflectors below the first subdiagonal.
+Q_OFFSET = 2
 
-def _q_mask_col(n: int, j: int, offset: int = 2) -> slice:
-    """Rows of column *j* that belong to the protected reflector region.
 
-    *offset* is the first protected subdiagonal: 2 for the Hessenberg /
-    tridiagonal reductions (vectors below the first subdiagonal), 1 for
-    one-sided QR and the bidiagonal column reflectors (below the
-    diagonal).
-    """
-    return slice(j + offset, n)
+def _q_mask_col(n: int, j: int) -> slice:
+    """Rows of column *j* that belong to the protected reflector region."""
+    return slice(j + Q_OFFSET, n)
 
 
 @dataclass
@@ -59,7 +57,6 @@ class QProtector:
 
     n: int
     eps_factor: float = 1.0e3
-    offset: int = 2
     finished_cols: int = 0
     qr_chk: np.ndarray = field(init=False)
     qc_chk: np.ndarray = field(init=False)
@@ -84,7 +81,7 @@ class QProtector:
     def _block(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The protected entries of columns ``[lo, hi)`` as a float64 copy.
 
-        Rows run from ``lo + offset`` down, so column ``lo + c`` owns rows
+        Rows run from ``lo + Q_OFFSET`` down, so column ``lo + c`` owns rows
         ``c ..`` of the block; the strict upper triangle, which is not
         reflector storage, is zeroed. The block is one reused F-ordered
         buffer (valid until the next call): a plain copy, then zeros
@@ -92,7 +89,7 @@ class QProtector:
         in the block's top ``cols`` rows (not ``np.tril``, whose
         ``where()`` crawls over F-ordered input).
         """
-        src = a[lo + self.offset : self.n, lo:hi]
+        src = a[lo + Q_OFFSET : self.n, lo:hi]
         rows, cols = src.shape
         if self._buf.size < rows * cols:
             self._buf = np.empty(rows * cols)
@@ -124,9 +121,9 @@ class QProtector:
             )
         blk = self._block(a, p, p + ib)
         self.qc_chk[p : p + ib] = blk.sum(axis=0)
-        self.qr_chk[p + self.offset : self.n] += blk.sum(axis=1)
+        self.qr_chk[p + Q_OFFSET : self.n] += blk.sum(axis=1)
         if counter is not None:
-            counter.add("abft_qprotect", F.q_segment_flops(self.n, p, ib, self.offset))
+            counter.add("abft_qprotect", F.q_segment_flops(self.n, p, ib, Q_OFFSET))
         self.finished_cols = p + ib
 
     def rollback_panel(self, a: np.ndarray, p: int, ib: int) -> None:
@@ -140,7 +137,7 @@ class QProtector:
                 f"can only roll back the last Q panel (finished={self.finished_cols}, "
                 f"got [{p}, {p + ib}))"
             )
-        self.qr_chk[p + self.offset : self.n] -= self._block(a, p, p + ib).sum(axis=1)
+        self.qr_chk[p + Q_OFFSET : self.n] -= self._block(a, p, p + ib).sum(axis=1)
         self.qc_chk[p : p + ib] = 0.0
         self.finished_cols = p
 
@@ -158,7 +155,7 @@ class QProtector:
             hi = min(lo + _SWEEP_COLS, self.finished_cols)
             blk = self._block(a, lo, hi)
             fc[lo:hi] = blk.sum(axis=0)
-            fr[lo + self.offset :] += blk.sum(axis=1)
+            fr[lo + Q_OFFSET :] += blk.sum(axis=1)
         return fr, fc
 
     def threshold(self, dtype: np.dtype | type = np.float64) -> float:
@@ -194,7 +191,7 @@ class QProtector:
         for e in errors:
             if e.kind == "data":
                 i, j = e.row, e.col
-                rows = _q_mask_col(n, j, self.offset)
+                rows = _q_mask_col(n, j)
                 if not (rows.start <= i < n and 0 <= j < self.finished_cols):
                     raise UncorrectableError(f"Q error index out of range: ({i}, {j})")
                 col = a[rows, j]
@@ -212,12 +209,12 @@ class QProtector:
                 i = e.row
                 total = 0.0
                 for j in range(self.finished_cols):
-                    if i >= j + self.offset:
+                    if i >= j + Q_OFFSET:
                         total += float(a[i, j])
                 self.qr_chk[i] = total
             elif e.kind == "col_checksum":
                 j = e.col
-                rows = _q_mask_col(n, j, self.offset)
+                rows = _q_mask_col(n, j)
                 self.qc_chk[j] = float(np.sum(a[rows, j], dtype=np.float64))
             else:
                 raise UncorrectableError(f"unknown Q error kind {e.kind!r}")

@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nb", type=int, default=32)
     c.add_argument("--moments", type=int, default=4)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--channels", type=int, default=1,
-                   help="checksum channels (2 enables weighted decode)")
+    c.add_argument("--channels", type=int, default=None,
+                   help="checksum channels (2 enables weighted decode; "
+                        "default 2 with --adversarial, else 1)")
     c.add_argument("--dtype", choices=("float64", "float32"), default="float64",
                    help="precision lane for the campaign matrix (float32 "
                         "uses the variance-adaptive V-ABFT threshold)")
@@ -262,7 +263,9 @@ def _cmd_campaign(args) -> str:
     from repro.utils import Table
     from repro.utils.rng import random_matrix
 
-    channels = max(args.channels, 2) if args.adversarial else args.channels
+    channels = args.channels
+    if channels is None:
+        channels = 2 if args.adversarial else 1
     a = random_matrix(args.n, seed=args.seed, dtype=args.dtype)
     res = run_campaign(
         a,

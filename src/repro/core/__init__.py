@@ -6,9 +6,6 @@ from repro.core.results import HybridResult, FTResult, RecoveryEvent, overhead_p
 from repro.core.hybrid_hessenberg import hybrid_gehrd, iteration_plan, schedule_iteration
 from repro.core.ft_hessenberg import ft_gehrd
 from repro.core.ft_tridiag import ft_sytrd, FTTridiagResult
-from repro.core.ft_bidiag import ft_gebd2, FTBidiagResult
-from repro.core.ft_qr import ft_geqrf, FTQRResult
-from repro.core.ft_lu import ft_lu_solve, FTLUResult
 
 __all__ = [
     "HybridConfig",
@@ -23,10 +20,4 @@ __all__ = [
     "ft_gehrd",
     "ft_sytrd",
     "FTTridiagResult",
-    "ft_gebd2",
-    "FTBidiagResult",
-    "ft_geqrf",
-    "FTQRResult",
-    "ft_lu_solve",
-    "FTLUResult",
 ]

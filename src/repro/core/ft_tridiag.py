@@ -302,7 +302,7 @@ def ft_sytrd(
     norm_a = one_norm(a)
     policy = threshold or ThresholdPolicy()
     st = _FTSytrdState(np.asarray(a, dtype=np.float64), norm_a, counter)
-    qprot = QProtector(n, eps_factor=eps_factor_locate, offset=2)
+    qprot = QProtector(n, eps_factor=eps_factor_locate)
 
     recoveries: list[RecoveryEvent] = []
     detections = 0

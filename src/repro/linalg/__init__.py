@@ -19,12 +19,6 @@ from repro.linalg.gehrd import (
 )
 from repro.linalg.orghr import orghr, apply_q
 from repro.linalg.sytd2 import sytd2, tridiagonal_of, orgtr
-from repro.linalg.gebd2 import gebd2, bidiagonal_of, orgbr_q, orgbr_p
-from repro.linalg.bdsqr import bidiagonal_svdvals, svdvals_via_bidiagonal
-from repro.linalg.geqrf import geqr2, geqrf, orgqr, r_of, qr_residual
-from repro.linalg.getrf import getrf, getrs, lu_residual
-from repro.linalg.sytrd import sytrd, latrd
-from repro.linalg.gebrd import gebrd, labrd
 from repro.linalg.verify import (
     factorization_residual,
     orthogonality_residual,
@@ -57,24 +51,6 @@ __all__ = [
     "sytd2",
     "tridiagonal_of",
     "orgtr",
-    "gebd2",
-    "bidiagonal_of",
-    "orgbr_q",
-    "orgbr_p",
-    "bidiagonal_svdvals",
-    "svdvals_via_bidiagonal",
-    "geqr2",
-    "geqrf",
-    "orgqr",
-    "r_of",
-    "qr_residual",
-    "getrf",
-    "getrs",
-    "lu_residual",
-    "sytrd",
-    "latrd",
-    "gebrd",
-    "labrd",
     "factorization_residual",
     "orthogonality_residual",
     "hessenberg_defect",

@@ -36,19 +36,9 @@ def dot_flops(n: int) -> int:
     return max(0, 2 * n - 1)
 
 
-def axpy_flops(n: int) -> int:
-    """Flops for ``y <- a*x + y``."""
-    return 2 * n
-
-
 def scal_flops(n: int) -> int:
     """Flops for ``x <- a*x``."""
     return n
-
-
-def ger_flops(m: int, n: int) -> int:
-    """Flops for the rank-1 update ``A <- A + alpha*x@yT``."""
-    return 2 * m * n
 
 
 def trmm_flops(side_m: int, side_n: int, left: bool) -> int:
@@ -157,11 +147,6 @@ def gehrd_flops(n: int) -> float:
     This is the paper's ``FLOP_orig`` (Section V).
     """
     return 10.0 / 3.0 * n**3
-
-
-def orghr_flops(n: int) -> float:
-    """Flops to form Q explicitly from the reflectors, ~4/3 n^3."""
-    return 4.0 / 3.0 * n**3
 
 
 @dataclass

@@ -44,7 +44,7 @@ from repro.abft.checkpoint import PanelCheckpoint
 from repro.abft.detection import ThresholdPolicy, checksum_second_moment
 from repro.abft.encoding import EncodedMatrix
 from repro.abft.location import LocatedError
-from repro.abft.qprotect import QProtector
+from repro.abft.qprotect import Q_OFFSET, QProtector
 from repro.errors import DetectionError, ShapeError, UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
@@ -485,7 +485,7 @@ class QProtectorReference(QProtector):
     a fresh ``np.zeros`` block and a fresh ``np.tri`` mask per call."""
 
     def _block(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        src = a[lo + self.offset : self.n, lo:hi]
+        src = a[lo + Q_OFFSET : self.n, lo:hi]
         blk = np.zeros(src.shape, order="F")
         # a masked copy, not np.tril: its where() crawls over F-ordered input
         np.copyto(blk, src, where=np.tri(*src.shape, dtype=bool))

@@ -78,6 +78,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "channels=2" in out
 
+    @pytest.mark.parametrize(
+        "flags, channels",
+        [(["--channels", "1"], 1), ([], 2)],
+        ids=["explicit", "default"],
+    )
+    def test_adversarial_campaign_channels(self, flags, channels, capsys, monkeypatch):
+        # an explicit --channels runs that many; only its absence defaults to 2
+        import repro.faults
+
+        seen = []
+        real = repro.faults.run_campaign
+
+        def spy(a, **kw):
+            seen.append(kw["config"].channels)
+            return real(a, **kw)
+
+        monkeypatch.setattr(repro.faults, "run_campaign", spy)
+        argv = ["campaign", "--n", "32", "--nb", "8", "--moments", "1", "--adversarial"]
+        assert main(argv + flags) == 0
+        assert seen == [channels]
+        out = capsys.readouterr().out
+        assert f"channels={channels}," in out
+        assert "aborted=0" in out
+
     def test_demo(self, capsys):
         assert main(["demo", "--n", "96"]) == 0
         out = capsys.readouterr().out

@@ -25,10 +25,6 @@ class TestExamples:
         out = _run("propagation_heatmap.py", capsys)
         assert "pattern" in out
 
-    def test_ft_svd_pipeline(self, capsys):
-        out = _run("ft_svd_pipeline.py", capsys)
-        assert "trustworthy" in out
-
     def test_ft_tridiagonal(self, capsys):
         out = _run("ft_tridiagonal.py", capsys)
         assert "diagonal error" in out

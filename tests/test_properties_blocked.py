@@ -1,28 +1,18 @@
-"""Property-based equivalence of the blocked and unblocked reductions:
-for random (n, nb, seed) the blocked drivers must produce factorizations
-of the same quality and the same canonical band/triangle values."""
+"""Property-based equivalence of the blocked and unblocked Hessenberg
+reductions: for random (n, nb, seed) the blocked driver must produce a
+factorization of the same quality and the same canonical subdiagonal."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import (
-    bidiagonal_of,
     factorization_residual,
-    gebrd,
     gehrd,
-    geqrf,
-    orgbr_p,
-    orgbr_q,
     orghr,
-    orgqr,
-    qr_residual,
-    r_of,
-    sytrd,
     extract_hessenberg,
 )
-from repro.linalg.sytd2 import orgtr, tridiagonal_of
-from repro.utils.rng import MatrixKind, random_matrix
+from repro.utils.rng import random_matrix
 
 SLOW = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -50,50 +40,5 @@ class TestBlockedEquivalence:
         np.testing.assert_allclose(
             np.abs(np.diag(h, -1)),
             np.abs(np.diag(extract_hessenberg(ref), -1)),
-            atol=1e-10 * max(1.0, float(np.max(np.abs(a0)))) * n,
-        )
-
-    @SLOW
-    @given(n=sizes, nb=blocks, seed=seeds)
-    def test_sytrd(self, n, nb, seed):
-        a0 = random_matrix(n, MatrixKind.SYMMETRIC, seed=seed)
-        a = a0.copy(order="F")
-        taus = sytrd(a, nb=nb)
-        t = tridiagonal_of(a)
-        q = orgtr(a, taus)
-        assert factorization_residual(a0, q, t) < 1e-13
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(t)), np.sort(np.linalg.eigvalsh(a0)),
-            atol=1e-10 * max(1.0, float(np.max(np.abs(a0)))) * n,
-        )
-
-    @SLOW
-    @given(n=sizes, nb=blocks, seed=seeds)
-    def test_gebrd(self, n, nb, seed):
-        a0 = random_matrix(n, seed=seed)
-        a = a0.copy(order="F")
-        tq, tp = gebrd(a, nb=nb)
-        b = bidiagonal_of(a)
-        q = orgbr_q(a, tq)
-        p = orgbr_p(a, tp)
-        resid = np.linalg.norm(a0 - q @ b @ p.T, 1) / max(np.linalg.norm(a0, 1), 1e-300)
-        assert resid < 1e-13
-        np.testing.assert_allclose(
-            np.sort(np.linalg.svd(b, compute_uv=False)),
-            np.sort(np.linalg.svd(a0, compute_uv=False)),
-            atol=1e-10 * max(1.0, float(np.max(np.abs(a0)))) * n,
-        )
-
-    @SLOW
-    @given(n=sizes, nb=blocks, seed=seeds)
-    def test_geqrf(self, n, nb, seed):
-        a0 = random_matrix(n, seed=seed)
-        a = a0.copy(order="F")
-        taus = geqrf(a, nb=nb)
-        q = orgqr(a, taus)
-        assert qr_residual(a0, q, r_of(a)) < 1e-13
-        np.testing.assert_allclose(
-            np.sort(np.abs(np.diag(a))),
-            np.sort(np.abs(np.diag(np.linalg.qr(a0, mode="r")))),
             atol=1e-10 * max(1.0, float(np.max(np.abs(a0)))) * n,
         )

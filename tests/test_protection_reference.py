@@ -148,11 +148,10 @@ def _same(qp: QProtector, ref: QProtector) -> None:
 
 
 @pytest.mark.parametrize("dtype", LANES)
-@pytest.mark.parametrize("offset", [1, 2])
-def test_q_block_matches_allocating_block(dtype, offset):
+def test_q_block_matches_allocating_block(dtype):
     n = 70
     a = _reflectors(n, 8, dtype, seed=4)
-    qp, ref = QProtector(n, offset=offset), QProtectorReference(n, offset=offset)
+    qp, ref = QProtector(n), QProtectorReference(n)
     for lo in range(n):
         for width in (1, 5, 8, 64):
             hi = min(lo + width, n)
@@ -164,11 +163,10 @@ def test_q_block_matches_allocating_block(dtype, offset):
 
 
 @pytest.mark.parametrize("dtype", LANES)
-@pytest.mark.parametrize("offset", [1, 2])
-def test_q_update_rollback_and_fresh_sums_match(dtype, offset):
+def test_q_update_rollback_and_fresh_sums_match(dtype):
     n, nb = 150, 16
     a = _reflectors(n, nb, dtype, seed=5)
-    qp, ref = QProtector(n, offset=offset), QProtectorReference(n, offset=offset)
+    qp, ref = QProtector(n), QProtectorReference(n)
     panels = [(p, min(nb, n - 1 - p)) for p in range(0, n - 1, nb)]
     # panels in order, with a rollback of the last two and their redo
     for p, ib in panels[:5]:

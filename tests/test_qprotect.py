@@ -18,14 +18,14 @@ def _factorized(n=48, nb=8, seed=0):
     return a
 
 
-def _per_column_sums(a, n, cols, offset):
+def _per_column_sums(a, n, cols):
     """Q checksums summed one column at a time: column ``j`` owns rows
-    ``j+offset ..`` of the stored reflectors."""
+    ``j+2 ..`` of the stored reflectors."""
     fr, fc = np.zeros(n), np.zeros(n)
     for j in range(cols):
-        col = a[j + offset : n, j].astype(np.float64)
+        col = a[j + 2 : n, j].astype(np.float64)
         fc[j] = col.sum()
-        fr[j + offset : n] += col
+        fr[j + 2 : n] += col
     return fr, fc
 
 
@@ -119,46 +119,35 @@ class TestPerPanelMaintenance:
     drivers pass."""
 
     @staticmethod
-    def _maintain(a, n, panels, offset):
-        qp = QProtector(n, offset=offset)
+    def _maintain(a, n, panels):
+        qp = QProtector(n)
         for p, ib in panels:
             qp.update_for_panel(a, p, ib)
         return qp
 
-    @pytest.mark.parametrize("offset", [1, 2])
-    def test_ragged_last_panel(self, offset):
-        # the last panel is wider than the rows below it: n - p - offset < ib
+    def test_ragged_last_panel(self):
+        # the last panel is wider than the rows below it: n - p - 2 < ib
         n = 40
         a = random_matrix(n, seed=11).copy(order="F")
         panels = [(0, 16), (16, 16), (32, 8)]
-        assert n - 32 - offset < 8
-        qp = self._maintain(a, n, panels, offset)
-        fr, fc = _per_column_sums(a, n, n, offset)
+        assert n - 32 - 2 < 8
+        qp = self._maintain(a, n, panels)
+        fr, fc = _per_column_sums(a, n, n)
         np.testing.assert_allclose(qp.qr_chk, fr, atol=1e-13)
         np.testing.assert_allclose(qp.qc_chk, fc, atol=1e-13)
         got_r, got_c = qp.fresh_sums(a)
         np.testing.assert_allclose(got_r, fr, atol=1e-13)
         np.testing.assert_allclose(got_c, fc, atol=1e-13)
 
-    def test_offset_one_column_reflectors(self):
-        # ft_geqrf and ft_gebd2's column reflectors live below the diagonal
-        n = 33
-        a = random_matrix(n, seed=12).copy(order="F")
-        qp = self._maintain(a, n, [(i, 1) for i in range(n)], offset=1)
-        fr, fc = _per_column_sums(a, n, n, 1)
-        np.testing.assert_allclose(qp.qr_chk, fr, atol=1e-13)
-        np.testing.assert_allclose(qp.qc_chk, fc, atol=1e-13)
-        assert qp.verify(a).count == 0
-
     def test_transposed_c_ordered_view(self):
-        # ft_gebd2 protects its row reflectors through the transpose of
-        # the F-ordered storage, i.e. a C-ordered view
+        # QProtector reads any layout: the transpose of the F-ordered
+        # storage is a C-ordered view
         n = 30
         ext = random_matrix(n, seed=13).copy(order="F")
         at = ext.T
         assert at.flags.c_contiguous and not at.flags.f_contiguous
-        qp = self._maintain(at, n, [(i, 1) for i in range(n - 1)], offset=2)
-        fr, fc = _per_column_sums(at, n, n - 1, 2)
+        qp = self._maintain(at, n, [(i, 1) for i in range(n - 1)])
+        fr, fc = _per_column_sums(at, n, n - 1)
         np.testing.assert_allclose(qp.qr_chk, fr, atol=1e-13)
         np.testing.assert_allclose(qp.qc_chk, fc, atol=1e-13)
         at[20, 4] += 1.0
@@ -168,7 +157,7 @@ class TestPerPanelMaintenance:
     def test_rollback_restores_pre_panel_sums(self):
         n, nb = 48, 8
         a = _factorized(n, nb, seed=14)
-        qp = self._maintain(a, n, [(0, nb), (nb, nb)], offset=2)
+        qp = self._maintain(a, n, [(0, nb), (nb, nb)])
         before_r, before_c = qp.qr_chk.copy(), qp.qc_chk.copy()
         qp.update_for_panel(a, 2 * nb, nb)
         qp.rollback_panel(a, 2 * nb, nb)
@@ -181,8 +170,8 @@ class TestPerPanelMaintenance:
     def test_fp32_storage_sums_in_float64(self):
         n, nb = 40, 8
         a = random_matrix(n, seed=15, dtype=np.float32).copy(order="F")
-        qp = self._maintain(a, n, [(0, nb), (nb, nb)], offset=2)
-        fr, fc = _per_column_sums(a, n, 2 * nb, 2)
+        qp = self._maintain(a, n, [(0, nb), (nb, nb)])
+        fr, fc = _per_column_sums(a, n, 2 * nb)
         assert qp.qr_chk.dtype == np.float64
         np.testing.assert_allclose(qp.qr_chk, fr, atol=1e-13)
         np.testing.assert_allclose(qp.qc_chk, fc, atol=1e-13)

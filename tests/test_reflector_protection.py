@@ -1,22 +1,11 @@
-"""Tests for reflector-storage protection in the extension drivers —
+"""Tests for reflector-storage protection in the tridiagonal extension —
 errors striking the packed Householder vectors (never re-read by the
 factorization, silently corrupting the orthogonal factor) are caught by
 the end-of-run checks, the analogue of the paper's Q protection."""
 
-import numpy as np
-import pytest
-
-from repro.core import ft_gebd2, ft_geqrf, ft_sytrd
+from repro.core import ft_sytrd
 from repro.faults import FaultInjector, FaultSpec
-from repro.linalg import (
-    bidiagonal_of,
-    factorization_residual,
-    orgbr_p,
-    orgbr_q,
-    orgqr,
-    qr_residual,
-    r_of,
-)
+from repro.linalg import factorization_residual
 from repro.linalg.sytd2 import orgtr, tridiagonal_of
 from repro.utils.rng import MatrixKind, random_matrix
 
@@ -42,42 +31,3 @@ class TestTridiagReflectorProtection:
         t = tridiagonal_of(res.a)
         q = orgtr(res.a, res.taus)
         assert factorization_residual(a0, q, t) < 1e-12
-
-
-class TestBidiagReflectorProtection:
-    def test_column_reflector_corruption(self):
-        a0 = random_matrix(64, seed=3)
-        inj = FaultInjector().add(FaultSpec(iteration=30, row=20, col=4, magnitude=0.5))
-        res = ft_gebd2(a0, injector=inj)
-        b = bidiagonal_of(res.a)
-        q = orgbr_q(res.a, res.tau_q)
-        p = orgbr_p(res.a, res.tau_p)
-        resid = np.linalg.norm(a0 - q @ b @ p.T, 1) / np.linalg.norm(a0, 1)
-        assert resid < 1e-12
-
-    def test_row_reflector_corruption(self):
-        """Strike the stored ROW reflector (right of the superdiagonal of
-        a finished row) — covered by the transposed protector."""
-        a0 = random_matrix(64, seed=4)
-        inj = FaultInjector().add(FaultSpec(iteration=30, row=4, col=20, magnitude=0.5))
-        res = ft_gebd2(a0, injector=inj)
-        b = bidiagonal_of(res.a)
-        q = orgbr_q(res.a, res.tau_q)
-        p = orgbr_p(res.a, res.tau_p)
-        resid = np.linalg.norm(a0 - q @ b @ p.T, 1) / np.linalg.norm(a0, 1)
-        assert resid < 1e-12
-
-
-class TestQRReflectorProtection:
-    def test_v_storage_corruption_corrected(self):
-        a0 = random_matrix(96, seed=5)
-        # panel 0's reflectors finish first; strike one during panel 2
-        inj = FaultInjector().add(FaultSpec(iteration=2, row=50, col=3, magnitude=0.5))
-        res = ft_geqrf(a0, nb=32, injector=inj)
-        q = orgqr(res.a, res.taus)
-        assert qr_residual(a0, q, r_of(res.a)) < 1e-12
-
-    def test_no_false_positive_from_protection(self):
-        a0 = random_matrix(96, seed=6)
-        res = ft_geqrf(a0, nb=32)
-        assert res.detections == 0
