@@ -75,10 +75,13 @@ class EncodedMatrix:
     """
 
     # reused scratch of refresh_finished_segment, grown on demand: the
-    # masked panel and the strictly upper triangular mask of its tail
+    # masked panel and the strictly upper triangular mask of its tail;
+    # and of _masked: the masked matrix and the Q region's mask
     # (class defaults, so views built without __init__ have them too)
     _seg: np.ndarray | None = None
     _upper: np.ndarray | None = None
+    _mat: np.ndarray | None = None
+    _qmask: np.ndarray | None = None
 
     def __init__(
         self,
@@ -156,13 +159,20 @@ class EncodedMatrix:
     def _masked(self, finished_cols: int) -> np.ndarray:
         """The mathematical matrix: Q-region of finished columns zeroed.
 
-        One copy of the data and one boolean mask of the region (entries
-        ``(i, j)`` with ``j < finished_cols`` and ``i ≥ j + 2``).
+        A copy of the data into reused C-ordered scratch, the layout
+        ``data.copy()`` returns, so products with it give the same bits;
+        the region (entries ``(i, j)`` with ``j < finished_cols`` and
+        ``i ≥ j + 2``) is zeroed through a cached mask. The next call
+        overwrites the scratch, so callers use the result at once.
         """
         n = self.n
         done = max(0, min(finished_cols, n))
-        m = self.data.copy()
-        m[:, :done][np.tri(n, done, -2, dtype=bool)] = 0.0
+        if self._mat is None:
+            self._mat = np.empty((n, n), dtype=self.ext.dtype)
+            self._qmask = np.tri(n, n, -2, dtype=bool)
+        m = self._mat
+        m[...] = self.data
+        np.copyto(m[:, :done], 0.0, where=self._qmask[:, :done])
         return m
 
     def fresh_sums(

@@ -22,10 +22,12 @@ GEMM reads only item b's slice — so an ejected item's garbage state is
 harmlessly carried to the end of the stacked loop while the remaining
 items complete untouched.
 
-Clean items share one order-only pricing run: a clean ``ft_gehrd`` on
-a matrix schedules exactly the ops ``ft_gehrd(n, config)`` prices (no
-detections, no recovery), so ``seconds``/``timeline`` are identical —
-one order-only :func:`ft_gehrd` call prices the whole batch.
+Clean items share one order-only run's phase record: a clean
+``ft_gehrd`` on a matrix records exactly the phases ``ft_gehrd(n,
+config)`` records (no detections, no recovery), so ``seconds``/
+``timeline`` are identical — one order-only :func:`ft_gehrd` call
+records for the whole batch, and reading any item's timeline prices
+that record once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from repro.core.config import FTConfig
 from repro.core.ft_hessenberg import ft_gehrd
 from repro.core.hybrid_hessenberg import iteration_plan_cached
-from repro.core.results import FTResult
+from repro.core.results import FTResult, PhaseRecord
 from repro.errors import ShapeError
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.linalg.flops import FlopCounter
@@ -93,7 +95,7 @@ class BatchResult:
 
     ``results[i]`` is the per-item :class:`FTResult` (or ``None`` when
     the item's scalar re-run raised — see ``errors``).  Fast-path items
-    carry the shared priced timeline, zero checkpoint traffic and an
+    carry the shared phase ``record``, zero checkpoint traffic and an
     empty per-item flop counter; the batch-level arithmetic is
     accounted once in ``counter`` with B-aware batched counts.
     """
@@ -106,8 +108,14 @@ class BatchResult:
     ejected_at: dict[int, int] = field(default_factory=dict)
     errors: dict[int, BaseException] = field(default_factory=dict)
     counter: FlopCounter = field(default_factory=FlopCounter)
-    seconds: float | None = None
+    #: the fast-path items' shared record (``None`` when no item batched)
+    record: PhaseRecord | None = None
     iterations: int = 0
+
+    @property
+    def seconds(self) -> float | None:
+        """A fast-path item's simulated seconds, priced on read."""
+        return None if self.record is None else self.record.timeline().makespan
 
     @property
     def batch_size(self) -> int:
@@ -253,7 +261,7 @@ def ft_gehrd_batched(
     results: list[FTResult | None] = [None] * b
     errors: dict[int, BaseException] = {}
     ejected_at: dict[int, int] = {}
-    seconds: float | None = None
+    record: PhaseRecord | None = None
 
     safe = [_batch_safe(inj) for inj in injs]
     batch_idx = [i for i in range(b) if safe[i]]
@@ -262,10 +270,9 @@ def ft_gehrd_batched(
             ejected_at[i] = -1  # unbatchable fault plan: scalar from the start
 
     if batch_idx:
-        # one order-only run prices every clean item: a clean run on a
-        # matrix schedules exactly the ops the order-only run prices
-        priced = ft_gehrd(n, config)
-        seconds = priced.seconds
+        # one order-only run records for every clean item: a clean run on
+        # a matrix records exactly the phases the order-only run records
+        record = ft_gehrd(n, config).record
         norms = np.array(
             [one_norm(stack[i]) for i in batch_idx]
         )
@@ -311,8 +318,7 @@ def ft_gehrd_batched(
                     nb=config.nb,
                     a=emb.item(j).data,
                     taus=taus_b[j],
-                    timeline=priced.timeline,
-                    seconds=priced.seconds,
+                    record=record,
                     counter=FlopCounter(),
                     iterations=total,
                     recoveries=[],
@@ -343,6 +349,6 @@ def ft_gehrd_batched(
         ejected_at=ejected_at,
         errors=errors,
         counter=counter,
-        seconds=seconds,
+        record=record,
         iterations=total,
     )

@@ -40,6 +40,18 @@ def _sizes(arg: str) -> list[int]:
     return sizes
 
 
+def _channels(arg: str) -> int:
+    try:
+        k = int(arg)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad channel count {arg!r}") from exc
+    if k < 1:
+        # the encoding needs the unit channel; reject here rather than
+        # as a ShapeError traceback from the campaign's first encode
+        raise argparse.ArgumentTypeError(f"channels must be at least 1, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -83,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nb", type=int, default=32)
     c.add_argument("--moments", type=int, default=4)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--channels", type=int, default=None,
+    c.add_argument("--channels", type=_channels, default=None,
                    help="checksum channels (2 enables weighted decode; "
                         "default 2 with --adversarial, else 1)")
     c.add_argument("--dtype", choices=("float64", "float32"), default="float64",

@@ -18,11 +18,12 @@ Per iteration, on top of the Algorithm-2 structure:
   error corrected.
 
 Given a matrix, the driver computes all of this with NumPy and reports
-each phase to :class:`FTSchedule`, which records it; the record is
-priced on the simulated machine, once per distinct clean record. Given
-only the order N, the driver records the identical schedule (consulting
-the fault plan for which iterations detect) so the Fig. 6 overhead
-curves can be produced at paper-scale N.
+each phase to :class:`FTSchedule`, which records it; the result prices
+the record on the simulated machine when its timeline is first read,
+once per distinct clean record. Given only the order N, the driver
+records the identical schedule (consulting the fault plan for which
+iterations detect) so the Fig. 6 overhead curves can be produced at
+paper-scale N.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.abft.qprotect import QProtector
 from repro.abft.unwind import locate_errors_rowonly, rebuild_col_checksums, unwind_iteration
 from repro.core.config import FTConfig
 from repro.core.hybrid_hessenberg import iteration_plan_cached
-from repro.core.results import FTResult, RecoveryEvent
+from repro.core.results import FTResult, PhaseRecord, RecoveryEvent
 from repro.errors import (
     ConvergenceError,
     EscalationExhausted,
@@ -69,7 +70,7 @@ from repro.resilience import (
     TauGuard,
 )
 from repro.hybrid.engine import SimOp
-from repro.hybrid.runtime import PRICES, HybridRuntime
+from repro.hybrid.runtime import HybridRuntime
 from repro.hybrid.trace import Timeline
 from repro.linalg.flops import FlopCounter
 from repro.linalg.lahr2 import lahr2
@@ -120,18 +121,18 @@ def _has_area3_fault(injector: FaultInjector | None, n: int, nb: int) -> bool:
 
 
 class FTSchedule:
-    """Algorithm 3's phase record, priced once per distinct record.
+    """Algorithm 3's phase record.
 
     The driver computes each phase first and then reports it here, one
     method per phase event. The schedule only records the events; at
     :meth:`finish` the record, with n, the lane itemsize and the config
-    fields the pricing reads, keys the shared price cache
-    (:data:`~repro.hybrid.runtime.PRICES`). A record the cache has not
-    seen is priced by :func:`price_ft_record`; every later run with the
-    same record gets the same read-only timeline. A record with a fault
-    response in it (a fix, a rollback, a restart or a Q correction)
-    almost never repeats, so it is priced uncached rather than evict
-    the clean records later runs reuse.
+    fields the pricing reads, is frozen into a
+    :class:`~repro.core.results.PhaseRecord` keyed for the shared price
+    cache (:data:`~repro.hybrid.runtime.PRICES`), which the result
+    prices by :func:`price_ft_record` when its timeline is first read.
+    A record with a fault response in it (a fix, a rollback, a restart
+    or a Q correction) almost never repeats, so it is priced uncached
+    rather than evict the clean records later runs reuse.
     """
 
     def __init__(self, n: int, config: FTConfig, elem_bytes: int = 8):
@@ -181,14 +182,12 @@ class FTSchedule:
         return (self.n, self.elem_bytes, cfg.machine, cfg.nb, cfg.channels,
                 cfg.overlap_q_checksums, tuple(self.events))
 
-    def finish(self, *, q_corrected: bool) -> Timeline:
-        """The end-of-run Q check (and fix), then the record's timeline."""
+    def finish(self, *, q_corrected: bool) -> PhaseRecord:
+        """The end-of-run Q check (and fix), then the record, frozen now
+        because the config is mutable and the record is priced later."""
         self.events.append(("finish", q_corrected))
         self.faulted |= q_corrected
-        key = self.key()
-        if self.faulted:
-            return price_ft_record(*key)
-        return PRICES.timeline(("ft",) + key, lambda: price_ft_record(*key))
+        return PhaseRecord(("ft",) + self.key(), price_ft_record, self.faulted)
 
 
 class _FTPricer:
@@ -411,34 +410,38 @@ def _try_in_place(
     Only accepts patterns the decoder pins down exactly — at most
     ``_IN_PLACE_MAX_ERRORS`` data elements (checksum-element errors
     are recomputed from data and are always safe to fix in place).
-    The attempt is transactional: on any doubt the state is restored
-    verbatim and the ladder escalates.
+    A refusal writes nothing, so the state is snapshotted only for a
+    fix it accepts; a fix that does not clean the state is undone
+    verbatim, and the ladder escalates.
     """
-    snapshot = em.ext.copy()
     try:
         report = locate_errors(
             em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
         )
-        data_errs = [e for e in report.errors if e.kind == "data"]
-        if not report.errors or len(data_errs) > _IN_PLACE_MAX_ERRORS:
-            return None
-        if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
-            # With one channel, a "row checksum" diagnosis is
-            # untrustworthy at the current state: a data error in a
-            # just-finished panel column looks identical, because the
-            # panel factorization recomputed that column's checksum
-            # over the corrupted data. Tier 1's restore brings back
-            # the save-time column checksums, which disambiguate.
-            return None
+    except UncorrectableError:
+        return None
+    data_errs = [e for e in report.errors if e.kind == "data"]
+    if not report.errors or len(data_errs) > _IN_PLACE_MAX_ERRORS:
+        return None
+    if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
+        # With one channel, a "row checksum" diagnosis is
+        # untrustworthy at the current state: a data error in a
+        # just-finished panel column looks identical, because the
+        # panel factorization recomputed that column's checksum
+        # over the corrupted data. Tier 1's restore brings back
+        # the save-time column checksums, which disambiguate.
+        return None
+    snapshot = em.ext.copy(order="F")
+    try:
         correct_all(em, report.errors, finished, counter=counter)
         if locate_errors(
             em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
         ).errors:
             raise UncorrectableError("in-place correction did not clean the state")
-        return report.errors
     except UncorrectableError:
         em.ext[:, :] = snapshot
         return None
+    return report.errors
 
 
 def _price_order(n: int, config: FTConfig, injector: FaultInjector | None) -> FTResult:
@@ -466,14 +469,12 @@ def _price_order(n: int, config: FTConfig, injector: FaultInjector | None) -> FT
             sched.iteration(it, redo=True)
         if sched.audits(it):
             sched.audit(it, fixed=False)
-    tl = sched.finish(q_corrected=_has_area3_fault(injector, n, config.nb))
     return FTResult(
         n=n,
         nb=config.nb,
         a=None,
         taus=None,
-        timeline=tl,
-        seconds=tl.makespan,
+        record=sched.finish(q_corrected=_has_area3_fault(injector, n, config.nb)),
         iterations=len(sched.plan),
         recoveries=recoveries,
         detections=len(planned),
@@ -749,15 +750,13 @@ def ft_gehrd(
     # shadow once, at the end, like the Q checksums below
     tau_repairs += len(tau_guard.verify_and_repair(taus))
     q_report = qprot.verify_and_correct(em.data, counter=counter)
-    tl = sched.finish(q_corrected=bool(q_report.errors))
 
     return FTResult(
         n=n,
         nb=config.nb,
         a=em.data,
         taus=taus,
-        timeline=tl,
-        seconds=tl.makespan,
+        record=sched.finish(q_corrected=bool(q_report.errors)),
         counter=counter,
         iterations=total_iters,
         recoveries=recoveries,

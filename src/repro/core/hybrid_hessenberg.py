@@ -9,10 +9,11 @@ with the G update (the two red lines of Algorithm 2).
 Given a matrix, the driver runs the numerically identical LAPACK-style
 kernels of :mod:`repro.linalg`; given only the order N, it runs none.
 Either way its phase record is the iteration plan, a function of
-(n, nb) alone, so the simulated machine prices the schedule once per
-(n, nb, machine, lane itemsize) and shares that timeline (the price
-cache, :data:`~repro.hybrid.runtime.PRICES`). Order-only runs reach
-paper-scale N.
+(n, nb) alone, so the record is its price-cache key (n, lane itemsize,
+machine, nb): the simulated machine prices the schedule once per key,
+when a result's timeline is first read, and shares that timeline (the
+price cache, :data:`~repro.hybrid.runtime.PRICES`). Order-only runs
+reach paper-scale N.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.config import HybridConfig
-from repro.core.results import HybridResult
+from repro.core.results import HybridResult, PhaseRecord
 from repro.errors import ShapeError
 from repro.faults.injector import FaultInjector
 from repro.hybrid.engine import SimOp
-from repro.hybrid.runtime import PRICES, HybridRuntime
+from repro.hybrid.runtime import HybridRuntime
 from repro.hybrid.trace import Timeline
 from repro.linalg.flops import FlopCounter
 from repro.linalg.gehrd import apply_left_update, apply_right_updates
@@ -178,15 +179,14 @@ def hybrid_gehrd(
             )
 
     # transfer pricing follows the lane itemsize (fp32 moves half the bytes)
-    key = (n, 8 if work is None else int(work.dtype.itemsize), config.machine, config.nb)
-    tl = PRICES.timeline(("hybrid",) + key, lambda: price_hybrid_record(*key))
+    key = ("hybrid", n, 8 if work is None else int(work.dtype.itemsize), config.machine,
+           config.nb)
     return HybridResult(
         n=n,
         nb=config.nb,
         a=work,
         taus=taus,
-        timeline=tl,
-        seconds=tl.makespan,
+        record=PhaseRecord(key, price_hybrid_record),
         counter=counter,
         iterations=len(plan),
     )

@@ -3,13 +3,38 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.abft.location import LocatedError, LocationReport
+from repro.hybrid.runtime import PRICES
 from repro.hybrid.trace import Timeline
 from repro.linalg.flops import FlopCounter
 from repro.linalg import flops as F
+
+
+class PhaseRecord(NamedTuple):
+    """A finished run's phase record, frozen: everything its pricing reads.
+
+    ``key`` is the record's price-cache key, ``(kind, *args)``, and
+    ``price(*args)`` prices it uncached. A clean record is priced through
+    :data:`~repro.hybrid.runtime.PRICES`, once per distinct record; a
+    *faulted* one (a fix, a rollback, a restart or a Q correction in it)
+    almost never repeats, so it is priced afresh and never held.
+    """
+
+    key: tuple
+    price: Callable[..., Timeline]
+    faulted: bool = False
+
+    def timeline(self) -> Timeline:
+        """Price the record: through the cache when clean, afresh when faulted."""
+        args = self.key[1:]
+        if self.faulted:
+            return self.price(*args)
+        return PRICES.timeline(self.key, lambda: self.price(*args))
 
 
 @dataclass
@@ -17,18 +42,29 @@ class HybridResult:
     """Outcome of a (non-FT) hybrid Hessenberg reduction.
 
     ``a`` is the packed factorization (H + reflectors), or ``None`` for
-    a run given only the order; ``seconds`` is *simulated* time on the
-    configured machine model.
+    a run given only the order. The simulator observes the run through
+    its phase ``record``: ``timeline`` and ``seconds`` (*simulated* time
+    on the configured machine model) are priced on first read.
     """
 
     n: int
     nb: int
     a: np.ndarray | None
     taus: np.ndarray | None
-    timeline: Timeline
-    seconds: float
+    record: PhaseRecord
     counter: FlopCounter = field(default_factory=FlopCounter)
     iterations: int = 0
+
+    @cached_property
+    def timeline(self) -> Timeline:
+        """The record's priced timeline (shared by every run with the
+        same clean record, so read-only)."""
+        return self.record.timeline()
+
+    @property
+    def seconds(self) -> float:
+        """Simulated seconds: the timeline's makespan."""
+        return self.timeline.makespan
 
     @property
     def gflops(self) -> float:

@@ -1,7 +1,7 @@
 """Eigenvalue substrate: Francis double-shift QR on Hessenberg form —
 the application the reduction feeds (paper §III) — plus the protected
-driver :func:`ft_hqr` (checkpoint/rollback transient-error resilience,
-ROADMAP item 5)."""
+driver :func:`ft_hqr` (checkpoint/rollback transient-error
+resilience)."""
 
 from repro.eigen.hqr import hessenberg_eigvals, eigvals_via_hessenberg
 from repro.eigen.schur import (

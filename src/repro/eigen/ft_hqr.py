@@ -1,5 +1,5 @@
 """Protected Francis QR: transient-error resilience for the eigenvalue
-stage (ROADMAP item 5).
+stage.
 
 The blocked reduction is guarded by ABFT checksums, but checksum
 encodings do not survive the QR iteration — every sweep applies a fresh

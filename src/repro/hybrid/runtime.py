@@ -11,10 +11,11 @@ A driver given only the order N submits the same schedule without any
 data, which is how the Fig. 6 benchmarks reach the paper's N≈10000
 sizes instantly.
 
-The drivers record their phase events and price a clean record through
-the shared :data:`PRICES` cache, so each distinct clean record is priced
-once and every later run with the same record gets the same read-only
-timeline. A record that responded to a fault is priced afresh each time.
+The drivers record their phase events, and a result prices its record
+when its timeline is first read: a clean record through the shared
+:data:`PRICES` cache, so each distinct clean record is priced once and
+every later run with the same record gets the same read-only timeline.
+A record that responded to a fault is priced afresh each time.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class HybridRuntime:
 #: so the cache holds at most ~0.6 MB: eight n=512 timelines (244 ops
 #: each) or dozens at the served orders. Only clean records come here
 #: (a faulted one is priced uncached:
-#: :meth:`~repro.core.ft_hessenberg.FTSchedule.finish`), and a
+#: :class:`~repro.core.results.PhaseRecord`), and a
 #: paper-scale order-only record (N≈10000, ~4700 ops) is priced but
 #: not held.
 MAX_CACHED_OPS = 2048

@@ -8,11 +8,12 @@ allocate fresh temporaries on every call (``np.tril`` copies,
 ``np.vstack``, un-``out=``'d GEMMs) — exactly the behaviour the
 throughput layer removes; the decoders test one (row, column) pair or
 one line per Python call, where the live ones work on whole arrays; the
-protection helpers (the input 1-norm, the segment refresh, the Q block,
-the panel checkpoint, the detector's threshold) copy or re-derive on
-every call what the live ones keep in reused buffers or derive once per
-run; ``orghr`` and ``apply_q`` make one rank-1 update per reflector,
-where the live ones apply blocks of reflectors as GEMMs; ``larft``
+protection helpers (the input 1-norm, the segment refresh, the masked
+matrix of the fresh sums, the Q block, the panel checkpoint, the
+detector's threshold) copy or re-derive on every call what the live
+ones keep in reused buffers or derive once per run; ``orghr`` and
+``apply_q`` make one rank-1 update per reflector, where the live ones
+apply blocks of reflectors as GEMMs; ``larft``
 builds T one column at a time, where the live one inverts the UT
 transform's triangle; the pooled panel (``lahr2_pooled_reference``,
 with the ``larfg`` and ``larfg_batched`` it called) scales each
@@ -478,6 +479,17 @@ def refresh_finished_segment_reference(
     em.ext[n:, p:hi] = em.weights[:, :rows] @ seg
     if counter is not None:
         counter.add("abft_maintain", em.k * F.segment_refresh_flops(n, p, ib))
+
+
+def masked_reference(em: EncodedMatrix, finished_cols: int) -> np.ndarray:
+    """The allocating masked matrix (see
+    :meth:`repro.abft.encoding.EncodedMatrix._masked`): a fresh C-ordered
+    copy of the data and a fresh boolean mask of the Q region."""
+    n = em.n
+    done = max(0, min(finished_cols, n))
+    m = em.data.copy()
+    m[:, :done][np.tri(n, done, -2, dtype=bool)] = 0.0
+    return m
 
 
 class QProtectorReference(QProtector):

@@ -37,6 +37,13 @@ class TestParser:
             build_parser().parse_args(["fig6", "--sizes", sizes])
         assert "sizes must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channels", ["0", "-1", "two"])
+    def test_bad_campaign_channels_rejected(self, channels, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--n", "32", "--channels", channels])
+        assert exc.value.code == 2
+        assert "--channels" in capsys.readouterr().err
+
     def test_submit_requires_jobs_file(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit"])

@@ -1,17 +1,20 @@
 """The drivers record their phases; the simulator prices each record once.
 
-``ft_gehrd`` (through :class:`FTSchedule`) and ``hybrid_gehrd`` hand the
-simulated machine a record of their phase events, and the shared price
-cache (:data:`repro.hybrid.runtime.PRICES`) prices each distinct record
-once. These tests pin the contract that makes the cache safe: a hit is
-exactly what a fresh pricing of the same record returns, for every field
-the pricing reads, and a shared timeline cannot be changed by a reader.
+``ft_gehrd`` (through :class:`FTSchedule`) and ``hybrid_gehrd`` hand
+their result a frozen record of their phase events, which the result
+prices when its timeline is first read, and the shared price cache
+(:data:`repro.hybrid.runtime.PRICES`) prices each distinct clean record
+once. These tests pin the contract that makes both safe: a run prices
+nothing until it is read, a hit is exactly what a fresh pricing of the
+same record returns, for every field the pricing reads, and a shared
+timeline cannot be changed by a reader.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.batch import ft_gehrd_batched
 from repro.core import FTConfig, HybridConfig, ft_gehrd, hybrid_gehrd
 from repro.core.ft_hessenberg import FTSchedule, price_ft_record
 from repro.core.hybrid_hessenberg import price_hybrid_record
@@ -101,6 +104,56 @@ class TestRepeatRuns:
         priced = ft_gehrd(N, FTConfig(nb=NB))
         assert submits == []
         assert priced.timeline is computed.timeline
+
+
+class TestPricedWhenRead:
+    """The simulator observes a run: it prices the record when the
+    result's timeline is first read, and never during the run."""
+
+    def test_a_faulted_run_prices_nothing_until_read(self, submits, schedules):
+        cfg = FTConfig(nb=NB)
+        inj = FaultInjector(faults=[FaultSpec(iteration=1, row=40, col=50)])
+        res = ft_gehrd(random_matrix(N, seed=5), cfg, injector=inj)
+        assert res.recoveries and res.record.faulted
+        assert submits == []
+        key = schedules[-1].key()
+        # the record was frozen when the run finished; the caller's
+        # config is theirs to change
+        cfg.nb, cfg.channels, cfg.machine = 8, 2, laptop_sim()
+        cfg.overlap_q_checksums = False
+        assert res.seconds == res.timeline.makespan
+        assert submits.count("encode") == 1
+        assert _rows(res.timeline) == _rows(price_ft_record(*key))
+        submits.clear()
+        assert res.timeline is res.timeline and submits == []  # priced once
+
+    def test_a_clean_record_is_priced_through_the_cache_when_read(self, submits):
+        PRICES.clear()
+        first = ft_gehrd(random_matrix(N, seed=3), FTConfig(nb=NB))
+        again = ft_gehrd(random_matrix(N, seed=4), FTConfig(nb=NB))
+        assert submits == [] and len(PRICES) == 0
+        assert not first.record.faulted and first.record == again.record
+        tl = first.timeline
+        assert first.record.key in PRICES._timelines
+        submits.clear()
+        assert again.timeline is tl and submits == []
+
+    def test_a_hybrid_runs_record_is_its_price_cache_key(self, submits):
+        cfg = HybridConfig(nb=NB)
+        res = hybrid_gehrd(random_matrix(N, seed=3), cfg)
+        assert submits == []
+        assert res.record.key == ("hybrid", N, 8, cfg.machine, NB)
+        assert _rows(res.timeline) == _rows(price_hybrid_record(N, 8, cfg.machine, NB))
+        assert PRICES._timelines[res.record.key] is res.timeline
+
+    def test_clean_batched_items_share_the_order_only_record(self, submits):
+        cfg = FTConfig(nb=NB)
+        br = ft_gehrd_batched([random_matrix(N, seed=s) for s in (1, 2, 3)], cfg)
+        assert br.fast_path == 3 and submits == []
+        assert all(r.record is br.record for r in br.results)
+        assert br.record == ft_gehrd(N, cfg).record
+        assert br.results[0].timeline is br.results[2].timeline
+        assert br.seconds == br.results[1].seconds
 
 
 class TestHitsEqualFreshPricing:

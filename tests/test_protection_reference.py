@@ -1,11 +1,12 @@
 """The clean-path protection helpers against their frozen references.
 
-The input 1-norm, the finished-segment refresh, the Q-protection block,
-the panel checkpoint and the detector reuse buffers or derive their
-constants once per run; :mod:`repro.perf.reference` keeps the forms they
-replaced, which copied or re-derived on every call. Each pair must agree
-byte for byte: the sums, the checksums, the checkpoint contents, the
-suspect columns, the thresholds and the decisions.
+The input 1-norm, the finished-segment refresh, the masked matrix of
+the fresh sums, the Q-protection block, the panel checkpoint and the
+detector reuse buffers or derive their constants once per run;
+:mod:`repro.perf.reference` keeps the forms they replaced, which copied
+or re-derived on every call. Each pair must agree byte for byte: the
+masked operand and its layout, the sums, the checksums, the checkpoint
+contents, the suspect columns, the thresholds and the decisions.
 """
 
 import math
@@ -25,10 +26,12 @@ from repro.abft import (
 from repro.linalg import gehrd
 from repro.linalg.flops import FlopCounter
 from repro.linalg.verify import one_norm
+from repro.batch.stack import EncodedMatrixBatch
 from repro.perf.reference import (
     QProtectorReference,
     checkpoint_save_reference,
     detector_check_reference,
+    masked_reference,
     one_norm_reference,
     refresh_finished_segment_reference,
 )
@@ -130,6 +133,59 @@ def test_refresh_counts_the_same_flops():
         em.refresh_finished_segment(p, 8, counter=c1)
         refresh_finished_segment_reference(ref, p, 8, counter=c2)
     assert c1.snapshot() == c2.snapshot()
+
+
+# -- the masked matrix of the fresh sums ----------------------------------------
+
+
+@pytest.mark.parametrize("dtype", LANES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_masked_matches_the_allocating_copy(dtype, k):
+    n = 97
+    em = EncodedMatrix(random_matrix(n, seed=k, dtype=dtype), channels=k)
+    # arbitrary data in the Q region, which the mask must drop
+    em.ext[:n, :n] += _graded(n, n, seed=4).astype(dtype)
+    for finished in (0, 1, 2, 33, 64, n - 2, n - 1, n, n + 5, 40, 0):
+        want = masked_reference(em, finished)
+        got = em._masked(finished)
+        assert got.tobytes() == want.tobytes(), finished
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.flags.c_contiguous
+        rows, cols = em.fresh_sums(finished)
+        if k == 1:
+            ones = np.ones(n, dtype=em.ext.dtype)
+            assert rows.tobytes() == (want @ ones).tobytes()
+            assert cols.tobytes() == (ones @ want).tobytes()
+        else:
+            assert rows.tobytes() == (want @ em.weights.T).tobytes()
+            assert cols.tobytes() == (em.weights @ want).tobytes()
+
+
+def test_masked_reuses_its_scratch():
+    n = 128
+    em = EncodedMatrix(random_matrix(n, seed=8))
+    first = em._masked(40)
+    tracemalloc.start()
+    try:
+        again = em._masked(72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again is first
+    assert peak < n * n * 8 // 2
+    assert again.tobytes() == masked_reference(em, 72).tobytes()
+
+
+def test_masked_on_a_view_built_without_init():
+    """A batch item view starts from the class default and gets its own
+    scratch, never another item's."""
+    n = 40
+    emb = EncodedMatrixBatch(np.stack([random_matrix(n, seed=s) for s in (1, 2)]))
+    views = [emb.item(0), emb.item(1)]
+    got = [v._masked(16) for v in views]
+    assert not np.shares_memory(got[0], got[1])
+    for v in views:
+        assert v._masked(16).tobytes() == masked_reference(v, 16).tobytes()
 
 
 # -- Q protection -------------------------------------------------------------

@@ -8,11 +8,14 @@ worker-crash recovery of the pooled trial runner.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.ft_hessenberg as fth
 from repro.abft.encoding import EncodedMatrix
+from repro.abft.location import locate_errors
 from repro.core import FTConfig, ft_gehrd
 from repro.errors import FaultConfigError, JournalError
 from repro.faults import (
@@ -26,6 +29,8 @@ from repro.faults.campaign import build_adversarial_grid
 from repro.faults.executor import classify_outcome, run_ft_trials
 from repro.faults.journal import CampaignJournal, grid_fingerprint, outcome_from_dict, outcome_to_dict
 from repro.linalg import extract_hessenberg, factorization_residual, orghr
+from repro.linalg.flops import FlopCounter
+from repro.linalg.verify import one_norm
 from repro.resilience import (
     EscalationExhausted,
     FailureReport,
@@ -321,6 +326,75 @@ class TestEscalationOrder:
         assert _residual(a0, res) < 1e-12
         assert res.restarts == 1
         assert [r.tier for r in res.recoveries] == [TIER_RESTART]
+
+
+def _struck(n: int, channels: int, state: str) -> EncodedMatrix:
+    """An encoded matrix (nothing reduced yet) in a state tier 0 sees."""
+    em = EncodedMatrix(random_matrix(n, seed=3), channels=channels)
+    rng = np.random.default_rng(0)
+    if state == "smear":  # one row and one column spread by an update
+        em.data[100, :] += rng.standard_normal(n)
+        em.data[2:, 150] += rng.standard_normal(n - 2)
+    elif state == "two":
+        em.data[100, 120] += 1.0
+        em.data[180, 200] += 2.0
+    elif state == "rectangle":
+        for i, j in ((100, 120), (100, 200), (180, 120), (180, 200)):
+            em.data[i, j] += 1.0
+    elif state == "row_checksum":
+        em.ext[100, n] += 1.0
+    elif state == "one":
+        em.data[100, 120] += 1.0
+    return em
+
+
+class TestInPlaceTier:
+    """Tier 0 writes only a fix it accepts: a refusal leaves the state
+    as it found it and copies none of it, and a fix that does not clean
+    the state is undone byte for byte."""
+
+    N = 512
+
+    @pytest.mark.parametrize("channels,state", [
+        (1, "clean"), (1, "smear"), (1, "two"), (1, "rectangle"), (1, "row_checksum"),
+        (2, "clean"), (2, "smear"), (2, "two"), (2, "rectangle"),
+    ])
+    def test_a_refusal_writes_nothing_and_allocates_no_n2_array(self, channels, state):
+        n = self.N
+        em = _struck(n, channels, state)
+        cfg = FTConfig(nb=32, channels=channels)
+        norm_a = one_norm(em.data)
+        em._masked(0)  # the fresh sums' scratch is kept once it exists
+        before = em.ext.tobytes(order="F")
+        tracemalloc.start()
+        try:
+            fixed = fth._try_in_place(em, 0, norm_a, cfg, FlopCounter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fixed is None
+        assert em.ext.tobytes(order="F") == before
+        assert peak < n * n * em.ext.itemsize
+
+    def test_a_fix_that_does_not_clean_the_state_is_undone(self, monkeypatch):
+        n = self.N
+        em = _struck(n, 1, "one")
+        cfg = FTConfig(nb=32)
+        norm_a = one_norm(em.data)
+        first = locate_errors(em, 0, norm_a, eps_factor=cfg.eps_factor_locate)
+        assert [(e.kind, e.row, e.col) for e in first.errors] == [("data", 100, 120)]
+        seen = []
+
+        def still_dirty(em, *args, **kwargs):
+            # the look after the fix reports the first look's errors again
+            seen.append(em.ext.tobytes(order="F"))
+            return first
+
+        before = em.ext.tobytes(order="F")
+        monkeypatch.setattr(fth, "locate_errors", still_dirty)
+        assert fth._try_in_place(em, 0, norm_a, cfg, FlopCounter()) is None
+        assert seen[0] == before and seen[1] != before  # the fix was written
+        assert em.ext.tobytes(order="F") == before
 
 
 class TestPaperCadence:
