@@ -22,7 +22,14 @@ These routines mutate the :class:`~repro.abft.encoding.EncodedMatrix`
 storage in place and are shared by the forward pass and (transposed) by
 the reverse-computation pass.
 
-Each update has one implementation. Scratch blocks come from a
+Each update has one implementation, for one matrix and for a stack
+alike: the forward kernels index through ``...`` and transpose with
+``swapaxes(-1, -2)``, so an :class:`~repro.abft.encoding.EncodedMatrix`
+over a ``(B, n+k, n+k)`` per-item-F storage (the batch lane's
+:class:`~repro.batch.stack.EncodedMatrixBatch`) with stacked panel
+factors runs the same calls as B matrices, each item getting the same
+per-item GEMM and so the same bytes, and the flop charge is the
+per-item count times B. Scratch blocks come from a
 :class:`~repro.perf.workspace.Workspace` (a private one when the caller
 passes none), and every GEMM is one
 :meth:`~repro.perf.workspace.Workspace.product` folded into the
@@ -55,6 +62,8 @@ fault-free path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -72,19 +81,20 @@ def v_col_checksums(
     counter: FlopCounter | None = None,
 ) -> np.ndarray:
     """``Vchk = WᵀV`` — the (k, ib) weighted column checksums of the
-    Householder block (Algorithm 3 line 7; one GEMV per channel).
+    Householder block (Algorithm 3 line 7; one GEMV per channel), or the
+    (..., k, ib) stack of them for stacked factors.
 
     With *em* omitted (or single-channel) this is the paper's ``eᵀV`` as
     a (1, ib) block.
     """
-    m = pf.v.shape[0]
+    m = pf.v.shape[-2]
     if em is None or em.k == 1:
         if counter is not None:
-            counter.add("abft_maintain", F.gemv_flops(pf.ib, m))
-        return (np.ones(m, dtype=pf.v.dtype) @ pf.v)[None, :]
+            counter.add("abft_maintain", math.prod(pf.v.shape[:-2]) * F.gemv_flops(pf.ib, m))
+        return (np.ones(m, dtype=pf.v.dtype) @ pf.v)[..., None, :]
     w = em.weights[:, pf.p + 1 : pf.p + 1 + m]
     if counter is not None:
-        counter.add("abft_maintain", em.k * F.gemv_flops(pf.ib, m))
+        counter.add("abft_maintain", math.prod(pf.v.shape[:-2]) * em.k * F.gemv_flops(pf.ib, m))
     return w @ pf.v
 
 
@@ -99,20 +109,22 @@ def y_col_checksums(
     *independent* information channel when the data is corrupted.
     """
     p, n = pf.p, em.n
-    w = em.col_checksum_block[:, p + 1 : n] @ pf.v
+    w = em.col_checksum_block[..., p + 1 : n] @ pf.v
     w = w @ pf.t
     if counter is not None:
+        b = math.prod(em.ext.shape[:-2])
         counter.add(
-            "abft_maintain", em.k * (F.gemv_flops(pf.ib, n - p - 1) + F.trmv_flops(pf.ib))
+            "abft_maintain",
+            b * em.k * (F.gemv_flops(pf.ib, n - p - 1) + F.trmv_flops(pf.ib)),
         )
     return w
 
 
-def _check_blocks(em: EncodedMatrix, pf: PanelFactors, vce: np.ndarray, ychk) -> None:
-    if vce.shape != (em.k, pf.ib):
-        raise ShapeError(f"Vce block must be ({em.k}, {pf.ib}), got {vce.shape}")
-    if ychk is not None and ychk.shape != (em.k, pf.ib):
-        raise ShapeError(f"Ychk block must be ({em.k}, {pf.ib}), got {ychk.shape}")
+def _check_blocks(want: tuple[int, ...], vce: np.ndarray, ychk) -> None:
+    if vce.shape != want:
+        raise ShapeError(f"Vce block must be {want}, got {vce.shape}")
+    if ychk is not None and ychk.shape != want:
+        raise ShapeError(f"Ychk block must be {want}, got {ychk.shape}")
 
 
 def _fold_right(
@@ -133,19 +145,21 @@ def _fold_right(
     """
     n, p, ib, k = em.n, pf.p, pf.ib, em.k
     ws = workspace or Workspace()
+    lead = em.ext.shape[:-2]
     nt = n - p - ib
-    yce = ws.buf("upd.yce", (n + k, ib), dtype=em.ext.dtype)
-    yce[:n, :] = pf.y
-    yce[n:, :] = ychk
-    v2ce = ws.buf("upd.v2ce", (nt + k, ib), dtype=em.ext.dtype)
-    v2ce[:nt, :] = pf.v[ib - 1 :, :]
-    v2ce[nt:, :] = vce
-    c = em.ext[:, p + ib : n + k]
-    fold(c, ws.product(yce, v2ce.T), out=c)
+    yce = ws.per_item("upd.yce", lead, (n + k, ib), dtype=em.ext.dtype)
+    yce[..., :n, :] = pf.y
+    yce[..., n:, :] = ychk
+    v2ce = ws.per_item("upd.v2ce", lead, (nt + k, ib), dtype=em.ext.dtype)
+    v2ce[..., :nt, :] = pf.v[..., ib - 1 :, :]
+    v2ce[..., nt:, :] = vce
+    c = em.ext[..., p + ib : n + k]
+    fold(c, ws.product(yce, v2ce.swapaxes(-1, -2)), out=c)
     if ib > 1:
         # V's upper triangle holds explicit zeros, so no np.tril copy
-        c = em.ext[0 : p + 1, p + 1 : p + ib]
-        fold(c, ws.product(pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T), out=c)
+        c = em.ext[..., 0 : p + 1, p + 1 : p + ib]
+        v1t = pf.v[..., : ib - 1, : ib - 1].swapaxes(-1, -2)
+        fold(c, ws.product(pf.y[..., 0 : p + 1, : ib - 1], v1t), out=c)
 
 
 def right_update_encoded(
@@ -169,18 +183,20 @@ def right_update_encoded(
     * every column-checksum row's trailing entries via ``Ychk``.
     """
     n, p, ib, k = em.n, pf.p, pf.ib, em.k
-    _check_blocks(em, pf, vce, ychk)
+    lead = em.ext.shape[:-2]
+    _check_blocks(lead + (k, ib), vce, ychk)
     if counter is not None:
-        counter.add("right_update", F.gemm_flops(n, n - p - ib, ib))
+        b = math.prod(lead)
+        counter.add("right_update", b * F.gemm_flops(n, n - p - ib, ib))
         # FT-GEMM accounting: the checksum columns/rows are operand
         # columns/rows of the fused apply GEMM, so they are charged as
         # GEMM extensions (n x k and k x nt rank-ib products), not as
         # separate per-channel GEMVs.  Numerically identical totals:
         # gemm_flops(n, k, ib) == k * gemv_flops(n, ib).
-        counter.add("abft_maintain", F.gemm_flops(n, k, ib))
+        counter.add("abft_maintain", b * F.gemm_flops(n, k, ib))
         if ib > 1:
-            counter.add("right_update", F.trmm_flops(p + 1, ib - 1, False))
-        counter.add("abft_maintain", F.abft_fused_rows_flops(k, n - p - ib, ib))
+            counter.add("right_update", b * F.trmm_flops(p + 1, ib - 1, False))
+        counter.add("abft_maintain", b * F.abft_fused_rows_flops(k, n - p - ib, ib))
 
     _fold_right(em, pf, vce, ychk, workspace, np.subtract)
 
@@ -201,36 +217,37 @@ def left_update_encoded(
     correction.
     """
     n, p, ib, k = em.n, pf.p, pf.ib, em.k
-    _check_blocks(em, pf, vce, None)
+    lead = em.ext.shape[:-2]
+    _check_blocks(lead + (k, ib), vce, None)
+    ncf = n + k - (p + ib)
     if counter is not None:
         m = n - p - 1
-        ncols = n + k - (p + ib)
+        b = math.prod(lead)
         counter.add(
             "left_update",
-            F.gemm_flops(ib, ncols, m) + F.trmm_flops(ib, ncols, True) + F.gemm_flops(m, ncols, ib),
+            b * (F.gemm_flops(ib, ncf, m) + F.trmm_flops(ib, ncf, True) + F.gemm_flops(m, ncf, ib)),
         )
         # FT-GEMM accounting: the checksum rows are k extra operand rows
-        # of the apply GEMM (see the apply below), charged as a k x ncols
+        # of the apply GEMM (see the apply below), charged as a k x ncf
         # rank-ib GEMM extension.  Numerically identical total:
-        # gemm_flops(k, ncols, ib) == k * gemv_flops(ncols, ib).
-        counter.add("abft_maintain", F.abft_fused_rows_flops(k, ncols, ib))
+        # gemm_flops(k, ncf, ib) == k * gemv_flops(ncf, ib).
+        counter.add("abft_maintain", b * F.abft_fused_rows_flops(k, ncf, ib))
 
     ws = workspace or Workspace()
-    ncf = n + k - (p + ib)
     # both intermediates are C-ordered: np.matmul writes a C out through
     # the reference's exact BLAS dispatch, whereas an F-ordered out flips
     # the call to a transposed kernel and perturbs last bits
-    w1 = ws.buf("upd.w1c", (ib, ncf), order="C", dtype=em.ext.dtype)
-    w2 = ws.buf("upd.w2c", (ib, ncf), order="C", dtype=em.ext.dtype)
-    np.matmul(pf.v.T, em.ext[p + 1 : n, p + ib : n + k], out=w1)
-    np.matmul(pf.t.T, w1, out=w2)
+    w1 = ws.buf("upd.w1c", lead + (ib, ncf), order="C", dtype=em.ext.dtype)
+    w2 = ws.buf("upd.w2c", lead + (ib, ncf), order="C", dtype=em.ext.dtype)
+    np.matmul(pf.v.swapaxes(-1, -2), em.ext[..., p + 1 : n, p + ib : n + k], out=w1)
+    np.matmul(pf.t.swapaxes(-1, -2), w1, out=w2)
     # the apply stacks [V; Vce] in v_full's rows [p+1, n+k) so ONE GEMM
     # updates data rows and checksum rows together; the (k x k) corner
     # absorbs Vce·W's spill over the checksum columns (scratch by
     # contract), and v_full's checksum rows are zeroed again afterwards
-    pf.v_full[n:, :] = vce
-    em.ext[p + 1 :, p + ib : n + k] -= ws.product(pf.v_full[p + 1 :], w2)
-    pf.v_full[n:, :] = 0.0
+    pf.v_full[..., n:, :] = vce
+    em.ext[..., p + 1 :, p + ib : n + k] -= ws.product(pf.v_full[..., p + 1 :, :], w2)
+    pf.v_full[..., n:, :] = 0.0
 
 
 def reverse_left_update_encoded(

@@ -218,7 +218,3 @@ class Detector:
             return fixed
         m2 = checksum_second_moment(em) if kind == "variance" else None
         return self.policy.bound(kind, eps, em.n, self.norm_a, sre, sce, m2)
-
-    def last_gap(self, em: EncodedMatrix) -> float:
-        """The current discrepancy statistic (for diagnostics/tests)."""
-        return em.checksum_gap()

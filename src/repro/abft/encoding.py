@@ -25,6 +25,8 @@ detection and location.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -72,6 +74,14 @@ class EncodedMatrix:
         column block), so its contents are unspecified.
     weights:
         The (k, N) weight matrix; row 0 is all-ones (the paper's scheme).
+
+    ``ext`` may also be a ``(B, N+k, N+k)`` stack with every item
+    F-contiguous (:class:`~repro.batch.stack.EncodedMatrixBatch`): the
+    views, :meth:`encode`, :meth:`refresh_finished_segment` and
+    :meth:`cross_gaps` then act on every item through the same calls,
+    giving each item the bytes its own matrix would get. The recovery
+    methods (``_masked``, the ``fresh_*`` sums, :meth:`checksum_gap`)
+    take one matrix: a stack is never recovered, only ejected.
     """
 
     # reused scratch of refresh_finished_segment, grown on demand: the
@@ -118,27 +128,27 @@ class EncodedMatrix:
     @property
     def data(self) -> np.ndarray:
         """The N x N matrix block (a view)."""
-        return self.ext[: self.n, : self.n]
+        return self.ext[..., : self.n, : self.n]
 
     @property
     def row_checksums(self) -> np.ndarray:
         """The unit-channel row-checksum column ``Ar_chk`` (a view)."""
-        return self.ext[: self.n, self.n]
+        return self.ext[..., : self.n, self.n]
 
     @property
     def col_checksums(self) -> np.ndarray:
         """The unit-channel column-checksum row ``Ac_chk`` (a view)."""
-        return self.ext[self.n, : self.n]
+        return self.ext[..., self.n, : self.n]
 
     @property
     def row_checksum_block(self) -> np.ndarray:
         """All k row-checksum columns, shape (N, k) (a view)."""
-        return self.ext[: self.n, self.n :]
+        return self.ext[..., : self.n, self.n :]
 
     @property
     def col_checksum_block(self) -> np.ndarray:
         """All k column-checksum rows, shape (k, N) (a view)."""
-        return self.ext[self.n :, : self.n]
+        return self.ext[..., self.n :, : self.n]
 
     # -- encoding ----------------------------------------------------------
 
@@ -149,10 +159,11 @@ class EncodedMatrix:
         per channel (``FLOPinit = k(4N² − 2N)``).
         """
         n = self.n
-        self.ext[:n, n:] = self.data @ self.weights.T
-        self.ext[n:, :n] = self.weights @ self.data
+        self.ext[..., :n, n:] = self.data @ self.weights.T
+        self.ext[..., n:, :n] = self.weights @ self.data
         if counter is not None:
-            counter.add("abft_init", 2 * self.k * n * F.dot_flops(n))
+            b = math.prod(self.ext.shape[:-2])
+            counter.add("abft_init", b * 2 * self.k * n * F.dot_flops(n))
 
     # -- fresh sums over the mathematical (yellow+red) matrix --------------
 
@@ -251,20 +262,23 @@ class EncodedMatrix:
             return
         rows = min(hi + 1, n)  # column j's segment is rows [0, min(j+2, n))
         w = hi - p
-        if self._seg is None or self._seg.size < rows * w:
-            self._seg = np.empty(rows * w, dtype=self.ext.dtype)
+        lead = self.ext.shape[:-2]
+        b = math.prod(lead)
+        size = b * rows * w
+        if self._seg is None or self._seg.size < size:
+            self._seg = np.empty(size, dtype=self.ext.dtype)
         if self._upper is None or self._upper.shape[1] < w:
             self._upper = ~np.tri(w, dtype=bool)
-        seg = self._seg[: rows * w].reshape(rows, w)
+        seg = self._seg[:size].reshape(lead + (rows, w))
         # rows [0, p+2) are whole; row p+2+r keeps the columns right of r
         full = min(p + 2, rows)
-        seg[:full] = self.ext[:full, p:hi]
-        low = seg[full:]
+        seg[..., :full, :] = self.ext[..., :full, p:hi]
+        low = seg[..., full:, :]
         low[...] = 0.0
-        np.copyto(low, self.ext[full:rows, p:hi], where=self._upper[: rows - full, :w])
-        self.ext[n:, p:hi] = self.weights[:, :rows] @ seg
+        np.copyto(low, self.ext[..., full:rows, p:hi], where=self._upper[: rows - full, :w])
+        self.ext[..., n:, p:hi] = self.weights[:, :rows] @ seg
         if counter is not None:
-            counter.add("abft_maintain", self.k * F.segment_refresh_flops(n, p, ib))
+            counter.add("abft_maintain", b * self.k * F.segment_refresh_flops(n, p, ib))
 
     # -- convenience -------------------------------------------------------
 
@@ -277,8 +291,8 @@ class EncodedMatrix:
         """The (k, k) matrix of cross-channel statistics
         ``|r_p · w_q − c_q · w_p|``; every entry is ~0 on consistent
         state because both sides equal ``w_pᵀ A w_q``."""
-        r = self.row_checksum_block  # (n, k): columns are A w_p
-        c = self.col_checksum_block  # (k, n): rows are w_qᵀ A
+        r = self.row_checksum_block  # (..., n, k): columns are A w_p
+        c = self.col_checksum_block  # (..., k, n): rows are w_qᵀ A
         left = self.weights @ r      # (k, k): [q, p] = w_qᵀ (A w_p)
         right = c @ self.weights.T   # (k, k): [q, p] = (w_qᵀ A) w_p
         return np.abs(left - right)

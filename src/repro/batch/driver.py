@@ -1,9 +1,17 @@
 """Batched Hessenberg drivers: ``gehrd_batched`` and ``ft_gehrd_batched``.
 
-The batched engine accelerates the **fault-free fast path only**.  Both
-drivers reproduce the scalar drivers byte for byte on clean inputs
-(golden-tested in ``tests/test_batch_golden.py``); anything that needs
-the resilience machinery is handed to the scalar ladder:
+The batched engine accelerates the **fault-free fast path only**.  Each
+iteration is the stacked panel (:func:`~repro.batch.panel.lahr2_batched`)
+followed by the scalar drivers' own kernels on the whole stack: the
+plain updates of :mod:`repro.linalg.gehrd`, or the V/Y checksums, the
+encoded right and left updates and the segment refresh of
+:mod:`repro.abft`.  Detection is one scalar
+:class:`~repro.abft.detection.Detector` per item over that item's
+:class:`~repro.abft.encoding.EncodedMatrix` view, so an item is ejected
+exactly when its own scalar run would detect.  Both drivers reproduce
+the scalar drivers byte for byte on clean inputs (golden-tested in
+``tests/test_batch_golden.py``); anything that needs the resilience
+machinery is handed to the scalar ladder:
 
 * an item whose end-of-iteration detection statistic trips the roundoff
   threshold is **ejected** — marked inactive and re-run from its
@@ -36,6 +44,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.abft.checksums import (
+    left_update_encoded,
+    right_update_encoded,
+    v_col_checksums,
+    y_col_checksums,
+)
+from repro.abft.detection import Detector
 from repro.core.config import FTConfig
 from repro.core.ft_hessenberg import ft_gehrd
 from repro.core.hybrid_hessenberg import iteration_plan_cached
@@ -43,23 +58,20 @@ from repro.core.results import FTResult, PhaseRecord
 from repro.errors import ShapeError
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.linalg.flops import FlopCounter
-from repro.linalg import flops as F
-from repro.linalg.gehrd import DEFAULT_NB, DEFAULT_NX, HessenbergFactorization
+from repro.linalg.gehrd import (
+    DEFAULT_NB,
+    DEFAULT_NX,
+    HessenbergFactorization,
+    apply_left_update,
+    apply_right_updates,
+)
 from repro.linalg.verify import one_norm
 from repro.perf.workspace import Workspace
 from repro.utils.precision import as_lane_matrix
 
 from repro.batch.panel import lahr2_batched
 from repro.batch.stack import EncodedMatrixBatch, as_item_f_stack
-from repro.batch.updates import (
-    apply_left_update_batched,
-    apply_right_updates_batched,
-    gehd2_batched,
-    left_update_encoded_batched,
-    right_update_encoded_batched,
-    v_col_checksums_batched,
-    y_col_checksums_batched,
-)
+from repro.batch.updates import gehd2_batched
 
 #: Fault surface the stacked loop can apply itself; everything else
 #: pre-ejects to the scalar driver (which owns the full adversarial
@@ -138,8 +150,8 @@ def gehrd_batched(
     """Blocked Hessenberg reduction of B stacked matrices.
 
     Mirrors :func:`repro.linalg.gehrd.gehrd` step for step — stacked
-    panel factorizations, stacked fused right/left updates, stacked
-    unblocked clean-up below the crossover — and returns per-item
+    panel factorizations, the scalar right/left updates on the stack,
+    stacked unblocked clean-up below the crossover — and returns per-item
     factorizations whose packed storage and taus agree with B scalar
     calls byte for byte.  The input is copied; items of the returned
     factorizations are views into one shared stack.
@@ -161,64 +173,14 @@ def gehrd_batched(
         ib = min(nb, n - 1 - p)
         pf = lahr2_batched(a, p, ib, n, counter=counter, workspace=ws)
         taus[:, p : p + ib] = pf.taus
-        apply_right_updates_batched(a, pf, n, counter=counter, workspace=ws)
-        apply_left_update_batched(a, pf, n, counter=counter, workspace=ws)
+        apply_right_updates(a, pf, n, counter=counter, workspace=ws)
+        apply_left_update(a, pf, n, counter=counter, workspace=ws)
         p += ib
 
     gehd2_batched(a, p, n, taus_out=taus, counter=counter)
     return [
         HessenbergFactorization(a=a[i], taus=taus[i], nb=nb) for i in range(b)
     ]
-
-
-def _detect_batched(
-    emb: EncodedMatrixBatch,
-    config: FTConfig,
-    norms: np.ndarray,
-    active: np.ndarray,
-    counter: FlopCounter | None,
-) -> np.ndarray:
-    """Vectorized end-of-iteration detection: the per-item mirror of
-    :meth:`repro.abft.detection.Detector.check` over the active lanes."""
-    nn = emb.n
-    dtype = emb.ext.dtype
-    sre, sce = emb.sum_pairs()
-    gaps = emb.cross_gaps() if emb.k > 1 else None
-    if config.threshold.needs_m2(dtype):
-        # per-item checksum second moment for the variance kind, float64
-        # accumulation over the maintained unit banks (see
-        # repro.abft.detection.checksum_second_moment)
-        rc = np.asarray(emb.ext[:, :nn, nn], dtype=np.float64)
-        cc = np.asarray(emb.ext[:, nn, :nn], dtype=np.float64)
-        m2s = np.sum(rc * rc, axis=1) + np.sum(cc * cc, axis=1)
-    else:
-        m2s = None
-    if counter is not None:
-        counter.add(
-            "abft_detect",
-            F.batched_flops(int(active.sum()), 2 * emb.k * emb.k * F.dot_flops(emb.n)),
-        )
-    tripped = np.zeros_like(active)
-    for j in np.flatnonzero(active):
-        s_r, s_c = float(sre[j]), float(sce[j])
-        if not (np.isfinite(s_r) and np.isfinite(s_c)):
-            tripped[j] = True
-            continue
-        if gaps is not None:
-            g = gaps[j]
-            if not np.all(np.isfinite(g)):
-                tripped[j] = True
-                continue
-            gap = float(np.max(g))
-        else:
-            gap = abs(s_r - s_c)
-        tol = config.threshold.threshold(
-            emb.n, float(norms[j]), s_r, s_c, dtype=dtype,
-            m2=None if m2s is None else float(m2s[j]),
-        )
-        if gap > tol:
-            tripped[j] = True
-    return tripped
 
 
 def ft_gehrd_batched(
@@ -231,7 +193,7 @@ def ft_gehrd_batched(
     """Fault-tolerant Hessenberg reduction of B stacked matrices.
 
     Clean items run the stacked Algorithm-3 fast path (batched panel,
-    batched encoded updates, vectorized detection) and reproduce the
+    the encoded updates on the stack, per-item detection) and reproduce the
     scalar :func:`ft_gehrd` byte for byte; any item that trips detection
     — and every item carrying a fault plan — is *ejected* and finished
     on the scalar resilience ladder from its pristine input (see the
@@ -273,36 +235,31 @@ def ft_gehrd_batched(
         # one order-only run records for every clean item: a clean run on
         # a matrix records exactly the phases the order-only run records
         record = ft_gehrd(n, config).record
-        norms = np.array(
-            [one_norm(stack[i]) for i in batch_idx]
-        )
         emb = EncodedMatrixBatch(
             stack[batch_idx], channels=config.channels, counter=counter
         )
+        items = [emb.item(j) for j in range(len(batch_idx))]
+        detectors = [Detector(config.threshold, one_norm(stack[i])) for i in batch_idx]
         taus_b = np.zeros((len(batch_idx), max(n - 1, 0)), dtype=emb.ext.dtype)
         clones = [_clone(injs[i]) for i in batch_idx]
         active = np.ones(len(batch_idx), dtype=bool)
 
         for it, (p, ib) in enumerate(plan):
-            for j, gi in enumerate(batch_idx):
-                if active[j] and clones[j] is not None:
-                    clones[j].apply_phase(
-                        it, "boundary", InjectionTargets(em=emb.item(j))
-                    )
+            for j, clone in enumerate(clones):
+                if active[j] and clone is not None:
+                    clone.apply_phase(it, "boundary", InjectionTargets(em=items[j]))
             pf = lahr2_batched(emb.ext, p, ib, n, counter=counter, workspace=ws)
-            vce = v_col_checksums_batched(pf, emb, counter=counter)
-            ychk = y_col_checksums_batched(emb, pf, counter=counter)
-            right_update_encoded_batched(
-                emb, pf, vce, ychk, counter=counter, workspace=ws
-            )
-            left_update_encoded_batched(emb, pf, vce, counter=counter, workspace=ws)
+            vce = v_col_checksums(pf, emb, counter=counter)
+            ychk = y_col_checksums(emb, pf, counter=counter)
+            right_update_encoded(emb, pf, vce, ychk, counter=counter, workspace=ws)
+            left_update_encoded(emb, pf, vce, counter=counter, workspace=ws)
             emb.refresh_finished_segment(p, ib, counter=counter)
             taus_b[:, p : p + ib] = pf.taus
 
-            tripped = _detect_batched(emb, config, norms, active, counter)
-            for j in np.flatnonzero(tripped):
-                active[j] = False
-                ejected_at[batch_idx[j]] = it
+            for j in np.flatnonzero(active):
+                if detectors[j].check(items[j], counter=counter):
+                    active[j] = False
+                    ejected_at[batch_idx[j]] = it
 
         # a fault plan that never tripped the Σ test (area-3 / masked /
         # scheduled past the end) must still finish on the scalar driver
@@ -316,7 +273,7 @@ def ft_gehrd_batched(
                 results[gi] = FTResult(
                     n=n,
                     nb=config.nb,
-                    a=emb.item(j).data,
+                    a=items[j].data,
                     taus=taus_b[j],
                     record=record,
                     counter=FlopCounter(),

@@ -37,7 +37,6 @@ from repro.linalg.householder import copy_below_diagonal
 from repro.linalg.lahr2 import PanelFactors
 from repro.perf.workspace import Workspace
 
-from repro.batch.stack import stack_buf
 
 #: Cached verdict of the np.hypot-vs-math.hypot byte-parity probe
 #: (``None`` until first use).
@@ -209,12 +208,12 @@ def lahr2_batched(
     m1 = n - p - 1  # rows of the dense V block
     dt = a.dtype
     ws = workspace or Workspace()
-    v_full = stack_buf(ws, "blahr2.v_full", b, rows, ib, zero=True, dtype=dt)
-    y = stack_buf(ws, "blahr2.y", b, n, ib, dtype=dt)
-    t = stack_buf(ws, "blahr2.t", b, ib, ib, zero=True, dtype=dt)
-    g = stack_buf(ws, "blahr2.g", b, m1, 1, dtype=dt)
-    wj = stack_buf(ws, "blahr2.wj", b, ib, 1, dtype=dt)
-    wj2 = stack_buf(ws, "blahr2.wj2", b, ib, 1, dtype=dt)
+    v_full = ws.per_item("blahr2.v_full", (b,), (rows, ib), zero=True, dtype=dt)
+    y = ws.per_item("blahr2.y", (b,), (n, ib), dtype=dt)
+    t = ws.per_item("blahr2.t", (b,), (ib, ib), zero=True, dtype=dt)
+    g = ws.per_item("blahr2.g", (b,), (m1, 1), dtype=dt)
+    wj = ws.per_item("blahr2.wj", (b,), (ib, 1), dtype=dt)
+    wj2 = ws.per_item("blahr2.wj2", (b,), (ib, 1), dtype=dt)
     v = v_full[:, p + 1 : n, :]
     v[:, range(ib), range(ib)] = 1.0  # the units; rows above them stay zero
     # taus are a panel-lifetime output like v/t/y (the batched drivers
@@ -265,8 +264,8 @@ def lahr2_batched(
 
     # top rows of Y: Y_top = (A_top V) T, split exactly as the scalar code
     kk = p + 1
-    yt = stack_buf(ws, "blahr2.ytop", b, kk, ib, dtype=dt)
-    yt2 = stack_buf(ws, "blahr2.ytop2", b, kk, ib, dtype=dt)
+    yt = ws.per_item("blahr2.ytop", (b,), (kk, ib), dtype=dt)
+    yt2 = ws.per_item("blahr2.ytop2", (b,), (kk, ib), dtype=dt)
     np.matmul(a[:, 0:kk, p + 1 : p + 1 + ib], v[:, :ib, :], out=yt)
     if n > p + 1 + ib:
         np.matmul(a[:, 0:kk, p + 1 + ib : n], v[:, ib:, :], out=yt2)

@@ -6,23 +6,26 @@ a single Python call, which is where the small-n throughput comes from
 (the arithmetic per item is unchanged; only the interpreter overhead is
 amortized).
 
-Two layout invariants make the batched kernels **bit-identical** to the
-scalar ones:
+Two layout invariants let the scalar kernels take a stack and stay
+**bit-identical** to B matrix calls:
 
 * every item slice ``stack[b]`` must be F-contiguous, exactly like the
   Fortran-ordered matrices the scalar drivers operate on (same memory
   order in means the same BLAS paths and the same accumulation order
   out).  :func:`fstack` produces that layout via the transpose trick:
-  an ``(r, c, B)`` F-ordered block viewed as ``(B, r, c)``.
+  an ``(r, c, B)`` F-ordered block viewed as ``(B, r, c)``, and
+  :meth:`~repro.perf.workspace.Workspace.per_item` draws scratch stacks
+  the same way.
 * stacked ``np.matmul`` performs the same per-item GEMM the scalar call
-  would; mirrored call-for-call, a batched kernel therefore reproduces
-  the scalar results byte-for-byte (asserted by the golden tests in
-  ``tests/test_batch_golden.py``).
+  would, so a kernel written with ``...`` indexing reproduces the
+  scalar results byte-for-byte on a stack (asserted by the golden tests
+  in ``tests/test_batch_golden.py``).
 
-:class:`EncodedMatrixBatch` is the stacked counterpart of
-:class:`~repro.abft.encoding.EncodedMatrix`: B checksum-extended
-matrices sharing one ``(B, n+k, n+k)`` storage, with per-item
-:class:`EncodedMatrix` *views* available for the fault-injection hooks.
+:class:`EncodedMatrixBatch` is :class:`~repro.abft.encoding.EncodedMatrix`
+over B checksum-extended matrices sharing one ``(B, n+k, n+k)``
+storage: it adds only the stack constructor and per-item
+:class:`EncodedMatrix` *views* for the detector and the fault-injection
+hooks.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ import numpy as np
 
 from repro.abft.encoding import EncodedMatrix, make_weight_block
 from repro.errors import ShapeError
-from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
-from repro.perf.workspace import Workspace
 
 
 def fstack(
@@ -46,23 +47,6 @@ def fstack(
     fresh ``np.zeros((rows, cols), order="F")``.
     """
     return np.zeros((rows, cols, b), order="F", dtype=dtype).transpose(2, 0, 1)
-
-
-def stack_buf(
-    workspace: Workspace,
-    name: str,
-    b: int,
-    rows: int,
-    cols: int,
-    *,
-    zero: bool = False,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """A pooled ``(b, rows, cols)`` per-item-F scratch stack, drawn from
-    the workspace arena (grow-only, reused across panel calls — the same
-    contract as the scalar kernels' ``Workspace.buf``)."""
-    flat = workspace.buf(name, (rows, cols, b), order="F", zero=zero, dtype=dtype)
-    return flat.transpose(2, 0, 1)
 
 
 def as_item_f_stack(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -88,14 +72,16 @@ def as_item_f_stack(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return out
 
 
-class EncodedMatrixBatch:
+class EncodedMatrixBatch(EncodedMatrix):
     """B checksum-extended matrices in one stacked storage.
 
     ``ext`` is ``(B, n+k, n+k)`` with every item F-contiguous — item
     ``b`` has byte-for-byte the layout of a scalar
     :class:`~repro.abft.encoding.EncodedMatrix` built from the same
-    input.  The (k x k) corners are scratch by contract, exactly as in
-    the scalar class.
+    input.  The views, :meth:`encode`, :meth:`refresh_finished_segment`
+    and :meth:`cross_gaps` are the scalar class's own, acting on every
+    item at once.  The (k x k) corners are scratch by contract, exactly
+    as in the scalar class.
     """
 
     def __init__(
@@ -109,29 +95,21 @@ class EncodedMatrixBatch:
             raise ShapeError(
                 f"EncodedMatrixBatch needs a (B, n, n) stack, got {a_stack.shape}"
             )
-        self.b = a_stack.shape[0]
-        n = a_stack.shape[1]
+        b, n = a_stack.shape[:2]
         self.n = n
         dt = a_stack.dtype if a_stack.dtype == np.float32 else np.dtype(np.float64)
         self.weights = make_weight_block(n, channels, dt)
         self.k = self.weights.shape[0]
-        self.ext = fstack(self.b, n + self.k, n + self.k, dt)
+        self.ext = fstack(b, n + self.k, n + self.k, dt)
         self.ext[:, :n, :n] = a_stack
         self.encode(counter=counter)
-
-    # -- views ------------------------------------------------------------
-
-    @property
-    def data(self) -> np.ndarray:
-        """The (B, n, n) matrix block (a view)."""
-        return self.ext[:, : self.n, : self.n]
 
     def item(self, b: int) -> EncodedMatrix:
         """A scalar :class:`EncodedMatrix` *view* over item *b*.
 
         Shares the stacked storage (mutations go both ways); used to
-        hand per-item state to the fault-injection hooks and to build
-        per-item results.
+        hand per-item state to the detector and the fault-injection
+        hooks, and to build per-item results.
         """
         em = EncodedMatrix.__new__(EncodedMatrix)
         em.n = self.n
@@ -139,54 +117,3 @@ class EncodedMatrixBatch:
         em.k = self.k
         em.ext = self.ext[b]
         return em
-
-    # -- encoding ----------------------------------------------------------
-
-    def encode(self, *, counter: FlopCounter | None = None) -> None:
-        """(Re)compute every item's checksum vectors from its data
-        (the stacked Algorithm 3 line 2)."""
-        n = self.n
-        np.matmul(self.data, self.weights.T[None], out=self.ext[:, :n, n:])
-        np.matmul(self.weights[None], self.data, out=self.ext[:, n:, :n])
-        if counter is not None:
-            counter.add(
-                "abft_init", F.batched_flops(self.b, 2 * self.k * n * F.dot_flops(n))
-            )
-
-    def refresh_finished_segment(
-        self, p: int, ib: int, *, counter: FlopCounter | None = None
-    ) -> None:
-        """Freeze the column checksums of newly finished columns, for
-        every item at once (stacked
-        :meth:`EncodedMatrix.refresh_finished_segment`)."""
-        n = self.n
-        for j in range(p, min(p + ib, n)):
-            hi = min(j + 2, n)
-            np.matmul(
-                self.weights[None, :, :hi],
-                self.ext[:, :hi, j][:, :, None],
-                out=self.ext[:, n:, j][:, :, None],
-            )
-            if counter is not None:
-                counter.add(
-                    "abft_maintain", F.batched_flops(self.b, self.k * F.dot_flops(hi))
-                )
-
-    # -- detection statistics ----------------------------------------------
-
-    def sum_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-item ``(Sre, Sce)`` — the unit-channel grand sums the
-        detector compares (vectorized over the batch)."""
-        n = self.n
-        sre = np.sum(self.ext[:, :n, n], axis=1)
-        sce = np.sum(self.ext[:, n, :n], axis=1)
-        return sre, sce
-
-    def cross_gaps(self) -> np.ndarray:
-        """The stacked (B, k, k) cross-channel statistics (see
-        :meth:`EncodedMatrix.cross_gaps`)."""
-        r = self.ext[:, : self.n, self.n :]
-        c = self.ext[:, self.n :, : self.n]
-        left = np.matmul(self.weights[None], r)
-        right = np.matmul(c, self.weights.T[None])
-        return np.abs(left - right)

@@ -131,16 +131,6 @@ def batched_flops(b: int, per_item: int | float) -> int | float:
     return b * per_item
 
 
-def gemm_batched_flops(b: int, m: int, n: int, k: int) -> int:
-    """Flops for a batched gemm: *b* independent (m x k)(k x n) products."""
-    return batched_flops(b, gemm_flops(m, n, k))
-
-
-def gemv_batched_flops(b: int, m: int, n: int) -> int:
-    """Flops for a batched gemv: *b* independent (m x n) matrix-vectors."""
-    return batched_flops(b, gemv_flops(m, n))
-
-
 def gehrd_flops(n: int) -> float:
     """Total flops of the blocked Hessenberg reduction, ~10/3 n^3.
 

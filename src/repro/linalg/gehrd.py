@@ -20,6 +20,7 @@ steps across simulated devices and checksum-extended operands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,23 +77,29 @@ def apply_right_updates(
     This is steps 2+3 above (the paper's Algorithm 2 lines 5 and 7 merged
     for the CPU reference — the hybrid drivers split them across devices).
     Mutates ``a`` in place; scratch comes from *workspace* (a private
-    arena when omitted).
+    arena when omitted). *a* may be a per-item-F ``(B, ...)`` stack with
+    stacked factors: every item gets its own matrix's GEMMs.
     """
     p, ib = pf.p, pf.ib
     ws = workspace or Workspace()
+    b = math.prod(a.shape[:-2])
     # trailing columns: A[0:n, p+ib:n] -= Y @ V2ᵀ, V2 = rows ib-1.. of V
     if p + ib < n:
-        a[0:n, p + ib : n] -= ws.product(pf.y[0:n, :], pf.v[ib - 1 :, :].T)
+        a[..., 0:n, p + ib : n] -= ws.product(
+            pf.y[..., 0:n, :], pf.v[..., ib - 1 :, :].swapaxes(-1, -2)
+        )
         if counter is not None:
-            counter.add(category, F.gemm_flops(n, n - p - ib, ib))
+            counter.add(category, b * F.gemm_flops(n, n - p - ib, ib))
     # in-panel top rows: A[0:p+1, p+1:p+ib] -= Y_top[:, :ib-1] @ V1ᵀ
     # (V's upper triangle holds explicit zeros — no np.tril copy needed)
     if ib > 1 and p + 1 > 0:
-        a[0 : p + 1, p + 1 : p + ib] -= ws.product(
-            pf.y[0 : p + 1, : ib - 1], pf.v[: ib - 1, : ib - 1].T
+        a[..., 0 : p + 1, p + 1 : p + ib] -= ws.product(
+            pf.y[..., 0 : p + 1, : ib - 1], pf.v[..., : ib - 1, : ib - 1].swapaxes(-1, -2)
         )
         if counter is not None:
-            counter.add(category, F.trmm_flops(p + 1, ib - 1, False) + (p + 1) * (ib - 1))
+            counter.add(
+                category, b * (F.trmm_flops(p + 1, ib - 1, False) + (p + 1) * (ib - 1))
+            )
 
 
 def apply_left_update(
@@ -109,25 +116,28 @@ def apply_left_update(
 
     Covers ``a[p+1 : n, p+ib : ncols]``; mutates ``a`` in place. The
     projection ``W = Tᵀ(VᵀC)`` and the apply ``C −= V W`` both run on
-    that active row window only.
+    that active row window only. *a* may be a per-item-F ``(B, ...)``
+    stack with stacked factors, as in :func:`apply_right_updates`.
     """
     p, ib = pf.p, pf.ib
-    ncols = a.shape[1] if ncols is None else ncols
+    ncols = a.shape[-1] if ncols is None else ncols
     if p + ib >= ncols:
         return
     ws = workspace or Workspace()
-    c = a[p + 1 : n, p + ib : ncols]
+    lead = a.shape[:-2]
+    c = a[..., p + 1 : n, p + ib : ncols]
     ncf = ncols - (p + ib)
-    w1 = ws.buf("upd.w1", (ib, ncf), dtype=a.dtype)
-    w2 = ws.buf("upd.w2", (ib, ncf), dtype=a.dtype)
-    np.matmul(pf.v.T, c, out=w1)
-    np.matmul(pf.t.T, w1, out=w2)
+    w1 = ws.per_item("upd.w1", lead, (ib, ncf), dtype=a.dtype)
+    w2 = ws.per_item("upd.w2", lead, (ib, ncf), dtype=a.dtype)
+    np.matmul(pf.v.swapaxes(-1, -2), c, out=w1)
+    np.matmul(pf.t.swapaxes(-1, -2), w1, out=w2)
     c -= ws.product(pf.v, w2)
     if counter is not None:
         m = n - p - 1
         counter.add(
             category,
-            F.gemm_flops(ib, ncf, m) + F.trmm_flops(ib, ncf, True) + F.gemm_flops(m, ncf, ib),
+            math.prod(lead)
+            * (F.gemm_flops(ib, ncf, m) + F.trmm_flops(ib, ncf, True) + F.gemm_flops(m, ncf, ib)),
         )
 
 

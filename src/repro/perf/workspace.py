@@ -75,6 +75,27 @@ class Workspace:
         """A 1-D scratch vector of length *n*."""
         return self.buf(name, (int(n),), zero=zero, dtype=dtype)
 
+    def per_item(
+        self,
+        name: str,
+        lead: tuple[int, ...],
+        shape: tuple[int, int],
+        *,
+        zero: bool = False,
+        dtype: np.dtype | type = np.float64,
+    ) -> np.ndarray:
+        """A ``lead + shape`` scratch stack whose every item is
+        F-contiguous, the layout of a 2-D :meth:`buf` of *shape*.
+
+        The pool is a ``shape + lead`` Fortran block viewed with the lead
+        axes first. A 2-D request (``lead == ()``) is the plain
+        :meth:`buf`, so a matrix kernel gets the very buffer it asks for.
+        """
+        if not lead:
+            return self.buf(name, shape, zero=zero, dtype=dtype)
+        flat = self.buf(name, shape + lead, order="F", zero=zero, dtype=dtype)
+        return flat.transpose(*range(2, 2 + len(lead)), 0, 1)
+
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` in the pooled product buffer, as a Fortran-layout view.
 
@@ -84,7 +105,7 @@ class Workspace:
         buffer, so the returned view has the memory layout of the
         Fortran-ordered storage it lands in: the fold is one unit-stride
         sweep, and BLAS computes every entry as an in-place column-major
-        GEMM (``beta=1``) would. Stacked ``(B, m, k)`` and ``(B, k, n)``
+        GEMM (``beta=1``) would. Stacked ``(..., m, k)`` and ``(..., k, n)``
         operands work the same, item by item. The view is valid until the
         next :meth:`product` call on this arena.
         """

@@ -803,12 +803,13 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
         )
     driver, n, nb, channels, _lane = keys.pop()
 
-    from repro.batch import as_item_f_stack, ft_gehrd_batched, gehrd_batched
-    from repro.batch.qform import (
-        extract_hessenberg_batched,
+    from repro.batch import (
+        as_item_f_stack,
         factorization_residuals_batched,
-        orghr_batched,
+        ft_gehrd_batched,
+        gehrd_batched,
     )
+    from repro.linalg import extract_hessenberg, orghr
 
     t0 = time.perf_counter()
     mats = [_build_matrix(spec, workspace) for spec in specs]
@@ -820,15 +821,12 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
     def _residuals(idx: list[int], packed: list, taus: list) -> np.ndarray:
         """Batched Q formation + Table II residuals for items *idx*."""
         a_pack = as_item_f_stack(packed)
-        t_stack = np.stack(taus)
-        qs = orghr_batched(a_pack, t_stack)
-        hs = extract_hessenberg_batched(a_pack)
-        return factorization_residuals_batched(stack[idx], qs, hs)
+        qs = orghr(a_pack, np.stack(taus))
+        return factorization_residuals_batched(stack[idx], qs, extract_hessenberg(a_pack))
 
     if driver == "ft_eig":
         from repro.core import FTConfig
         from repro.eigen.ft_hqr import QRProtectConfig, ft_hqr
-        from repro.linalg import extract_hessenberg
 
         cfg = FTConfig(nb=nb, channels=channels, audit_every=0)
         split = [_split_injectors(spec) for spec in specs]

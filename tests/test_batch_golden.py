@@ -107,6 +107,62 @@ def test_ft_batched_two_channels_matches_scalar():
         assert np.array_equal(br.results[i].taus, ref.taus)
 
 
+STORAGE_GRID = [
+    pytest.param(n, nb, b, k, dtype, id=f"{n}-{nb}-{b}-k{k}-{np.dtype(dtype).name}")
+    for n, nb, b in [(48, 16, 3), (64, 32, 4), (96, 32, 3), (160, 32, 2)]
+    for k in (1, 2)
+    for dtype in (np.float64, np.float32)
+]
+
+
+def _storage_per_iteration(monkeypatch, cls, run) -> list[np.ndarray]:
+    """Copies of ``ext`` after each segment refresh, the last write of an
+    iteration, while *run* executes."""
+    snaps = []
+    refresh = cls.refresh_finished_segment
+
+    def spy(self, p, ib, *, counter=None):
+        refresh(self, p, ib, counter=counter)
+        snaps.append(self.ext.copy())
+
+    with monkeypatch.context() as m:
+        m.setattr(cls, "refresh_finished_segment", spy)
+        run()
+    return snaps
+
+
+@pytest.mark.parametrize("n,nb,b,k,dtype", STORAGE_GRID)
+def test_ft_batched_extended_storage_matches_scalar_every_iteration(
+    monkeypatch, n, nb, b, k, dtype
+):
+    """After every iteration each item's whole extended storage — data,
+    row-checksum columns and column-checksum rows — holds the bytes of
+    its own scalar run; only the (k x k) corner is scratch."""
+    from repro.abft.encoding import EncodedMatrix
+    from repro.batch.stack import EncodedMatrixBatch
+
+    mats = [m.astype(dtype, order="F") for m in _mats(n, b, seed=7)]
+    cfg = FTConfig(nb=nb, channels=k)
+    out = []
+    stacked = _storage_per_iteration(
+        monkeypatch,
+        EncodedMatrixBatch,
+        lambda: out.append(ft_gehrd_batched(as_item_f_stack(mats), cfg)),
+    )
+    assert out[0].ejected == []
+    assert len(stacked) == out[0].iterations
+    for i, m in enumerate(mats):
+        scalar = _storage_per_iteration(
+            monkeypatch, EncodedMatrix, lambda: ft_gehrd(m.copy(order="F"), cfg)
+        )
+        assert len(scalar) == len(stacked)
+        for it, (got, want) in enumerate(zip(stacked, scalar)):
+            for rows, cols in ((slice(0, n), slice(None)), (slice(n, None), slice(0, n))):
+                assert got[i][rows, cols].tobytes() == want[rows, cols].tobytes(), (
+                    f"item {i}, iteration {it}, rows {rows}"
+                )
+
+
 # ---------------------------------------------------------------------------
 # ejection contract
 # ---------------------------------------------------------------------------
@@ -196,11 +252,7 @@ QTAIL_CASES = [
 
 @pytest.mark.parametrize("n,nb,b,dtype,with_hessenberg_item", QTAIL_CASES)
 def test_qform_batched_matches_scalar_bytewise(n, nb, b, dtype, with_hessenberg_item):
-    from repro.batch import (
-        extract_hessenberg_batched,
-        factorization_residuals_batched,
-        orghr_batched,
-    )
+    from repro.batch import factorization_residuals_batched
     from repro.linalg import extract_hessenberg, factorization_residual, orghr
 
     mats = [m.astype(dtype, order="F") for m in _mats(n, b)]
@@ -213,8 +265,8 @@ def test_qform_batched_matches_scalar_bytewise(n, nb, b, dtype, with_hessenberg_
         assert not facts[b // 2].taus.any()
     a_pack = as_item_f_stack([f.a for f in facts])
     taus = np.stack([f.taus for f in facts])
-    qs = orghr_batched(a_pack, taus)
-    hs = extract_hessenberg_batched(a_pack)
+    qs = orghr(a_pack, taus)
+    hs = extract_hessenberg(a_pack)
     res = factorization_residuals_batched(stack, qs, hs)
     for i in range(b):
         q_ref = orghr(facts[i].a, facts[i].taus)
@@ -231,8 +283,6 @@ def test_qform_batched_matches_scalar_bytewise(n, nb, b, dtype, with_hessenberg_
 
 def test_batched_flops_scale_per_item():
     assert F.batched_flops(4, 10) == 40
-    assert F.gemm_batched_flops(3, 4, 5, 6) == 3 * F.gemm_flops(4, 5, 6)
-    assert F.gemv_batched_flops(2, 7, 8) == 2 * F.gemv_flops(7, 8)
     with pytest.raises(ValueError):
         F.batched_flops(-1, 10)
 
@@ -511,11 +561,11 @@ class TestLarfgHypotParity:
 
 
 def test_batched_fused_left_update_invocation_count(monkeypatch):
-    """Batched mirror of the scalar invocation-count pin: the stacked
-    fused left update issues exactly two stacked projection matmuls plus
-    ONE stacked apply product (no per-item loop) — and nothing that
-    produces a standalone k-row checksum product."""
-    import repro.batch.updates as U
+    """The scalar invocation-count pin, on a stack: the fused left update
+    issues exactly two stacked projection matmuls plus ONE stacked apply
+    product (no per-item loop) — and nothing that produces a standalone
+    k-row checksum product."""
+    import repro.abft.checksums as U
     import repro.perf.workspace as W
     from repro.batch.panel import lahr2_batched
     from repro.batch.stack import EncodedMatrixBatch
@@ -526,7 +576,7 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     ws = Workspace()
     p, ib = nb, nb
     pf = lahr2_batched(emb.ext, p, ib, n, workspace=ws)
-    vce = U.v_col_checksums_batched(pf, emb)
+    vce = U.v_col_checksums(pf, emb)
 
     calls = []
     real_matmul = np.matmul
@@ -544,7 +594,7 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     shim.matmul = counting_matmul
     monkeypatch.setattr(U, "np", shim)
     monkeypatch.setattr(W, "np", shim)
-    U.left_update_encoded_batched(emb, pf, vce, workspace=ws)
+    U.left_update_encoded(emb, pf, vce, workspace=ws)
     assert len(calls) == 3
     # no standalone checksum-row product: nothing with k rows (or, for
     # the transposed product buffer, k columns) in the trailing dims
