@@ -31,12 +31,15 @@ def main() -> None:
     a = random_matrix(n, seed=7)
 
     # --- 1. one hostile double fault, watched through the ladder -----------
+    # the checkpoint's guard rows place the struck element and repair it
+    # as the panel is restored, so the paper's one checksum channel then
+    # decodes the matrix fault alone
     print("double fault: checkpoint buffer + matrix, same iteration")
     inj = FaultInjector()
     inj.add(FaultSpec(iteration=1, row=60, col=3, magnitude=4.0,
                       space="checkpoint", phase="post_panel"))
     inj.add(FaultSpec(iteration=1, row=50, col=60, magnitude=1.0))
-    res = ft_gehrd(a, FTConfig(nb=nb, channels=2), injector=inj)
+    res = ft_gehrd(a, FTConfig(nb=nb, channels=1), injector=inj)
     q = orghr(res.a, res.taus)
     h = extract_hessenberg(res.a)
     print(f"  residual after recovery: {factorization_residual(a, q, h):.2e}")
@@ -44,14 +47,14 @@ def main() -> None:
     print(f"  checkpoint corruptions caught by guard sums: "
           f"{res.checkpoint_corruptions}, restarts: {res.restarts}")
 
-    # a checkpoint strike and a matrix fault inside the same iteration:
-    # tier 1 restores the struck panel, so one channel with the restart
-    # backstop disabled fail-stops with a per-tier account instead of a
-    # traceback
+    # a strike on the live Householder block: the trailing updates
+    # already applied the struck V, so tier 1's reversal cannot undo
+    # them, and one channel with the restart backstop disabled
+    # fail-stops with a per-tier account instead of a traceback
     inj = FaultInjector().add(
         FaultSpec(iteration=1, row=20, col=5, magnitude=2.0,
-                  space="checkpoint", phase="post_right")
-    ).add(FaultSpec(iteration=1, row=60, col=70, magnitude=2.0, phase="post_right"))
+                  space="panel_v", phase="post_panel")
+    )
     try:
         ft_gehrd(a, FTConfig(nb=nb, channels=1,
                              ladder=LadderConfig(max_restarts=0)), injector=inj)

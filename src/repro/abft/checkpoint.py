@@ -13,13 +13,17 @@ detection check passes, the previous panel can never be needed again.
 
 Two hardening extensions beyond the paper:
 
-* **Self-verifying checkpoints.** The buffer itself is inside the fault
+* **Self-repairing checkpoints.** The buffer itself is inside the fault
   surface (Bosilca et al.'s point: checksum state must survive the
-  faults it guards against), so each snapshot carries its own per-column
-  sums, checked at restore time. A corrupted buffer is still restored —
-  the locate/correct pass that follows every restore can often repair
-  the damage — but the suspect columns are reported so the driver can
-  escalate when it cannot.
+  faults it guards against), so each snapshot carries guard rows: its
+  unit per-column sums and, in float64 on both lanes, its sums weighted
+  by the encoding's linear and quadratic channels (``w(i) = (i+1)/n``
+  and ``w(i)²``). At restore time a column whose unit sum moved is
+  checked against all three: one struck element at row i moves them by
+  ``e``, ``e w(i)`` and ``e w(i)²``, so the Huang–Abraham ratio places
+  it and a saved sum repairs it. A column the guards cannot pin to one
+  element (two strikes, a non-finite value) is restored as it is and
+  reported, so the driver escalates.
 * **The restart tier's substrate** (:meth:`save_initial`): a read-only
   view of the driver's input plus copies of its encode-time checksum
   blocks (k·2N values), kept for the lifetime of the run. A recovery
@@ -36,12 +40,33 @@ holds views into them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ReproError, UncorrectableError
-from repro.abft.encoding import EncodedMatrix
+from repro.abft.encoding import EncodedMatrix, make_weight_block
+from repro.utils.precision import lane_eps
+
+#: Rounding allowance of the repair's tolerances, in units of eps times
+#: the absolute weighted sum of the column.
+_REPAIR_SLACK = 16.0
+
+
+@functools.lru_cache(maxsize=64)
+def guard_weights(n: int) -> np.ndarray:
+    """The weighted guard rows' weights, (2, n) float64 and read-only: the
+    encoding's linear and quadratic channels, ``w(i) = (i+1)/n`` and
+    ``w(i)²``. Cached per n, since every run of a size builds them."""
+    w = make_weight_block(n, 3)[1:]
+    w.flags.writeable = False
+    return w
+
+
+def _unit_agrees(now, saved) -> np.ndarray:
+    """Whether unit column sums *now* still match the save-time ones."""
+    return np.isclose(now, saved, rtol=1e-12, atol=0.0) & np.isfinite(now)
 
 
 @dataclass
@@ -54,6 +79,8 @@ class PanelCheckpoint:
     panel: np.ndarray        # (N, ib) copy of columns [p, p+ib)
     col_chk_seg: np.ndarray  # (k, ib) copy of every channel's Ac_chk[p : p+ib]
     guard_sums: np.ndarray = field(default=None)  # save-time per-column sums
+    # save-time per-column sums weighted by guard_weights(N), (2, ib) float64
+    weighted_sums: np.ndarray = field(default=None)
 
     @property
     def nbytes(self) -> int:
@@ -63,10 +90,58 @@ class PanelCheckpoint:
         """Panel columns whose current sum disagrees with the save-time sum."""
         if self.guard_sums is None:
             return []
-        now = self.panel.sum(axis=0)
-        bad = ~np.isclose(now, self.guard_sums, rtol=1e-12, atol=0.0)
-        bad |= ~np.isfinite(now)
+        bad = ~_unit_agrees(self.panel.sum(axis=0), self.guard_sums)
         return [int(j) for j in np.nonzero(bad)[0]]
+
+    def repair(self, j: int) -> bool:
+        """Repair one struck element of panel column *j* in place from its
+        guard rows; True when every guard agrees with the column again.
+
+        A lone error ``e`` at row ``i`` moves the unit sum by ``e`` and
+        the weighted ones by ``e w(i)`` and ``e w(i)²``, so the ratio
+        ``n Δw/Δ₁ − 1`` is ``i``, and all three deltas must name the same
+        ``e`` there. Two strikes in one column can fit the first two
+        guards (equal ones at rows ``i ± d`` look like ``2e`` at ``i``),
+        never the third. The element is rewritten from a saved float64
+        sum minus the other entries, as
+        :meth:`~repro.abft.qprotect.QProtector.correct` does: the unit sum
+        on the float64 lane, the linear one on fp32, whose unit sum is an
+        fp32 sum. A column the guards cannot explain (two strikes, a
+        non-finite or inconsistent ratio) is left unwritten.
+        """
+        col = self.panel[:, j]
+        n = col.size
+        x = np.vstack([np.ones(n), guard_weights(n)])
+        saved = np.array([self.guard_sums[j], *self.weighted_sums[:, j]])
+        # the unit sum is a lane sum; the weighted ones are float64
+        eps = np.array([lane_eps(col.dtype), lane_eps(np.float64), lane_eps(np.float64)])
+
+        def deltas():
+            """Each guard's delta and its rounding allowance."""
+            return x @ col - saved, _REPAIR_SLACK * eps * (x @ np.abs(col))
+
+        d, tol = deltas()
+        if not np.isfinite(d).all() or not np.isfinite(tol).all() or d[0] == 0.0:
+            return False
+        ratio = n * float(d[1]) / float(d[0]) - 1.0
+        if not -0.5 < ratio < n - 0.5:
+            return False
+        i = int(round(ratio))
+        err, res = d / x[:, i], tol / x[:, i]  # the error each guard names
+        if abs(err[1] - err[0]) > res[1] + res[0] or abs(err[2] - err[1]) > res[2] + res[1]:
+            return False
+        r = 0 if col.dtype == np.float64 else 1
+        others = float(x[r, :i] @ col[:i]) + float(x[r, i + 1 :] @ col[i + 1 :])
+        old = col[i]
+        col[i] = (saved[r] - others) / x[r, i]
+        d, tol = deltas()
+        # the rewritten element is exact to its guard's rounding and one
+        # rounding to the lane
+        slack = tol[1:] + x[1:, i] * (tol[r] / x[r, i] + eps[0] * abs(float(col[i])))
+        if _unit_agrees(col.sum(), self.guard_sums[j]) and (np.abs(d[1:]) <= slack).all():
+            return True
+        col[i] = old
+        return False
 
 
 class DisklessCheckpointStore:
@@ -80,10 +155,13 @@ class DisklessCheckpointStore:
         self.source: np.ndarray | None = None
         self.source_checksums: tuple[np.ndarray, np.ndarray] | None = None
         # the panel checkpoint's buffers, allocated on the first save:
-        # the extended panel columns (data, then column checksums) and
-        # their guard sums
+        # the extended panel columns (data, then column checksums), their
+        # unit guard sums, and the weights and float64 sums of the two
+        # weighted guard rows
         self._columns: np.ndarray | None = None
         self._sums: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+        self._wsums: np.ndarray | None = None
         self.saves = 0
         self.restores = 0
         self.peak_bytes = 0
@@ -95,14 +173,19 @@ class DisklessCheckpointStore:
         """Snapshot panel ``[p, p+ib)`` of *em*; replaces any prior checkpoint."""
         n, rows, dt = em.n, em.ext.shape[0], em.ext.dtype
         cols = self._columns
-        if cols is None or cols.shape[0] != rows or cols.shape[1] < ib or cols.dtype != dt:
+        if (cols is None or cols.shape[0] != rows or cols.shape[1] < ib or cols.dtype != dt
+                or self._weights.shape[1] != n):
             cols = self._columns = np.empty((rows, ib), dtype=dt, order="F")
             self._sums = np.empty(ib, dtype=dt)
+            self._weights = guard_weights(n)
+            self._wsums = np.empty(2 * ib)
         cols = cols[:, :ib]
         cols[...] = em.ext[:, p : p + ib]
         panel = cols[:n]
         sums = panel.sum(axis=0, out=self._sums[:ib])
-        cp = PanelCheckpoint(p=p, ib=ib, panel=panel, col_chk_seg=cols[n:], guard_sums=sums)
+        wsums = np.matmul(self._weights, panel, out=self._wsums[: 2 * ib].reshape(2, ib))
+        cp = PanelCheckpoint(p=p, ib=ib, panel=panel, col_chk_seg=cols[n:],
+                             guard_sums=sums, weighted_sums=wsums)
         self.current = cp
         self.saves += 1
         self.peak_bytes = max(self.peak_bytes, cp.nbytes)
@@ -111,10 +194,12 @@ class DisklessCheckpointStore:
     def restore(self, em: EncodedMatrix, *, verify: bool = False):
         """Write the checkpointed panel and checksum segments back into *em*.
 
-        With ``verify=True`` returns ``(checkpoint, suspect_columns)``;
-        suspect columns are restored anyway (the follow-up locate pass
-        sees the corruption against the maintained checksums and can
-        often correct it — and escalation covers the rest).
+        With ``verify=True`` each column whose guard sums moved is first
+        repaired (:meth:`PanelCheckpoint.repair`), and the call returns
+        ``(checkpoint, suspect_columns)`` with the columns it could not
+        repair. Those are restored anyway (the follow-up locate pass sees
+        the corruption against the maintained checksums and can often
+        correct it — and escalation covers the rest).
         """
         cp = self.current
         if cp is None:
@@ -122,6 +207,7 @@ class DisklessCheckpointStore:
         suspects = cp.suspect_columns() if verify else []
         if suspects:
             self.corruption_detected += len(suspects)
+            suspects = [j for j in suspects if not cp.repair(j)]
         em.data[:, cp.p : cp.p + cp.ib] = cp.panel
         em.ext[em.n :, cp.p : cp.p + cp.ib] = cp.col_chk_seg
         self.restores += 1

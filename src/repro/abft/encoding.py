@@ -84,9 +84,10 @@ class EncodedMatrix:
     take one matrix: a stack is never recovered, only ejected.
     """
 
-    # reused scratch of refresh_finished_segment, grown on demand: the
-    # masked panel and the strictly upper triangular mask of its tail;
-    # and of _masked: the masked matrix and the Q region's mask
+    # reused scratch of refresh_finished_segment: the masked panel, sized
+    # on the first call for n rows at its width (a segment has at most n
+    # rows), and the strictly upper triangular mask of its tail; and of
+    # _masked: the masked matrix and the Q region's mask
     # (class defaults, so views built without __init__ have them too)
     _seg: np.ndarray | None = None
     _upper: np.ndarray | None = None
@@ -266,7 +267,7 @@ class EncodedMatrix:
         b = math.prod(lead)
         size = b * rows * w
         if self._seg is None or self._seg.size < size:
-            self._seg = np.empty(size, dtype=self.ext.dtype)
+            self._seg = np.empty(b * n * w, dtype=self.ext.dtype)
         if self._upper is None or self._upper.shape[1] < w:
             self._upper = ~np.tri(w, dtype=bool)
         seg = self._seg[:size].reshape(lead + (rows, w))

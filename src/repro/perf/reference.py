@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from repro.abft.checkpoint import PanelCheckpoint
+from repro.abft.checkpoint import PanelCheckpoint, guard_weights
 from repro.abft.detection import ThresholdPolicy, checksum_second_moment
 from repro.abft.encoding import EncodedMatrix
 from repro.abft.location import LocatedError
@@ -507,7 +507,8 @@ class QProtectorReference(QProtector):
 def checkpoint_save_reference(em: EncodedMatrix, p: int, ib: int) -> PanelCheckpoint:
     """The copying panel checkpoint (see
     :meth:`repro.abft.checkpoint.DisklessCheckpointStore.save`): fresh
-    copies of the panel and the checksum segment, and fresh guard sums."""
+    copies of the panel and the checksum segment, and fresh guard sums,
+    unit and weighted."""
     n = em.n
     panel = em.data[:, p : p + ib].copy(order="F")
     return PanelCheckpoint(
@@ -516,6 +517,7 @@ def checkpoint_save_reference(em: EncodedMatrix, p: int, ib: int) -> PanelCheckp
         panel=panel,
         col_chk_seg=em.ext[n:, p : p + ib].copy(order="F"),
         guard_sums=panel.sum(axis=0),
+        weighted_sums=guard_weights(n) @ panel,
     )
 
 

@@ -25,6 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 
+#: (name, dtype as passed) -> (pool key, normalised dtype), shared by every
+#: arena: a pure function of its key, over the fixed set of buffer names
+_KEYS: dict[tuple[str, object], tuple[str, np.dtype]] = {}
+
+
 class Workspace:
     """Named scratch buffers, allocated once and reused across iterations.
 
@@ -50,8 +55,11 @@ class Workspace:
         dtype: np.dtype | type = np.float64,
     ) -> np.ndarray:
         """An exact-shape view of the named pool at *dtype*."""
-        dt = np.dtype(dtype)
-        key = name if dt == np.float64 else f"{name}@{dt.name}"
+        memo = _KEYS.get((name, dtype))
+        if memo is None:
+            dt = np.dtype(dtype)
+            memo = _KEYS[name, dtype] = (name if dt == np.float64 else f"{name}@{dt.name}", dt)
+        key, dt = memo
         size = 1
         for dim in shape:
             size *= int(dim)

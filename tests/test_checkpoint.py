@@ -57,3 +57,83 @@ class TestCheckpointStore:
         em.data[:, 4:8] = 0.0
         store.restore(em)
         np.testing.assert_array_equal(em.data[:, 8:], before)
+
+
+LANES = (np.float64, np.float32)
+
+
+def _saved(dtype, n=96, ib=16, p=16):
+    em = EncodedMatrix(random_matrix(n, seed=11, dtype=dtype))
+    store = DisklessCheckpointStore()
+    cp = store.save(em, p, ib)
+    return em, store, cp, cp.panel.copy(order="F")
+
+
+class TestCheckpointRepair:
+    """The guard rows place one struck element of a column and the
+    restore repairs it; anything else is restored as it is and reported."""
+
+    @pytest.mark.parametrize("dtype", LANES)
+    @pytest.mark.parametrize("row", [0, 47, 95])
+    def test_one_strike_is_repaired(self, dtype, row):
+        em, store, cp, saved = _saved(dtype)
+        cp.panel[row, 5] += 1.0
+        assert cp.suspect_columns() == [5]
+        _, suspects = store.restore(em, verify=True)
+        assert suspects == []
+        assert store.corruption_detected == 1
+        if dtype == np.float32:
+            # repaired from the float64 weighted sum: the very bits
+            assert cp.panel.tobytes() == saved.tobytes()
+        else:
+            np.testing.assert_allclose(cp.panel, saved, rtol=0, atol=1e-13)
+        # the restore wrote the repaired panel back
+        assert em.data[:, 16:32].tobytes() == cp.panel.tobytes()
+        assert cp.suspect_columns() == []
+
+    @pytest.mark.parametrize("dtype", LANES)
+    @pytest.mark.parametrize("rows, mags", [
+        ((20, 40), (1.0, 1.0)),   # fits the unit and linear guards at row 30
+        ((10, 50), (2.0, 2.0)),
+        ((3, 70), (1.0, -0.5)),
+        ((30, 31), (1.0, 1.0)),
+    ])
+    def test_two_strikes_in_one_column_stay_suspect(self, dtype, rows, mags):
+        em, store, cp, saved = _saved(dtype)
+        for row, mag in zip(rows, mags):
+            cp.panel[row, 5] += mag
+        struck = cp.panel.copy(order="F")
+        _, suspects = store.restore(em, verify=True)
+        assert suspects == [5]
+        assert store.corruption_detected == 1
+        # left exactly as struck, and restored that way
+        assert cp.panel.tobytes() == struck.tobytes()
+        assert em.data[:, 16:32].tobytes() == struck.tobytes()
+
+    @pytest.mark.parametrize("dtype", LANES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_strike_stays_suspect(self, dtype, value):
+        em, store, cp, saved = _saved(dtype)
+        cp.panel[40, 2] = value
+        _, suspects = store.restore(em, verify=True)
+        assert suspects == [2]
+        assert store.corruption_detected == 1
+
+    @pytest.mark.parametrize("dtype", LANES)
+    def test_strikes_in_two_columns_are_each_repaired(self, dtype):
+        em, store, cp, saved = _saved(dtype)
+        cp.panel[7, 1] += 3.0
+        cp.panel[88, 14] -= 0.25
+        cp.panel[50, 9] = np.nan
+        _, suspects = store.restore(em, verify=True)
+        assert suspects == [9]
+        assert store.corruption_detected == 3
+        keep = [j for j in range(16) if j != 9]
+        np.testing.assert_allclose(cp.panel[:, keep], saved[:, keep], rtol=0, atol=1e-13)
+
+    def test_restore_without_verify_repairs_nothing(self):
+        em, store, cp, saved = _saved(np.float64)
+        cp.panel[10, 3] += 1.0
+        store.restore(em)
+        assert cp.panel[10, 3] == saved[10, 3] + 1.0
+        assert store.corruption_detected == 0

@@ -87,3 +87,23 @@ class TestFreshSums:
             hi = min(j + 2, n)
             want = em.weights[:, :hi] @ em.ext[:hi, j] if p <= j < p + ib else 0.0
             np.testing.assert_allclose(em.ext[n:, j], want, rtol=1e-13, atol=0)
+
+
+class TestSegmentScratch:
+    def test_one_scratch_buffer_per_matrix(self, monkeypatch):
+        """The refresh's masked-panel scratch is sized once, for the
+        largest segment (n rows), not regrown as the segment's rows grow."""
+        from repro.core import FTConfig, ft_gehrd
+
+        seen = []
+        real = EncodedMatrix.refresh_finished_segment
+
+        def spy(self, p, ib, **kw):
+            real(self, p, ib, **kw)
+            seen.append(self._seg)
+
+        monkeypatch.setattr(EncodedMatrix, "refresh_finished_segment", spy)
+        ft_gehrd(random_matrix(128, seed=1), FTConfig(nb=16))
+        assert len(seen) == 8
+        assert len({id(buf) for buf in seen}) == 1
+        assert seen[0].size == 128 * 16

@@ -27,8 +27,9 @@ from repro.utils.rng import random_matrix
 
 N, NB = 64, 16
 
-#: a checkpoint strike plus its trigger, and a strike on the live V block:
-#: both restart (the second after two channels' deep rollback refuses)
+#: a checkpoint strike plus its trigger, which the restore repairs so
+#: tier 1 redoes the iteration, and a strike on the live V block, which
+#: restarts (at two channels after the deep rollback refuses)
 CHECKPOINT = (dict(iteration=1, row=20, col=5, space="checkpoint", phase="post_right"),
               dict(iteration=1, row=40, col=50, phase="post_right"))
 PANEL_V = dict(iteration=1, row=30, col=5, space="panel_v", phase="post_panel")
@@ -160,9 +161,10 @@ class TestHitsEqualFreshPricing:
     @pytest.mark.parametrize("plan,kwargs", [
         ((dict(iteration=1, row=40, col=50),), {}),  # reverse + redo
         ((dict(iteration=1, row=0, col=30, space="col_checksum"),), {}),  # in place
-        (CHECKPOINT, {}),  # restart
+        (CHECKPOINT, {}),  # checkpoint repaired, then reverse + redo
         ((PANEL_V,), {"channels": 2}),  # deep rollback, then restart
         ((dict(iteration=2, row=3, col=10),), {"audit_every": 1}),  # audit fix
+        ((PANEL_V,), {}),  # restart
     ])
     def test_a_faulted_runs_timeline_equals_an_uncached_pricing(
         self, schedules, plan, kwargs

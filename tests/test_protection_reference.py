@@ -265,7 +265,7 @@ def test_checkpoint_save_restore_and_suspects_match(dtype, k):
         ib = min(nb, n - 1 - p)
         cp, want = store.save(em, p, ib), checkpoint_save_reference(em, p, ib)
         assert (cp.p, cp.ib, cp.nbytes) == (want.p, want.ib, want.nbytes)
-        for field in ("panel", "col_chk_seg", "guard_sums"):
+        for field in ("panel", "col_chk_seg", "guard_sums", "weighted_sums"):
             got, ref = getattr(cp, field), getattr(want, field)
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert got.tobytes(order="F") == ref.tobytes(order="F"), field
@@ -290,7 +290,7 @@ def test_checkpoint_buffers_are_reused_across_saves():
     store = DisklessCheckpointStore()
     first = store.save(em, 0, 8)
     second = store.save(em, 8, 8)
-    for field in ("panel", "col_chk_seg", "guard_sums"):
+    for field in ("panel", "col_chk_seg", "guard_sums", "weighted_sums"):
         assert np.shares_memory(getattr(first, field), getattr(second, field))
 
 

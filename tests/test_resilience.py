@@ -44,6 +44,7 @@ from repro.resilience import (
     max_tier,
     tier_rank,
 )
+from repro.utils.precision import lane_scale
 from repro.utils.rng import random_matrix
 
 
@@ -239,6 +240,24 @@ class TestAdversarialSpaces:
         assert _residual(a0, res) < 1e-12
         assert res.detections >= 1
         assert res.checkpoint_corruptions >= 1 or res.restarts >= 1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("phase", ["post_panel", "post_right", "during_recovery"])
+    @pytest.mark.parametrize("row", [0, 47, 95])  # never the trigger's row
+    def test_one_channel_checkpoint_strike_is_repaired_not_restarted(self, dtype, phase, row):
+        """One channel cannot tell a struck checkpoint element from its
+        trigger of equal magnitude; the restore repairs the element from
+        the guard rows, so tier 1 decodes the trigger alone and redoes
+        the iteration instead of restarting the run."""
+        a0 = random_matrix(96, seed=5, dtype=dtype)
+        inj = FaultInjector()
+        inj.add(FaultSpec(iteration=2, row=row, col=5, space="checkpoint", phase=phase))
+        inj.add(FaultSpec(iteration=2, row=60, col=70, phase="post_right"))  # trigger
+        res = ft_gehrd(a0, FTConfig(nb=16, channels=1), injector=inj)
+        assert [r.tier for r in res.recoveries] == ["reverse_redo"]
+        assert res.restarts == 0
+        assert res.checkpoint_corruptions == 1
+        assert _residual(a0, res) <= 1e-13 * lane_scale(dtype)
 
     def test_fault_during_recovery(self):
         """A second fault striking while recovery is running escalates

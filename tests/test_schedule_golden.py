@@ -22,8 +22,12 @@ from repro.utils.rng import random_matrix
 N, NB = 96, 16
 ORDER, ORDER_NB = 1022, 32
 
-#: a checkpoint strike plus its trigger: tier 1 restores a struck panel,
-#: and one channel cannot decode it, so the run restarts or fail-stops
+#: a strike on the live V block: the updates applied a V that tier 1
+#: cannot reverse, so the run restarts or fail-stops
+PANEL_V = (dict(iteration=2, row=20, col=5, space="panel_v", phase="post_panel"),)
+
+#: a checkpoint strike plus its trigger: the restore repairs the struck
+#: panel from its guard rows, and tier 1 decodes the trigger alone
 CHECKPOINT = (dict(iteration=2, row=20, col=5, space="checkpoint", phase="post_right"),
               dict(iteration=2, row=60, col=70, phase="post_right"))
 
@@ -35,7 +39,8 @@ COMPUTING = {
     "serial_q": ({"overlap_q_checksums": False}, (), "none"),
     "in_place": ({}, (dict(iteration=2, row=0, col=50, space="col_checksum"),), "in_place"),
     "reverse_redo": ({}, (dict(iteration=2, row=60, col=70),), "reverse_redo"),
-    "restart": ({}, CHECKPOINT, "restart"),
+    "restart": ({}, PANEL_V, "restart"),
+    "checkpoint_repair": ({}, CHECKPOINT, "reverse_redo"),
     "audit_fix": ({"audit_every": 2}, (dict(iteration=3, row=5, col=20),), "audit"),
     "q_correction": ({}, (dict(iteration=3, row=70, col=20),), "q"),
     "tau_repair": (
@@ -44,7 +49,7 @@ COMPUTING = {
          dict(iteration=2, row=60, col=70)),
         "tau",
     ),
-    "exhausted": ({"ladder": LadderConfig(max_restarts=0)}, CHECKPOINT, "exhausted"),
+    "exhausted": ({"ladder": LadderConfig(max_restarts=0)}, PANEL_V, "exhausted"),
 }
 
 #: order-only runs: name -> fault plan
@@ -90,6 +95,16 @@ PINS = {
         94,
         '0.002280756390462087',
         '35ddbb5f58b32217696599b282244bf2c3a6bfca75f46853be736a65a8680271',
+    ),
+    'ft/checkpoint_repair/float64': (
+        114,
+        '0.0026938085803318236',
+        '123730e732bf357e1255e00f1dbacd960b27f59d02cc4ed65ef79d2cd46165d4',
+    ),
+    'ft/checkpoint_repair/float32': (
+        114,
+        '0.002673147246998492',
+        'f4608bbe4440c2d294c227d5e66345931facd53f1099fea9204ca76a5eb7fee6',
     ),
     'ft/clean/float64': (
         94,

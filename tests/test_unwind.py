@@ -180,18 +180,17 @@ class TestRowOnlyLocation:
         )
 
 
-def _checkpoint_plan(it):
-    """A checkpoint strike plus its trigger in the same iteration: tier 1
-    restores a corrupted panel, so only tiers 2 and 3 are left."""
+def _panel_v_plan(it):
+    """A strike on the live V block: the updates applied a V that tier 1
+    cannot reverse, so only tiers 2 and 3 are left, at any channel count."""
     return FaultInjector(faults=[
-        FaultSpec(iteration=it, row=20, col=5, space="checkpoint", phase="post_right"),
-        FaultSpec(iteration=it, row=60, col=70, phase="post_right"),
+        FaultSpec(iteration=it, row=30, col=5, space="panel_v", phase="post_panel"),
     ])
 
 
 class TestDelayedDetectionRecovery:
-    """The detector checks every iteration; a checkpoint strike stays
-    latent until the recovery restores it."""
+    """The detector checks every iteration; a struck V block is caught in
+    its own iteration, and tier 1's reversal cannot undo it."""
 
     def _check(self, a0, res):
         q = orghr(res.a, res.taus)
@@ -199,11 +198,11 @@ class TestDelayedDetectionRecovery:
         return factorization_residual(a0, q, h)
 
     def test_single_channel_latency_restarts(self):
-        """One channel cannot decode the restored strike with its
-        trigger: tier 2 refuses, and the ladder's restart tier turns
-        what used to be a refusal into a (slow) clean success."""
+        """One channel cannot decode what the struck V left behind:
+        tier 2 refuses, and the ladder's restart tier turns what used to
+        be a refusal into a (slow) clean success."""
         a0 = random_matrix(128, seed=12)
-        res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=_checkpoint_plan(1))
+        res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=_panel_v_plan(1))
         assert self._check(a0, res) < 1e-12
         assert res.restarts == 1
         assert [r.tier for r in res.recoveries] == ["restart"]
@@ -216,7 +215,7 @@ class TestDelayedDetectionRecovery:
         a0 = random_matrix(128, seed=12)
         cfg = FTConfig(nb=32, channels=1, ladder=LadderConfig(max_restarts=0))
         with pytest.raises(EscalationExhausted) as ei:
-            ft_gehrd(a0, cfg, injector=_checkpoint_plan(1))
+            ft_gehrd(a0, cfg, injector=_panel_v_plan(1))
         report = ei.value.report
         assert report is not None
         assert report.attempts.get("reverse_redo", 0) >= 1
@@ -231,14 +230,6 @@ class TestDelayedDetectionRecovery:
         res = ft_gehrd(a0, FTConfig(nb=32, channels=1), injector=inj)
         assert [r.tier for r in res.recoveries] == ["reverse_redo"]
         assert self._check(a0, res) < 1e-13
-
-
-def _panel_v_plan(it):
-    """A strike on the live V block: the updates applied a V that tier 1
-    cannot reverse, so only tiers 2 and 3 are left, at any channel count."""
-    return FaultInjector(faults=[
-        FaultSpec(iteration=it, row=30, col=5, space="panel_v", phase="post_panel"),
-    ])
 
 
 class TestDeepRollbackStops:
@@ -264,11 +255,11 @@ class TestDeepRollbackStops:
 
     def test_one_channel_restart_unwinds_one_iteration(self, unwound):
         a = random_matrix(96, seed=0)
-        res = ft_gehrd(a, FTConfig(nb=16), injector=_checkpoint_plan(3))
+        res = ft_gehrd(a, FTConfig(nb=16), injector=_panel_v_plan(3))
         assert unwound == [32]
         del unwound[:]
         ref = ft_gehrd(a, FTConfig(nb=16, ladder=LadderConfig(max_deep_steps=0)),
-                       injector=_checkpoint_plan(3))
+                       injector=_panel_v_plan(3))
         assert unwound == []
         assert [(r.iteration, r.tier) for r in res.recoveries] == [(3, "restart")]
         assert res.a.tobytes() == ref.a.tobytes()

@@ -50,6 +50,21 @@ class TestProduct:
             assert np.array_equal(stacked[i], Workspace().product(a[i], b[i]))
 
 
+class TestBufKeys:
+    def test_dtype_spellings_share_one_pool_per_lane(self):
+        ws = Workspace()
+        a = ws.buf("x", (4, 3), dtype=np.float32)
+        b = ws.buf("x", (4, 3), dtype="float32")
+        c = ws.buf("x", (3, 4), order="C", dtype=np.dtype(np.float32))
+        assert a.dtype == b.dtype == c.dtype == np.float32
+        assert a.flags.f_contiguous and c.flags.c_contiguous
+        assert a.ctypes.data == b.ctypes.data == c.ctypes.data
+        d = ws.buf("x", (4, 3), dtype="float64")
+        e = ws.buf("x", (2, 2))
+        assert d.ctypes.data == e.ctypes.data and d.dtype == np.float64
+        assert sorted(ws._pools) == ["x", "x@float32"]
+
+
 class TestPresizeCoversHotPath:
     N, NB = 96, 16
 
