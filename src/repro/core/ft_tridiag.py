@@ -48,6 +48,7 @@ from repro.linalg.flops import FlopCounter
 from repro.linalg.householder import larfg
 from repro.linalg.verify import one_norm
 from repro.perf.workspace import Workspace
+from repro.resilience.tau_guard import TauGuard
 
 DEFAULT_AUDIT_EVERY = 16
 
@@ -303,6 +304,7 @@ def ft_sytrd(
     policy = threshold or ThresholdPolicy()
     st = _FTSytrdState(np.asarray(a, dtype=np.float64), norm_a, counter)
     qprot = QProtector(n, eps_factor=eps_factor_locate)
+    tau_guard = TauGuard(st.taus.size)
 
     recoveries: list[RecoveryEvent] = []
     detections = 0
@@ -344,24 +346,27 @@ def ft_sytrd(
         transforms applied *before* the corruption smears it). Reversing
         one column at a time and attempting location after each step
         stops exactly where the pattern is clean. A decode that claims
-        more than ``max_simultaneous`` data errors is a smeared state
-        masquerading as decodable (e.g. a symmetric rank-1 drift pattern
-        decodes as one "error" per diagonal element) — keep reversing.
+        more than ``max_simultaneous`` data errors, or two or more that
+        all lie on the diagonal, is a smeared state masquerading as
+        decodable (a symmetric rank-1 drift pattern decodes as one
+        "error" per diagonal element) — keep reversing.
         """
         last_err: UncorrectableError | None = None
         while buffer:
             rec = buffer.pop()
-            # the just-failed column was never registered with the protector
-            if qprot.finished_cols == rec.j + 1:
-                qprot.rollback_panel(st.ext[:n, :n], rec.j, 1)
+            qprot.rollback_panel(st.ext[:n, :n], rec.j, 1)
             st.reverse_column(rec)
+            tau_guard.rollback(rec.j, 1)
             redo_from = rec.j
             try:
                 errors = audit(redo_from)
             except UncorrectableError as exc:
                 last_err = exc
                 continue
-            if len([e for e in errors if e.kind == "data"]) > max_simultaneous:
+            data = [e for e in errors if e.kind == "data"]
+            if len(data) > max_simultaneous or (
+                len(data) >= 2 and all(e.row == e.col for e in data)
+            ):
                 continue  # smeared pseudo-decodable state; keep reversing
             if errors:
                 correct(errors, redo_from)
@@ -397,6 +402,10 @@ def ft_sytrd(
 
         rec = st.apply_column(j)
         buffer.append(rec)
+        # the column's tau and reflector checksums are committed before
+        # anything can strike them; a rollback un-commits both
+        tau_guard.record(st.taus, j, 1)
+        qprot.update_for_panel(st.ext[:n, :n], j, 1, counter=counter)
         inject("post_panel", j, panel_v=rec.v.reshape(-1, 1))
 
         # tier 1: cheap Σ-gap test after every column, plus the freeze
@@ -427,7 +436,6 @@ def ft_sytrd(
             continue
 
         retries_here = 0
-        qprot.update_for_panel(st.ext[:n, :n], j, 1, counter=counter)
         j += 1
         if boundary:
             audit_base = j
@@ -462,8 +470,9 @@ def ft_sytrd(
         )
 
     # reflector-storage protection (the analogue of the paper's Q check):
-    # verified once, at the end — a packed-vector corruption cannot
-    # propagate but would silently corrupt the orthogonal factor.
+    # verified once, at the end — a packed-vector or tau corruption
+    # cannot propagate but would silently corrupt the orthogonal factor.
+    tau_guard.verify_and_repair(st.taus)
     qprot.verify_and_correct(st.ext[:n, :n], counter=counter)
 
     return FTTridiagResult(

@@ -73,7 +73,7 @@ def hessenberg_eigvecs(
     n = h.shape[0]
     if h.shape != (n, n):
         raise ShapeError(f"hessenberg_eigvecs needs a square matrix, got {h.shape}")
-    from repro.eigen.hqr import _work_dtype
+    from repro.eigen.schur import _work_dtype
 
     dt = _work_dtype(h)
     scale = float(np.max(np.abs(h))) if h.size else 0.0
@@ -107,7 +107,8 @@ def eig_via_hessenberg(a: np.ndarray, *, nb: int = 32, seed: int = 0):
     back-transformation. Returns ``(eigvals, eigvecs)`` with
     ``A v_q ≈ λ_q v_q``.
     """
-    from repro.eigen.hqr import _work_dtype, hessenberg_eigvals
+    from repro.eigen.hqr import hessenberg_eigvals
+    from repro.eigen.schur import _work_dtype
     from repro.linalg.gehrd import gehrd
     from repro.linalg.orghr import orghr
     from repro.linalg.verify import extract_hessenberg

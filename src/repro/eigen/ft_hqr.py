@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.results import RecoveryEvent
-from repro.eigen.hqr import _work_dtype
 from repro.eigen.schur import (
     _standardize_blocks,
+    _work_dtype,
     is_quasi_triangular,
     qr_outer_step,
     schur_eigvals,

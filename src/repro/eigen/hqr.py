@@ -4,60 +4,19 @@ double-shift QR iteration with deflation.
 This is the "Hessenberg QR algorithm" the paper's §III names as the
 consumer of the reduction (Golub & Van Loan §7.5): once ``A = Q H Qᵀ``,
 the eigenvalues of A are those of H, computed here by bulge-chasing
-double-shift sweeps. Implemented from scratch on NumPy; the complex
+double-shift sweeps (:func:`repro.eigen.schur.qr_outer_step`, without
+the Schur vectors). Implemented from scratch on NumPy; the complex
 conjugate pairs of a real matrix come out of the final 2x2 blocks.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.linalg.householder import larfg
+from repro.eigen.schur import _eig2x2, _work_dtype, qr_outer_step
 from repro.linalg.verify import hessenberg_defect
-from repro.utils.precision import LANE_DTYPES, lane_scale
-
-
-def _work_dtype(a: np.ndarray) -> np.dtype:
-    """Working dtype of the Francis iteration for input *a*: float32
-    stays on the float32 lane, everything else runs in float64 (the
-    same coercion rule as :func:`repro.utils.precision.as_lane_matrix`)."""
-    a = np.asarray(a)
-    return a.dtype if a.dtype.name in LANE_DTYPES else np.dtype(np.float64)
-
-
-def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of ``[[a, b], [c, d]]`` (stable quadratic formula)."""
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr / 4.0 - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        # avoid cancellation: compute the larger root first
-        if tr >= 0:
-            l1 = tr / 2.0 + s
-        else:
-            l1 = tr / 2.0 - s
-        l2 = det / l1 if l1 != 0.0 else tr / 2.0 - math.copysign(s, tr)
-        return complex(l1), complex(l2)
-    s = math.sqrt(-disc)
-    return complex(tr / 2.0, s), complex(tr / 2.0, -s)
-
-
-def _apply_house_left(h: np.ndarray, u: np.ndarray, tau: float, r0: int, cols: slice) -> None:
-    rows = slice(r0, r0 + u.size)
-    block = h[rows, cols]
-    w = u @ block
-    block -= tau * np.outer(u, w)
-
-
-def _apply_house_right(h: np.ndarray, u: np.ndarray, tau: float, c0: int, rows: slice) -> None:
-    cols = slice(c0, c0 + u.size)
-    block = h[rows, cols]
-    w = block @ u
-    block -= tau * np.outer(w, u)
+from repro.utils.precision import lane_scale
 
 
 def hessenberg_eigvals(
@@ -95,90 +54,22 @@ def hessenberg_eigvals(
     eigs: list[complex] = []
     eps = float(np.finfo(dt).eps)
 
-    hi = n - 1  # active block is hh[lo:hi+1, lo:hi+1]
+    hi = n - 1  # active block ends at hh[hi, hi]
     budget = max_sweeps_per_eig * n + 10
-    sweeps_since_deflation = 0
+    stalls = 0
     total = 0
     while hi >= 0:
         total += 1
         if total > budget:
             raise ConvergenceError("QR iteration exceeded its global sweep budget")
-        if hi == 0:
-            eigs.append(complex(hh[0, 0]))
-            hi -= 1
-            continue
-        # find the active block start: the first subdiagonal (from hi
-        # upward) that is negligible
-        lo = hi
-        while lo > 0:
-            s = abs(hh[lo - 1, lo - 1]) + abs(hh[lo, lo])
-            if s == 0.0:
-                s = scale
-            if abs(hh[lo, lo - 1]) <= eps * s:
-                hh[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
+        new_hi, stalls = qr_outer_step(
+            hh, None, hi, stalls, scale=scale, eps=eps, max_sweeps_per_eig=max_sweeps_per_eig
+        )
+        if new_hi == hi - 1:  # a 1x1 block deflated
             eigs.append(complex(hh[hi, hi]))
-            hi -= 1
-            sweeps_since_deflation = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig2x2(hh[lo, lo], hh[lo, hi], hh[hi, lo], hh[hi, hi])
-            eigs.extend([l1, l2])
-            hi -= 2
-            sweeps_since_deflation = 0
-            continue
-
-        sweeps_since_deflation += 1
-        if sweeps_since_deflation > max_sweeps_per_eig:
-            raise ConvergenceError(
-                f"no deflation after {max_sweeps_per_eig} double-shift sweeps"
-            )
-
-        # Francis double shift from the trailing 2x2 (with the classic
-        # "exceptional shift" every 10 stalled sweeps).
-        if sweeps_since_deflation % 10 == 0:
-            s1 = abs(hh[hi, hi - 1]) + abs(hh[hi - 1, hi - 2])
-            trace, det = 1.5 * s1, s1 * s1
-        else:
-            a, b, c, d = hh[hi - 1, hi - 1], hh[hi - 1, hi], hh[hi, hi - 1], hh[hi, hi]
-            trace, det = a + d, a * d - b * c
-
-        # first column of (H - s1 I)(H - s2 I): a 3-vector bulge seed
-        h00, h01 = hh[lo, lo], hh[lo, lo + 1]
-        h10, h11 = hh[lo + 1, lo], hh[lo + 1, lo + 1]
-        h21 = hh[lo + 2, lo + 1]
-        x = h00 * h00 + h01 * h10 - trace * h00 + det
-        y = h10 * (h00 + h11 - trace)
-        z = h10 * h21
-
-        # bulge chase
-        for k in range(lo, hi - 1):
-            if k > lo:
-                x, y = hh[k, k - 1], hh[k + 1, k - 1]
-                z = hh[k + 2, k - 1] if k + 2 <= hi else 0.0
-            vec = np.array([y, z]) if k + 2 <= hi else np.array([y])
-            refl = larfg(x, vec)
-            u = np.concatenate(([1.0], refl.v))
-            tau = refl.tau
-            # the left application itself annihilates the bulge column
-            # (k-1); the explicit zeroing below only cleans roundoff.
-            cstart = max(lo, k - 1) if k > lo else lo
-            _apply_house_left(hh, u, tau, k, slice(cstart, n))
-            rend = min(hi, k + 3)
-            _apply_house_right(hh, u, tau, k, slice(0, rend + 1))
-            if k > lo:
-                hh[k + 1 : k + u.size, k - 1] = 0.0
-
-        # final 2x2 rotation to clear the bulge remnant at (hi, hi-2)
-        k = hi - 1
-        x, y = hh[k, k - 1], hh[k + 1, k - 1]
-        refl = larfg(x, np.array([y]))
-        u = np.concatenate(([1.0], refl.v))
-        _apply_house_left(hh, u, refl.tau, k, slice(k - 1, n))
-        _apply_house_right(hh, u, refl.tau, k, slice(0, hi + 1))
-        hh[k + 1, k - 1] = 0.0
+        elif new_hi == hi - 2:  # a 2x2 block deflated
+            eigs.extend(_eig2x2(hh[hi - 1, hi - 1], hh[hi - 1, hi], hh[hi, hi - 1], hh[hi, hi]))
+        hi = new_hi
 
     return np.array(eigs[::-1], dtype=complex)
 

@@ -1,29 +1,55 @@
 """Real Schur form of an upper-Hessenberg matrix: ``H = Z T Zᵀ``.
 
-The same Francis double-shift bulge-chasing iteration as
-:mod:`repro.eigen.hqr`, with the orthogonal transformations accumulated
-into Z. T is real quasi-triangular: 1x1 blocks carry real eigenvalues,
-2x2 blocks carry complex-conjugate pairs. Combined with the (FT)
-Hessenberg reduction this completes the dense nonsymmetric eigensolver
-pipeline: ``A = Q H Qᵀ = (Q Z) T (Q Z)ᵀ``.
+The Francis double-shift bulge-chasing iteration, with the orthogonal
+transformations accumulated into Z. T is real quasi-triangular: 1x1
+blocks carry real eigenvalues, 2x2 blocks carry complex-conjugate
+pairs. Combined with the (FT) Hessenberg reduction this completes the
+dense nonsymmetric eigensolver pipeline: ``A = Q H Qᵀ = (Q Z) T (Q Z)ᵀ``.
 
 The outer iteration (deflation scan + one double-shift sweep) lives in
-:func:`qr_outer_step` so the protected driver
-(:mod:`repro.eigen.ft_hqr`) can interleave checkpointing and invariant
-verification between steps while running bit-identical sweeps.
+:func:`qr_outer_step` so the eigenvalue-only driver
+(:mod:`repro.eigen.hqr`) and the protected driver
+(:mod:`repro.eigen.ft_hqr`) run the same sweeps; the protected one
+interleaves checkpointing and invariant verification between steps.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.eigen.hqr import _eig2x2, _work_dtype
 from repro.linalg.householder import larfg
 from repro.linalg.verify import hessenberg_defect
-from repro.utils.precision import lane_scale
+from repro.utils.precision import LANE_DTYPES, lane_scale
+
+
+def _work_dtype(a: np.ndarray) -> np.dtype:
+    """Working dtype of the Francis iteration for input *a*: float32
+    stays on the float32 lane, everything else runs in float64 (the
+    same coercion rule as :func:`repro.utils.precision.as_lane_matrix`)."""
+    a = np.asarray(a)
+    return a.dtype if a.dtype.name in LANE_DTYPES else np.dtype(np.float64)
+
+
+def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
+    """Eigenvalues of ``[[a, b], [c, d]]`` (stable quadratic formula)."""
+    tr = a + d
+    det = a * d - b * c
+    disc = tr * tr / 4.0 - det
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        # avoid cancellation: compute the larger root first
+        if tr >= 0:
+            l1 = tr / 2.0 + s
+        else:
+            l1 = tr / 2.0 - s
+        l2 = det / l1 if l1 != 0.0 else tr / 2.0 - math.copysign(s, tr)
+        return complex(l1), complex(l2)
+    s = math.sqrt(-disc)
+    return complex(tr / 2.0, s), complex(tr / 2.0, -s)
 
 
 def _left(h: np.ndarray, u: np.ndarray, tau: float, r0: int, c0: int, c1: int) -> None:

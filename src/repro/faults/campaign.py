@@ -147,11 +147,15 @@ def _adversarial_target(
     *space* at an iteration with ``p`` finished columns.
 
     "Live" excludes state this very iteration retires: a fault planned
-    after the panel factorization must not land in the panel columns
-    ``[p, p+ib)``, because those become finished V/checksum storage the
-    Σ test never reads again — a vacuously silent target (the
-    finished-region hole belongs to the audit tests, not the recovery
-    campaign)."""
+    after the panel factorization does not land in the panel columns
+    ``[p, p+ib)``. A strike on their column checksums is overwritten
+    when the retiring panel refreezes them. A strike on their matrix
+    entries is not harmless, though the detector misses it: they become
+    finished H, which the Σ test never reads again, and reflector
+    storage, which ``orghr`` reads. The panel's Q checksums are taken
+    after the detector, so a struck V is recorded as truth and the run
+    returns a wrong Q. Both holes are left to an output check; the
+    recovery campaign does not grade them."""
     if space == "matrix":
         if phase == "boundary":
             i, j = sample_in_area(2, p, n, rng)  # full-propagation region

@@ -204,6 +204,40 @@ class InjectionRecord:
     new_value: float
 
 
+def _site(f: FaultSpec, t: InjectionTargets) -> tuple[np.ndarray | None, tuple[int, ...]]:
+    """Where *f* strikes: its space's live array in *t*, as a view over
+    that space alone (None when this injection point does not expose
+    it), and the struck element's index into that view."""
+    space, n, ext = f.space, t.n, t.ext
+    if space == "matrix":
+        return (None if ext is None else ext[:n, :n]), (f.row, f.col)
+    if space == "row_checksum":
+        return (None if ext is None else ext[:n, n : n + t.k]), (f.row, f.channel)
+    if space == "col_checksum":
+        return (None if ext is None else ext[n : n + t.k, :n]), (f.channel, f.col)
+    if space == "tau":
+        return t.taus, (f.row,)
+    if space == "panel_v":
+        return t.panel_v, (f.row, f.col)
+    if space == "q_checksum":
+        if t.qprot is None:
+            return None, ()
+        return (t.qprot.qr_chk, (f.row,)) if f.col == -1 else (t.qprot.qc_chk, (f.col,))
+    if space == "checkpoint":
+        cp = getattr(t.checkpoint, "current", None)
+        return (None if cp is None else cp.panel), (f.row, f.col)
+    if space == "qr_matrix":
+        return t.qr_t, (f.row, f.col)
+    if space == "qr_deflation":  # the subdiagonal entry the deflation test reads
+        return t.qr_t, (f.row, f.row - 1)
+    if space == "qr_z":
+        return t.qr_z, (f.row, f.col)
+    if space == "qr_shift":
+        return t.qr_shift, (f.row,)
+    cp = getattr(t.qr_checkpoint, "current", None)  # qr_checkpoint
+    return (None if cp is None else cp.t), (f.row, f.col)
+
+
 @dataclass
 class FaultInjector:
     """Applies planned faults at their (iteration, phase) strike points.
@@ -244,177 +278,26 @@ class FaultInjector:
 
     # -- application -------------------------------------------------------
 
-    def _apply_one(self, f: FaultSpec, t: InjectionTargets) -> InjectionRecord:
-        n, k = t.n, t.k
-        if f.space in ("matrix", "row_checksum", "col_checksum"):
-            if t.ext is None:
-                raise FaultConfigError(
-                    f"space {f.space!r} needs the encoded matrix, which this "
-                    "injection point does not expose"
-                )
-            if f.space == "matrix":
-                if not (0 <= f.row < n and 0 <= f.col < n):
-                    raise FaultConfigError(
-                        f"fault target ({f.row}, {f.col}) out of range for n={n}"
-                    )
-                old = float(t.ext[f.row, f.col])
-                new = f.corrupt(old)
-                t.ext[f.row, f.col] = new
-            elif f.space == "row_checksum":
-                if not (0 <= f.row < n):
-                    raise FaultConfigError(
-                        f"row_checksum fault row {f.row} out of range for n={n}"
-                    )
-                if not (0 <= f.channel < k):
-                    raise FaultConfigError(
-                        f"row_checksum fault channel {f.channel} out of range (k={k})"
-                    )
-                old = float(t.ext[f.row, n + f.channel])
-                new = f.corrupt(old)
-                t.ext[f.row, n + f.channel] = new
-            else:  # col_checksum
-                if not (0 <= f.col < n):
-                    raise FaultConfigError(
-                        f"col_checksum fault col {f.col} out of range for n={n}"
-                    )
-                if not (0 <= f.channel < k):
-                    raise FaultConfigError(
-                        f"col_checksum fault channel {f.channel} out of range (k={k})"
-                    )
-                old = float(t.ext[n + f.channel, f.col])
-                new = f.corrupt(old)
-                t.ext[n + f.channel, f.col] = new
-        elif f.space == "tau":
-            if t.taus is None:
-                raise FaultConfigError("tau fault planned but no tau array exposed")
-            if not (0 <= f.row < t.taus.size):
-                raise FaultConfigError(
-                    f"tau fault index {f.row} out of range for {t.taus.size} taus"
-                )
-            old = float(t.taus[f.row])
-            new = f.corrupt(old)
-            t.taus[f.row] = new
-        elif f.space == "panel_v":
-            v = t.panel_v
-            if v is None:
-                raise FaultConfigError(
-                    "panel_v fault planned but no live panel exposed at this phase"
-                )
-            if not (0 <= f.row < v.shape[0] and 0 <= f.col < v.shape[1]):
-                raise FaultConfigError(
-                    f"panel_v fault target ({f.row}, {f.col}) out of range "
-                    f"for V of shape {v.shape}"
-                )
-            old = float(v[f.row, f.col])
-            new = f.corrupt(old)
-            v[f.row, f.col] = new
-        elif f.space == "q_checksum":
-            q = t.qprot
-            if q is None:
-                raise FaultConfigError("q_checksum fault planned but no QProtector exposed")
-            if f.col == -1:
-                if not (0 <= f.row < q.qr_chk.size):
-                    raise FaultConfigError(f"q_checksum row {f.row} out of range")
-                old = float(q.qr_chk[f.row])
-                new = f.corrupt(old)
-                q.qr_chk[f.row] = new
-            else:
-                if not (0 <= f.col < q.qc_chk.size):
-                    raise FaultConfigError(f"q_checksum col {f.col} out of range")
-                old = float(q.qc_chk[f.col])
-                new = f.corrupt(old)
-                q.qc_chk[f.col] = new
-        elif f.space == "checkpoint":
-            store = t.checkpoint
-            cp = getattr(store, "current", None)
-            if cp is None:
-                raise FaultConfigError(
-                    "checkpoint fault planned but no live checkpoint exists "
-                    "at this injection point"
-                )
-            panel = cp.panel
-            if not (0 <= f.row < panel.shape[0] and 0 <= f.col < panel.shape[1]):
-                raise FaultConfigError(
-                    f"checkpoint fault target ({f.row}, {f.col}) out of range "
-                    f"for the {panel.shape} panel buffer"
-                )
-            old = float(panel[f.row, f.col])
-            new = f.corrupt(old)
-            panel[f.row, f.col] = new
-        elif f.space in ("qr_matrix", "qr_deflation"):
-            m = t.qr_t
-            if m is None:
-                raise FaultConfigError(
-                    f"{f.space} fault planned but no iterating QR matrix "
-                    "exposed at this phase"
-                )
-            if f.space == "qr_matrix":
-                if not (0 <= f.row < m.shape[0] and 0 <= f.col < m.shape[1]):
-                    raise FaultConfigError(
-                        f"qr_matrix fault target ({f.row}, {f.col}) out of range "
-                        f"for shape {m.shape}"
-                    )
-                row, col = f.row, f.col
-            else:  # qr_deflation: corrupt the subdiagonal entry the test reads
-                if not (1 <= f.row < m.shape[0]):
-                    raise FaultConfigError(
-                        f"qr_deflation fault row {f.row} out of range "
-                        f"(needs 1 <= row < {m.shape[0]})"
-                    )
-                row, col = f.row, f.row - 1
-            old = float(m[row, col])
-            new = f.corrupt(old)
-            m[row, col] = new
-        elif f.space == "qr_z":
-            zt = t.qr_z
-            if zt is None:
-                raise FaultConfigError(
-                    "qr_z fault planned but no Schur-vector matrix exposed "
-                    "at this phase (eigvals-only run?)"
-                )
-            if not (0 <= f.row < zt.shape[0] and 0 <= f.col < zt.shape[1]):
-                raise FaultConfigError(
-                    f"qr_z fault target ({f.row}, {f.col}) out of range "
-                    f"for shape {zt.shape}"
-                )
-            old = float(zt[f.row, f.col])
-            new = f.corrupt(old)
-            zt[f.row, f.col] = new
-        elif f.space == "qr_shift":
-            pair = t.qr_shift
-            if pair is None:
-                raise FaultConfigError(
-                    "qr_shift fault planned but no live shift pair exposed "
-                    "at this phase"
-                )
-            if not (0 <= f.row < pair.size):
-                raise FaultConfigError(
-                    f"qr_shift fault row {f.row} out of range (pair has "
-                    f"{pair.size} entries: trace, det)"
-                )
-            old = float(pair[f.row])
-            new = f.corrupt(old)
-            pair[f.row] = new
-        elif f.space == "qr_checkpoint":
-            store = t.qr_checkpoint
-            cp = getattr(store, "current", None)
-            if cp is None:
-                raise FaultConfigError(
-                    "qr_checkpoint fault planned but no live QR checkpoint "
-                    "exists at this injection point"
-                )
-            buf = cp.t
-            if not (0 <= f.row < buf.shape[0] and 0 <= f.col < buf.shape[1]):
-                raise FaultConfigError(
-                    f"qr_checkpoint fault target ({f.row}, {f.col}) out of "
-                    f"range for the {buf.shape} checkpoint buffer"
-                )
-            old = float(buf[f.row, f.col])
-            new = f.corrupt(old)
-            buf[f.row, f.col] = new
-        else:  # pragma: no cover - __post_init__ rejects unknown spaces
-            raise FaultConfigError(f"unknown fault space {f.space!r}")
-        return InjectionRecord(spec=f, old_value=old, new_value=new)
+    def _fire(self, idx: int, f: FaultSpec, t: InjectionTargets) -> InjectionRecord:
+        """Strike planned fault *idx* into *t* and mark it fired."""
+        view, at = _site(f, t)
+        if view is None:
+            raise FaultConfigError(
+                f"{f.space} fault planned at phase {f.phase!r}, but this "
+                "injection point does not expose that space"
+            )
+        if not all(0 <= i < size for i, size in zip(at, view.shape)):
+            raise FaultConfigError(
+                f"{f.space} fault target {at} out of range for its "
+                f"{view.shape} space"
+            )
+        old = float(view[at])
+        new = f.corrupt(old)
+        view[at] = new
+        rec = InjectionRecord(spec=f, old_value=old, new_value=new)
+        self.injected.append(rec)
+        self._fired.add(idx)
+        return rec
 
     def apply_phase(
         self, iteration: int, phase: str, targets: InjectionTargets
@@ -422,35 +305,9 @@ class FaultInjector:
         """Fire every unfired fault planned for (*iteration*, *phase*)."""
         records = []
         for idx, f in enumerate(self.faults):
-            if f.iteration != iteration or f.phase != phase or idx in self._fired:
-                continue
-            rec = self._apply_one(f, targets)
-            records.append(rec)
-            self.injected.append(rec)
-            self._fired.add(idx)
+            if f.iteration == iteration and f.phase == phase and idx not in self._fired:
+                records.append(self._fire(idx, f, targets))
         return records
-
-    @staticmethod
-    def _target_available(f: FaultSpec, t: InjectionTargets) -> bool:
-        if f.space in ("matrix", "row_checksum", "col_checksum"):
-            return t.ext is not None
-        if f.space == "tau":
-            return t.taus is not None
-        if f.space == "panel_v":
-            return t.panel_v is not None
-        if f.space == "q_checksum":
-            return t.qprot is not None
-        if f.space == "checkpoint":
-            return getattr(t.checkpoint, "current", None) is not None
-        if f.space in ("qr_matrix", "qr_deflation"):
-            return t.qr_t is not None
-        if f.space == "qr_z":
-            return t.qr_z is not None
-        if f.space == "qr_shift":
-            return t.qr_shift is not None
-        if f.space == "qr_checkpoint":
-            return getattr(t.qr_checkpoint, "current", None) is not None
-        return False
 
     def apply_due(
         self, iteration: int, phase: str, targets: InjectionTargets
@@ -465,12 +322,8 @@ class FaultInjector:
         :meth:`apply_phase`."""
         records = []
         for idx, f in enumerate(self.faults):
-            if f.phase != phase or f.iteration > iteration or idx in self._fired:
-                continue
-            rec = self._apply_one(f, targets)
-            records.append(rec)
-            self.injected.append(rec)
-            self._fired.add(idx)
+            if f.phase == phase and f.iteration <= iteration and idx not in self._fired:
+                records.append(self._fire(idx, f, targets))
         return records
 
     def apply_pending_after(
@@ -483,35 +336,19 @@ class FaultInjector:
         block) are left unfired for the caller's never-fired warning."""
         records = []
         for idx, f in enumerate(self.faults):
-            if f.iteration < iteration or idx in self._fired:
-                continue
-            if not self._target_available(f, targets):
-                continue
-            rec = self._apply_one(f, targets)
-            records.append(rec)
-            self.injected.append(rec)
-            self._fired.add(idx)
+            if (f.iteration >= iteration and idx not in self._fired
+                    and _site(f, targets)[0] is not None):
+                records.append(self._fire(idx, f, targets))
         return records
-
-    def apply_at(self, em: EncodedMatrix, iteration: int) -> list[InjectionRecord]:
-        """Boundary-phase injection against the encoded matrix alone
-        (the paper's original protocol; kept for the simple callers)."""
-        return self.apply_phase(iteration, "boundary", InjectionTargets(em=em))
 
     def apply_to_array(self, a: np.ndarray, iteration: int) -> list[InjectionRecord]:
         """Corrupt a plain (unencoded) matrix — used against the baseline
         driver for the propagation experiments (Fig. 2)."""
+        targets = InjectionTargets(ext=a, n=a.shape[0])
         records = []
         for idx, f in enumerate(self.faults):
-            if f.iteration != iteration or idx in self._fired or f.space != "matrix":
-                continue
-            old = float(a[f.row, f.col])
-            new = f.corrupt(old)
-            a[f.row, f.col] = new
-            rec = InjectionRecord(spec=f, old_value=old, new_value=new)
-            records.append(rec)
-            self.injected.append(rec)
-            self._fired.add(idx)
+            if f.iteration == iteration and f.space == "matrix" and idx not in self._fired:
+                records.append(self._fire(idx, f, targets))
         return records
 
     @property

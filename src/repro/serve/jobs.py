@@ -709,13 +709,12 @@ def execute_job(
         from repro.faults import run_campaign
 
         a = _build_matrix(spec, workspace)
-        channels = max(spec.channels, 2) if spec.adversarial else spec.channels
         res = run_campaign(
             a,
             nb=spec.nb,
             moments=spec.moments,
             seed=spec.seed,
-            config=FTConfig(nb=spec.nb, channels=channels),
+            config=FTConfig(nb=spec.nb, channels=spec.channels),
             adversarial=spec.adversarial,
             workers=1,  # the service already owns the process fan-out
         )

@@ -216,18 +216,10 @@ class TestScheduleAndOverhead:
         """An adversarial injector that re-corrupts on every retry must
         exhaust the budget, not loop forever."""
 
-        class StormInjector(FaultInjector):
-            def apply_at(self, em, iteration):
-                if iteration == 1:
-                    em.data[50, 60] += 1.0
-                    return []
-                return []
-
         a0 = random_matrix(96, seed=13)
 
-        # a storm that strikes inside every attempt: corrupt via a hook on
-        # the detector path instead — emulate by injecting at iteration 1
-        # and patching max_retries to 0 so one detection overflows
+        # emulate the storm by injecting at iteration 1 with max_retries
+        # at 0, so one detection overflows the budget
         inj = FaultInjector().add(FaultSpec(iteration=1, row=50, col=60, magnitude=1.0))
         with pytest.raises(ConvergenceError):
             ft_gehrd(a0, FTConfig(nb=32, max_retries=0), injector=inj)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import ft_sytrd
-from repro.errors import ConvergenceError, ShapeError
-from repro.faults import FaultInjector, FaultSpec
+from repro.errors import ConvergenceError, FaultConfigError, ReproError, ShapeError
+from repro.faults import SPACE_PHASES, FaultInjector, FaultSpec
 from repro.linalg import factorization_residual, orthogonality_residual
 from repro.linalg.sytd2 import orgtr, tridiagonal_of
 from repro.utils.rng import MatrixKind, random_matrix
@@ -125,3 +125,93 @@ class TestRecovery:
         )
         base = res.counter.category_total("tridiag_update", "sytd2")
         assert extra / base < 0.6  # audits are O(N²) each, N/16 of them
+
+
+#: The spaces ft_sytrd exposes to a plan, but panel_v: there it is the
+#: reversal record's copy of the reflector, which only a rollback reads.
+_GRID_SPACES = ("matrix", "row_checksum", "col_checksum", "tau", "q_checksum", "checkpoint")
+
+
+def _grid_target(space, n, rng):
+    """(row, col) of a *space* strike, drawn anywhere in that space."""
+    if space == "matrix":
+        return tuple(int(x) for x in rng.integers(0, n, 2))
+    if space == "row_checksum":
+        return int(rng.integers(0, n)), -1
+    if space == "col_checksum":
+        return -1, int(rng.integers(0, n))
+    if space == "tau":
+        return int(rng.integers(0, n - 1)), -1
+    if space == "q_checksum":
+        if rng.integers(0, 2):
+            return int(rng.integers(0, n)), -1
+        return -1, int(rng.integers(0, n))
+    return int(rng.integers(0, n + 1)), 0  # the checkpointed column
+
+
+def _fault_grid(n):
+    """Iterations × spaces × valid phases × magnitudes, targets from a
+    fixed seed; recovery-time and checkpoint strikes carry a trigger.
+    Then the named cases of the three classes this grid found."""
+    rng = np.random.default_rng(0)
+    for it in (3, n // 2, n - 5):
+        for space in _GRID_SPACES:
+            for phase in ("boundary", "post_panel", "during_recovery"):
+                if phase not in SPACE_PHASES[space]:
+                    continue
+                for magnitude in (1.0, 1e-3):
+                    row, col = _grid_target(space, n, rng)
+                    plan = [FaultSpec(iteration=it, row=row, col=col, magnitude=magnitude,
+                                      space=space, phase=phase)]
+                    if phase == "during_recovery" or space == "checkpoint":
+                        plan.append(FaultSpec(iteration=it, row=min(it + 5, n - 1),
+                                              col=min(it + 9, n - 1), magnitude=2.0))
+                    yield plan
+    for it in (n - 5, n - 4):  # a trailing-corner smear along the diagonal
+        for d in (n - 2, n - 1):
+            yield [FaultSpec(iteration=it, row=d, col=d, magnitude=2.0)]
+    yield [FaultSpec(iteration=3, row=2, col=-1, space="tau")]  # a finished tau
+    yield [FaultSpec(iteration=3, row=29, col=3, phase="post_panel")]  # the new reflector
+
+
+class TestFaultGrid:
+    """Every plan of the grid ends with a correct factorization or
+    raises: none returns a wrong one silently."""
+
+    def test_no_plan_returns_a_wrong_factorization(self):
+        n = 48
+        a0 = _sym(n, 0)
+        silent = []
+        for plan in _fault_grid(n):
+            try:
+                res = ft_sytrd(a0, audit_every=8, injector=FaultInjector(faults=list(plan)))
+            except FaultConfigError:
+                raise  # a misaddressed plan tests nothing
+            except ReproError:
+                continue
+            resid, _ = _verify(a0, res)
+            if not resid <= 1e-13:
+                silent.append((plan, resid))
+        assert silent == []
+
+    @pytest.mark.parametrize("it", [43, 44])
+    @pytest.mark.parametrize("d", [46, 47])
+    def test_trailing_diagonal_strike_decodes_one_element(self, it, d):
+        """Reversed once, a trailing diagonal strike decodes as one error
+        per diagonal entry; the recovery reverses further, to the state
+        where it is a single element."""
+        a0 = _sym(48, 0)
+        inj = FaultInjector().add(FaultSpec(iteration=it, row=d, col=d, magnitude=2.0))
+        res = ft_sytrd(a0, audit_every=8, injector=inj)
+        assert res.detections == 1
+        [e] = res.recoveries[0].errors
+        assert (e.kind, e.row, e.col) == ("data", d, d)
+        assert e.magnitude == pytest.approx(2.0, rel=1e-8)
+        assert _verify(a0, res)[0] < 1e-13
+
+    def test_finished_tau_strike_is_repaired(self):
+        a0 = _sym(48, 0)
+        clean = ft_sytrd(a0, audit_every=8)
+        inj = FaultInjector().add(FaultSpec(iteration=3, row=2, col=-1, space="tau"))
+        res = ft_sytrd(a0, audit_every=8, injector=inj)
+        assert res.taus.tobytes() == clean.taus.tobytes()

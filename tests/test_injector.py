@@ -7,7 +7,7 @@ import pytest
 
 from repro.abft import EncodedMatrix
 from repro.errors import FaultConfigError
-from repro.faults import FaultInjector, FaultSpec, flip_bit
+from repro.faults import FaultInjector, FaultSpec, InjectionTargets, flip_bit
 from repro.utils.rng import random_matrix
 
 
@@ -52,12 +52,13 @@ class TestInjector:
     def test_fires_once_at_its_iteration(self):
         em = EncodedMatrix(random_matrix(10, seed=1))
         inj = FaultInjector().add(FaultSpec(iteration=2, row=3, col=4, magnitude=1.0))
-        assert inj.apply_at(em, 0) == []
-        assert inj.apply_at(em, 1) == []
-        recs = inj.apply_at(em, 2)
+        t = InjectionTargets(em=em)
+        assert inj.apply_phase(0, "boundary", t) == []
+        assert inj.apply_phase(1, "boundary", t) == []
+        recs = inj.apply_phase(2, "boundary", t)
         assert len(recs) == 1
         assert recs[0].new_value == recs[0].old_value + 1.0
-        assert inj.apply_at(em, 2) == []  # idempotent
+        assert inj.apply_phase(2, "boundary", t) == []  # idempotent
         assert inj.count_fired == 1
 
     def test_checksum_space_targets(self):
@@ -67,7 +68,7 @@ class TestInjector:
         inj.add(FaultSpec(iteration=0, row=-1, col=4, space="col_checksum", magnitude=-2.0))
         before_r = float(em.row_checksums[3])
         before_c = float(em.col_checksums[4])
-        inj.apply_at(em, 0)
+        inj.apply_phase(0, "boundary", InjectionTargets(em=em))
         assert em.row_checksums[3] == before_r + 5.0
         assert em.col_checksums[4] == before_c - 2.0
 
@@ -83,7 +84,7 @@ class TestInjector:
         em = EncodedMatrix(random_matrix(5, seed=3))
         inj = FaultInjector().add(FaultSpec(iteration=0, row=10, col=0))
         with pytest.raises(FaultConfigError):
-            inj.apply_at(em, 0)
+            inj.apply_phase(0, "boundary", InjectionTargets(em=em))
 
     def test_apply_to_plain_array(self):
         a = random_matrix(8, seed=4).copy(order="F")

@@ -175,6 +175,26 @@ class TestExecuteJob:
         assert payload["detections"] >= 1
         assert sum(payload["tier_tally"].values()) >= 1
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_adversarial_campaign_runs_its_channels(self, channels, monkeypatch):
+        # the job key names the channels, so the campaign must run that many
+        import repro.faults
+
+        seen = []
+        real = repro.faults.run_campaign
+
+        def spy(a, **kw):
+            seen.append(kw["config"].channels)
+            return real(a, **kw)
+
+        monkeypatch.setattr(repro.faults, "run_campaign", spy)
+        spec = JobSpec(driver="campaign", n=32, nb=8, moments=1, adversarial=True,
+                       channels=channels)
+        payload = execute_job(spec)
+        assert seen == [channels]
+        assert spec.content_dict()["channels"] == channels
+        assert payload["outcomes"].get("aborted", 0) == 0
+
 
 # ---------------------------------------------------------------------------
 # ResultCache: LRU order, byte budget, spill
