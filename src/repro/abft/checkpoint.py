@@ -98,16 +98,19 @@ class PanelCheckpoint:
         guard rows; True when every guard agrees with the column again.
 
         A lone error ``e`` at row ``i`` moves the unit sum by ``e`` and
-        the weighted ones by ``e w(i)`` and ``e w(i)²``, so the ratio
-        ``n Δw/Δ₁ − 1`` is ``i``, and all three deltas must name the same
-        ``e`` there. Two strikes in one column can fit the first two
-        guards (equal ones at rows ``i ± d`` look like ``2e`` at ``i``),
-        never the third. The element is rewritten from a saved float64
-        sum minus the other entries, as
-        :meth:`~repro.abft.qprotect.QProtector.correct` does: the unit sum
-        on the float64 lane, the linear one on fp32, whose unit sum is an
-        fp32 sum. A column the guards cannot explain (two strikes, a
-        non-finite or inconsistent ratio) is left unwritten.
+        the weighted ones by ``e w(i)`` and ``e w(i)²``, so the ratio of
+        the two float64 guards, ``n Δq/Δw − 1``, is ``i`` (the unit sum's
+        own rounding would blur a small fp32 strike's place), and all
+        three deltas must name the same ``e`` there, the unit one to its
+        lane's rounding. Two strikes in one column can fit the unit and
+        linear guards (equal ones at rows ``i ± d`` look like ``2e`` at
+        ``i``); the quadratic one differs from that by ``2e d²/n²``, so
+        it tells them apart unless that is within its rounding allowance.
+        The element is rewritten from a saved float64 sum minus the other
+        entries, as :meth:`~repro.abft.qprotect.QProtector.correct` does:
+        the unit sum on the float64 lane, the linear one on fp32, whose
+        unit sum is an fp32 sum. A column the guards cannot explain (two
+        strikes, a non-finite or inconsistent ratio) is left unwritten.
         """
         col = self.panel[:, j]
         n = col.size
@@ -121,9 +124,9 @@ class PanelCheckpoint:
             return x @ col - saved, _REPAIR_SLACK * eps * (x @ np.abs(col))
 
         d, tol = deltas()
-        if not np.isfinite(d).all() or not np.isfinite(tol).all() or d[0] == 0.0:
+        if not np.isfinite(d).all() or not np.isfinite(tol).all() or d[1] == 0.0:
             return False
-        ratio = n * float(d[1]) / float(d[0]) - 1.0
+        ratio = n * float(d[2]) / float(d[1]) - 1.0
         if not -0.5 < ratio < n - 0.5:
             return False
         i = int(round(ratio))

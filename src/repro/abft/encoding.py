@@ -7,7 +7,7 @@ embedded in an (N+1) x (N+1) array whose last column holds ``r = A e``
 (``Ar_chk``) and last row holds ``c = eᵀ A`` (``Ac_chk``). With ``k``
 channels the array is (N+k) x (N+k): channel ``q`` contributes the
 column ``A w_q`` and the row ``w_qᵀ A``, where ``w_0 = e`` and further
-channels default to the normalized linear weights ``w_1(i) = (i+1)/N``
+channels are powers of the normalized linear weights ``w_1(i) = (i+1)/N``
 (kept O(1) so thresholds don't blow up). The extra channel buys
 **per-line error localisation by ratio** — ``(A w_1)_i / (A w_0)_i``
 recovers the faulty column index of a single error in row i — which is
@@ -99,7 +99,6 @@ class EncodedMatrix:
         a: np.ndarray,
         *,
         channels: int = 1,
-        weights: np.ndarray | None = None,
         counter: FlopCounter | None = None,
     ):
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -107,15 +106,7 @@ class EncodedMatrix:
         n = a.shape[0]
         self.n = n
         dt = a.dtype if a.dtype == np.float32 else np.dtype(np.float64)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=dt)
-            if weights.ndim != 2 or weights.shape[1] != n:
-                raise ShapeError(f"weights must be (k, {n}), got {weights.shape}")
-            if not np.allclose(weights[0], 1.0):
-                raise ShapeError("channel 0 must be the unit weights (the paper's scheme)")
-            self.weights = weights
-        else:
-            self.weights = make_weight_block(n, channels, dt)
+        self.weights = make_weight_block(n, channels, dt)
         self.k = self.weights.shape[0]
         # every entry but the scratch corner is written below; the corner
         # is zeroed so that a kernel whose operand spans it reads numbers

@@ -41,7 +41,17 @@ import numpy as np
 
 from repro.errors import UncorrectableError
 from repro.linalg.flops import FlopCounter
+from repro.abft.detection import (
+    DEFAULT_EPS_FACTOR,
+    DEFAULT_SIGMA_FACTOR,
+    checksum_second_moment,
+)
 from repro.abft.encoding import EncodedMatrix
+
+#: Decode plausibility bound of the recovery paths: a decode that claims
+#: more data errors than this is a smeared state, not simultaneous
+#: strikes (the paper assumes one error at a time).
+MAX_SIMULTANEOUS = 4
 
 
 @dataclass(frozen=True)
@@ -75,33 +85,25 @@ class LocationReport:
         return len(self.errors)
 
 
-def residual_threshold(em: EncodedMatrix, norm_a: float, eps_factor: float = 1.0e3) -> float:
+def residual_threshold(em: EncodedMatrix, norm_a: float) -> float:
     """Per-line residual threshold for candidate selection.
 
     At float64 this is the norm-scaled bound the paper implies
-    (``eps_factor · eps · max(1, ‖A‖₁) · N``). Below double precision
-    that bound sits orders of magnitude *above* the variance-adaptive
-    detection threshold — corruption the detector flags would be
-    unlocatable, forcing a restart — so the fp32 lane scales with the
-    observed checksum energy instead: ``sigma_factor · eps · sqrt(m2)``,
-    the per-line analogue of the V-ABFT grand-sum rule (one sqrt(N)
-    fewer, since a line residual accumulates N terms, not N²). The
-    caller's *eps_factor* still acts as a relative tighten/loosen knob.
+    (``eps_factor · eps · max(1, ‖A‖₁) · N``, with the detector's
+    ``eps_factor`` of 10³). Below double precision that bound sits
+    orders of magnitude *above* the variance-adaptive detection
+    threshold — corruption the detector flags would be unlocatable,
+    forcing a restart — so the fp32 lane scales with the observed
+    checksum energy instead: ``sigma_factor · eps · sqrt(m2)``, the
+    per-line analogue of the V-ABFT grand-sum rule (one sqrt(N) fewer,
+    since a line residual accumulates N terms, not N²).
     """
     eps = float(np.finfo(em.ext.dtype).eps)
-    if em.ext.dtype.itemsize >= 8:
-        return eps_factor * eps * max(1.0, norm_a) * em.n
-    from repro.abft.detection import (
-        DEFAULT_EPS_FACTOR,
-        DEFAULT_SIGMA_FACTOR,
-        checksum_second_moment,
-    )
-
-    m2 = checksum_second_moment(em)
-    if not np.isfinite(m2) or m2 <= 0.0:
-        return eps_factor * eps * max(1.0, norm_a) * em.n
-    rel = eps_factor / DEFAULT_EPS_FACTOR
-    return rel * DEFAULT_SIGMA_FACTOR * eps * float(np.sqrt(max(m2, 1.0)))
+    if em.ext.dtype.itemsize < 8:
+        m2 = checksum_second_moment(em)
+        if np.isfinite(m2) and m2 > 0.0:
+            return DEFAULT_SIGMA_FACTOR * eps * float(np.sqrt(max(m2, 1.0)))
+    return DEFAULT_EPS_FACTOR * eps * max(1.0, norm_a) * em.n
 
 
 #: Bad rows per block when :func:`decode_residuals` builds its match
@@ -276,7 +278,6 @@ def locate_errors(
     finished_cols: int,
     norm_a: float,
     *,
-    eps_factor: float = 1.0e3,
     counter: FlopCounter | None = None,
 ) -> LocationReport:
     """Locate every correctable error in the (rolled-back) encoded matrix.
@@ -298,7 +299,7 @@ def locate_errors(
         If the residual pattern cannot be resolved by peeling (the paper's
         rectangle condition) or is internally inconsistent.
     """
-    tol = residual_threshold(em, norm_a, eps_factor)
+    tol = residual_threshold(em, norm_a)
     fresh_r, fresh_c = em.fresh_sums(finished_cols, counter=counter)
 
     if em.k > 1:

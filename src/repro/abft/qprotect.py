@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import UncorrectableError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
+from repro.abft.detection import DEFAULT_EPS_FACTOR
 from repro.abft.location import LocatedError, LocationReport, decode_residuals
 
 #: Columns per block when :meth:`QProtector.fresh_sums` sweeps the region.
@@ -51,12 +52,9 @@ class QProtector:
     ----------
     n:
         Matrix order.
-    eps_factor:
-        Same roundoff-margin policy as the H detector.
     """
 
     n: int
-    eps_factor: float = 1.0e3
     finished_cols: int = 0
     qr_chk: np.ndarray = field(init=False)
     qc_chk: np.ndarray = field(init=False)
@@ -164,8 +162,9 @@ class QProtector:
         # eps of the *storage* dtype: corrections write float64 checksum
         # arithmetic back into the stored Q region, so at fp32 the
         # re-verification residual carries single-precision cast noise.
+        # The margin is the H detector's.
         eps = float(np.finfo(np.dtype(dtype)).eps)
-        return self.eps_factor * eps * self.n
+        return DEFAULT_EPS_FACTOR * eps * self.n
 
     def verify(self, a: np.ndarray, *, counter: FlopCounter | None = None) -> LocationReport:
         """Locate Q-region errors (paper: once, at the end of the run)."""

@@ -117,7 +117,6 @@ def locate_errors_rowonly(
     finished_cols: int,
     norm_a: float,
     *,
-    eps_factor: float = 1.0e3,
     counter: FlopCounter | None = None,
 ):
     """Locate errors using the row-checksum channels alone.
@@ -137,7 +136,7 @@ def locate_errors_rowonly(
     from repro.abft.location import residual_threshold
 
     n, k = em.n, em.k
-    tol = residual_threshold(em, norm_a, eps_factor)
+    tol = residual_threshold(em, norm_a)
 
     fresh = em.fresh_row_block(finished_cols, counter=counter)  # (n, k)
     drb = np.asarray(fresh - em.row_checksum_block, dtype=np.float64)

@@ -160,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--n", type=int, default=1022)
     tr.add_argument("--nb", type=int, default=32)
     tr.add_argument("--out", type=str, default="ft_hess_trace.json")
-    tr.add_argument("--chrome", type=str, default=None, metavar="PATH",
-                    help="also write the Chrome-trace JSON to this path")
     tr.add_argument("--csv", type=str, default=None, metavar="PATH",
                     help="also write the per-op CSV export to this path")
 
@@ -404,13 +402,9 @@ def _cmd_trace(args) -> str:
     from repro.core import FTConfig, ft_gehrd
 
     res = ft_gehrd(args.n, FTConfig(nb=args.nb))
-    chrome = res.timeline.to_chrome_trace()
-    written = []
-    for path in (args.out, args.chrome):
-        if path:
-            with open(path, "w") as fh:
-                fh.write(chrome)
-            written.append(path)
+    with open(args.out, "w") as fh:
+        fh.write(res.timeline.to_chrome_trace())
+    written = [args.out]
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(res.timeline.to_csv())

@@ -41,11 +41,6 @@ class FTConfig(HybridConfig):
     ----------
     threshold:
         Detection threshold policy (paper: eps x 10^2..10^3).
-    eps_factor_locate:
-        Roundoff margin for the per-line residuals used in location.
-    max_retries:
-        Re-execution budget per iteration before giving up (a genuine
-        error storm; the paper assumes one error at a time).
     overlap_q_checksums:
         Schedule the Q-checksum GEMVs on the idle CPU under the GPU
         update (paper's trick) instead of on the critical path
@@ -59,9 +54,9 @@ class FTConfig(HybridConfig):
     ladder:
         Budgets for the recovery escalation ladder (in-place correct →
         reverse+redo → deep rollback → full diskless restart); see
-        :class:`~repro.resilience.ladder.LadderConfig`. With
-        ``max_retries < 1`` the restart tier is disabled too (strict
-        fail-stop mode).
+        :class:`~repro.resilience.ladder.LadderConfig`. Each iteration
+        may be re-executed :data:`~repro.resilience.ladder.MAX_RETRIES`
+        times in a row before the ladder skips to the restart tier.
     audit_every:
         0 (paper-faithful default) disables the extension; k > 0 runs a
         full fresh-vs-maintained checksum audit every k iterations and
@@ -73,8 +68,6 @@ class FTConfig(HybridConfig):
     """
 
     threshold: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    eps_factor_locate: float = 1.0e3
-    max_retries: int = 3
     overlap_q_checksums: bool = True
     channels: int = 1
     audit_every: int = 0

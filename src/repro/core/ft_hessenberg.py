@@ -45,14 +45,13 @@ from repro.abft.checksums import (
 from repro.abft.correction import correct_all
 from repro.abft.detection import Detector
 from repro.abft.encoding import EncodedMatrix
-from repro.abft.location import locate_errors
+from repro.abft.location import MAX_SIMULTANEOUS, locate_errors
 from repro.abft.qprotect import QProtector
 from repro.abft.unwind import locate_errors_rowonly, rebuild_col_checksums, unwind_iteration
 from repro.core.config import FTConfig
 from repro.core.hybrid_hessenberg import iteration_plan_cached
 from repro.core.results import FTResult, PhaseRecord, RecoveryEvent
 from repro.errors import (
-    ConvergenceError,
     EscalationExhausted,
     NonFiniteInputError,
     ShapeError,
@@ -61,6 +60,7 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.faults.regions import AREA_NO_PROPAGATION, classify, finished_cols_at
 from repro.resilience import (
+    MAX_RETRIES,
     TIER_AUDIT,
     TIER_DEEP_ROLLBACK,
     TIER_IN_PLACE,
@@ -78,7 +78,6 @@ from repro.linalg.verify import one_norm
 from repro.perf.workspace import Workspace
 from repro.utils.precision import as_lane_matrix
 
-_MAX_SIMULTANEOUS = 4  # decode plausibility bound (see ft_sytrd)
 #: Largest decoded data-error count tier 0 corrects in place: a lone
 #: element is corrected exactly, while a multi-element pattern is
 #: usually a smear that only looks decodable, which tier 1's exact
@@ -383,27 +382,23 @@ def price_ft_record(n: int, elem_bytes: int, machine, nb: int, channels: int,
 
 
 def _locate_and_correct(
-    em: EncodedMatrix, finished: int, norm_a: float, config: FTConfig, counter: FlopCounter
+    em: EncodedMatrix, finished: int, norm_a: float, counter: FlopCounter
 ) -> list:
     """Locate at the rolled-back state; raise if implausible/unclean."""
-    report = locate_errors(
-        em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-    )
+    report = locate_errors(em, finished, norm_a, counter=counter)
     data_errs = [e for e in report.errors if e.kind == "data"]
-    if len(data_errs) > _MAX_SIMULTANEOUS:
+    if len(data_errs) > MAX_SIMULTANEOUS:
         raise UncorrectableError(
             f"{len(data_errs)} simultaneous data errors decoded — smeared state"
         )
     correct_all(em, report.errors, finished, counter=counter)
-    if locate_errors(
-        em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-    ).errors:
+    if locate_errors(em, finished, norm_a, counter=counter).errors:
         raise UncorrectableError("correction did not clean the state")
     return report.errors
 
 
 def _try_in_place(
-    em: EncodedMatrix, finished: int, norm_a: float, config: FTConfig, counter: FlopCounter
+    em: EncodedMatrix, finished: int, norm_a: float, counter: FlopCounter
 ) -> list | None:
     """Ladder tier 0: correct at the *current* state, no rollback.
 
@@ -415,9 +410,7 @@ def _try_in_place(
     verbatim, and the ladder escalates.
     """
     try:
-        report = locate_errors(
-            em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-        )
+        report = locate_errors(em, finished, norm_a, counter=counter)
     except UncorrectableError:
         return None
     data_errs = [e for e in report.errors if e.kind == "data"]
@@ -434,9 +427,7 @@ def _try_in_place(
     snapshot = em.ext.copy(order="F")
     try:
         correct_all(em, report.errors, finished, counter=counter)
-        if locate_errors(
-            em, finished, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-        ).errors:
+        if locate_errors(em, finished, norm_a, counter=counter).errors:
             raise UncorrectableError("in-place correction did not clean the state")
     except UncorrectableError:
         em.ext[:, :] = snapshot
@@ -457,10 +448,6 @@ def _price_order(n: int, config: FTConfig, injector: FaultInjector | None) -> FT
     for it, (p, _) in enumerate(sched.plan):
         sched.iteration(it, redo=False)
         if it in planned:
-            if config.max_retries < 1:
-                raise ConvergenceError(
-                    f"iteration {it}: errors persisted past {config.max_retries} retries"
-                )
             sched.recovery(it, unwind_to=it)
             recoveries.append(
                 RecoveryEvent(iteration=it, p=p, gap=float("nan"), errors=[], retries=1,
@@ -515,9 +502,11 @@ def ft_gehrd(
     ------
     NonFiniteInputError
         If *a* holds a NaN or an infinity (checked before encoding).
-    ConvergenceError
-        If an iteration keeps detecting errors past ``max_retries``
-        (an error storm outside the paper's failure model).
+    EscalationExhausted
+        When no tier is left: an iteration kept detecting errors past
+        :data:`~repro.resilience.ladder.MAX_RETRIES` re-executions with
+        the restart budget spent (an error storm, outside the paper's
+        failure model), or no tier could produce a clean state.
     """
     config = config or FTConfig()
     if isinstance(a, (int, np.integer)):
@@ -542,7 +531,7 @@ def ft_gehrd(
     total_iters = len(plan)
     em = EncodedMatrix(a, channels=config.channels, counter=counter)
     detector = Detector(config.threshold, norm_a)
-    qprot = QProtector(n, eps_factor=config.eps_factor_locate)
+    qprot = QProtector(n)
     store = DisklessCheckpointStore()
     store.save_initial(em, a)  # the restart tier's substrate
     taus = np.zeros(max(n - 1, 0), dtype=em.ext.dtype)
@@ -552,7 +541,7 @@ def ft_gehrd(
     # across differently sized jobs is safe
     ws = workspace if workspace is not None else Workspace()
     ws.presize(n, config.nb, config.channels, dtype=em.ext.dtype)
-    sup = ResilienceSupervisor(config.ladder, config.max_retries)
+    sup = ResilienceSupervisor(config.ladder)
     # the phase-aware adversarial injection hook exposes every live FT
     # structure — the encoded matrix, the tau scalars, the Q-protection
     # checksums, the diskless checkpoint buffer and (inside an
@@ -593,11 +582,9 @@ def ft_gehrd(
             # never feeds a maintained update). No rollback needed: such
             # errors cannot propagate, so in-place correction suffices.
             if sched.audits(it):
-                report = locate_errors(
-                    em, p + ib, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-                )
+                report = locate_errors(em, p + ib, norm_a, counter=counter)
                 if report.errors:
-                    if len([e for e in report.errors if e.kind == "data"]) > _MAX_SIMULTANEOUS:
+                    if len([e for e in report.errors if e.kind == "data"]) > MAX_SIMULTANEOUS:
                         raise UncorrectableError("audit decoded an implausible error count")
                     correct_all(em, report.errors, p + ib, counter=counter)
                     detector.detections += 1
@@ -621,13 +608,13 @@ def ft_gehrd(
         injector.apply_phase(it, "during_recovery", targets)
         tau_repairs += len(tau_guard.verify_and_repair(taus))
 
-        within_budget = consecutive_recoveries <= config.max_retries
+        within_budget = consecutive_recoveries <= MAX_RETRIES
         recovered = False
         tier_used = TIER_REVERSE_REDO
 
         # -- tier 0: in-place correction, no rollback ------------------------
         if within_budget and sup.allow(TIER_IN_PLACE):
-            fixed = _try_in_place(em, p + ib, norm_a, config, counter)
+            fixed = _try_in_place(em, p + ib, norm_a, counter)
             sup.record(TIER_IN_PLACE, it, fixed is not None)
             if fixed is not None:
                 recoveries.append(
@@ -648,24 +635,15 @@ def ft_gehrd(
             reverse_right_update_encoded(em, pf, vce, ychk, counter=counter, workspace=ws)
             store.restore(em, verify=True)
             try:
-                errors = _locate_and_correct(em, p, norm_a, config, counter)
+                errors = _locate_and_correct(em, p, norm_a, counter)
                 recovered = True
                 sup.record(TIER_REVERSE_REDO, it, True)
             except UncorrectableError as exc:
                 sup.record(TIER_REVERSE_REDO, it, False, str(exc))
 
             # -- tier 2: deep rollback through completed iterations ----------
-            deep_steps = 0
-            while (
-                not recovered
-                and back_it > 0
-                and (
-                    config.ladder.max_deep_steps is None
-                    or deep_steps < config.ladder.max_deep_steps
-                )
-            ):
+            while not recovered and back_it > 0:
                 back_it -= 1
-                deep_steps += 1
                 tier_used = TIER_DEEP_ROLLBACK
                 pb, ibb = plan[back_it]
                 qprot.rollback_panel(em.data, pb, ibb)
@@ -676,16 +654,12 @@ def ft_gehrd(
                     # only the row checksums unwound exactly; locate
                     # through them (needs channels>=2) and rebuild the
                     # column checksums afterwards
-                    errors = locate_errors_rowonly(
-                        em, pb, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-                    )
-                    if len(errors) > _MAX_SIMULTANEOUS:
+                    errors = locate_errors_rowonly(em, pb, norm_a, counter=counter)
+                    if len(errors) > MAX_SIMULTANEOUS:
                         raise UncorrectableError("smeared state")
                     correct_all(em, errors, pb, counter=counter)
                     rebuild_col_checksums(em, pb, counter=counter)
-                    if locate_errors_rowonly(
-                        em, pb, norm_a, eps_factor=config.eps_factor_locate, counter=counter
-                    ):
+                    if locate_errors_rowonly(em, pb, norm_a, counter=counter):
                         raise UncorrectableError("correction did not clean the state")
                     recovered = True
                     sup.record(TIER_DEEP_ROLLBACK, it, True)
@@ -727,7 +701,7 @@ def ft_gehrd(
             continue
 
         reason = (
-            f"errors persisted past {config.max_retries} retries"
+            f"errors persisted past {MAX_RETRIES} retries"
             if not within_budget
             else "no tier could produce a clean state"
         )

@@ -38,16 +38,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.abft.detection import ThresholdPolicy
+from repro.abft.detection import DEFAULT_EPS_FACTOR, ThresholdPolicy
 from repro.abft.qprotect import QProtector
-from repro.abft.location import LocatedError, decode_residuals
+from repro.abft.location import MAX_SIMULTANEOUS, LocatedError, decode_residuals
 from repro.core.results import RecoveryEvent
 from repro.errors import ConvergenceError, ShapeError, UncorrectableError
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.linalg.flops import FlopCounter
 from repro.linalg.householder import larfg
+from repro.linalg.sytd2 import check_symmetric
 from repro.linalg.verify import one_norm
 from repro.perf.workspace import Workspace
+from repro.resilience.ladder import MAX_RETRIES
 from repro.resilience.tau_guard import TauGuard
 
 DEFAULT_AUDIT_EVERY = 16
@@ -273,44 +275,39 @@ class _FTSytrdState:
 def ft_sytrd(
     a: np.ndarray,
     *,
-    threshold: ThresholdPolicy | None = None,
-    eps_factor_locate: float = 1.0e3,
     audit_every: int = DEFAULT_AUDIT_EVERY,
-    max_simultaneous: int = 4,
-    max_retries: int = 3,
     injector: FaultInjector | None = None,
-    counter: FlopCounter | None = None,
-    symmetric_tol: float = 1e-12,
 ) -> FTTridiagResult:
     """Fault-tolerant reduction of symmetric *a* to tridiagonal form.
 
     *injector* faults use the same :class:`~repro.faults.FaultSpec` plans
-    as FT-Hess; the ``iteration`` field indexes *columns* here.
+    as FT-Hess; the ``iteration`` field indexes *columns* here. The
+    detection threshold, the location margin, the decode bound and the
+    retry budget are ``ft_gehrd``'s defaults.
 
-    Raises :class:`ConvergenceError` on persistent errors and
+    Raises :class:`ConvergenceError` on errors that persist past
+    :data:`~repro.resilience.ladder.MAX_RETRIES` re-executions and
     :class:`UncorrectableError` for undecodable multi-error patterns.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"ft_sytrd needs a square matrix, got {a.shape}")
     n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if n and float(np.max(np.abs(a - a.T))) > symmetric_tol * max(scale, 1.0):
-        raise ShapeError("ft_sytrd input is not symmetric")
+    check_symmetric(a, "ft_sytrd")
     if audit_every < 1:
         raise ShapeError(f"audit_every must be >= 1, got {audit_every}")
 
-    counter = counter if counter is not None else FlopCounter()
+    counter = FlopCounter()
     norm_a = one_norm(a)
-    policy = threshold or ThresholdPolicy()
+    policy = ThresholdPolicy()
     st = _FTSytrdState(np.asarray(a, dtype=np.float64), norm_a, counter)
-    qprot = QProtector(n, eps_factor=eps_factor_locate)
+    qprot = QProtector(n)
     tau_guard = TauGuard(st.taus.size)
 
     recoveries: list[RecoveryEvent] = []
     detections = 0
     checks = 0
     eps = float(np.finfo(np.float64).eps)
-    line_tol = eps_factor_locate * eps * max(1.0, norm_a) * n
+    line_tol = DEFAULT_EPS_FACTOR * eps * max(1.0, norm_a) * n
 
     buffer: list[_ColumnRecord] = []  # reversal material since last audit
     audit_base = 0                    # first column not yet audited
@@ -346,7 +343,7 @@ def ft_sytrd(
         transforms applied *before* the corruption smears it). Reversing
         one column at a time and attempting location after each step
         stops exactly where the pattern is clean. A decode that claims
-        more than ``max_simultaneous`` data errors, or two or more that
+        more than ``MAX_SIMULTANEOUS`` data errors, or two or more that
         all lie on the diagonal, is a smeared state masquerading as
         decodable (a symmetric rank-1 drift pattern decodes as one
         "error" per diagonal element) — keep reversing.
@@ -364,7 +361,7 @@ def ft_sytrd(
                 last_err = exc
                 continue
             data = [e for e in errors if e.kind == "data"]
-            if len(data) > max_simultaneous or (
+            if len(data) > MAX_SIMULTANEOUS or (
                 len(data) >= 2 and all(e.row == e.col for e in data)
             ):
                 continue  # smeared pseudo-decodable state; keep reversing
@@ -422,9 +419,9 @@ def ft_sytrd(
         if tier1 or tier2_errors:
             detections += 1
             retries_here += 1
-            if retries_here > max_retries:
+            if retries_here > MAX_RETRIES:
                 raise ConvergenceError(
-                    f"ft_sytrd: errors persisted past {max_retries} retries near column {j}"
+                    f"ft_sytrd: errors persisted past {MAX_RETRIES} retries near column {j}"
                 )
             inject("during_recovery", j)
             redo_from, errors = rollback_and_correct()
@@ -456,15 +453,7 @@ def ft_sytrd(
     if final_errors:
         detections += 1
         # at this point nothing remains to redo; correct in place
-        for err in final_errors:
-            if err.kind == "data":
-                st.ext[err.row, err.col] = float(st.ext[err.row, err.col]) - err.magnitude
-            elif err.kind == "row_checksum":
-                fr, _ = st.fresh_sums(n)
-                st.ext[err.row, n] = float(fr[err.row])
-            else:
-                _, fc = st.fresh_sums(n)
-                st.ext[n, err.col] = float(fc[err.col])
+        correct(final_errors, n)
         recoveries.append(
             RecoveryEvent(iteration=last_cols, p=n, gap=st.gap(), errors=final_errors, retries=1)
         )

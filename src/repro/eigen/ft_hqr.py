@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.abft.detection import DEFAULT_EPS_FACTOR, DEFAULT_SIGMA_FACTOR
 from repro.core.results import RecoveryEvent
 from repro.eigen.schur import (
     _standardize_blocks,
@@ -49,12 +50,23 @@ from repro.errors import ConvergenceError, EscalationExhausted, ShapeError
 from repro.faults.injector import FaultInjector, InjectionTargets
 from repro.linalg.verify import hessenberg_defect
 from repro.resilience.ladder import (
+    MAX_RETRIES,
     TIER_DEEP_ROLLBACK,
     TIER_REVERSE_REDO,
     LadderConfig,
     ResilienceSupervisor,
 )
 from repro.utils.precision import lane_eps, lane_scale
+
+#: Checkpoint rollback+replay attempts per verified checkpoint before
+#: the deep rollback. Consecutive recoveries without a clean
+#: verification in between are bounded by ``MAX_RETRIES`` as well.
+MAX_REPLAYS = 3
+#: Full re-iterations from the pristine post-reduction H.
+MAX_DEEP_ROLLBACKS = 1
+#: Z columns orthogonality-tested per verification; the end-of-run
+#: check is always the full ``‖ZᵀZ − I‖``.
+Z_SPOT_CHECKS = 2
 
 
 @dataclass
@@ -69,40 +81,17 @@ class QRProtectConfig:
         Halved (min 1) after every deep rollback.
     max_sweeps_per_eig:
         Francis stall budget, as in the unprotected drivers.
-    eps_factor:
-        Headroom of the fp64 norm-rule thresholds (PR 6's fixed rule).
-    sigma_factor:
-        Headroom of the sub-double variance-style thresholds.
-    max_replays:
-        Checkpoint rollback+replay attempts per verified checkpoint
-        before escalating to the deep rollback.
-    max_retries:
-        Consecutive recoveries (without an intervening clean
-        verification) tolerated before escalation; ``< 1`` is strict
-        fail-stop — the deep-rollback budget is forced to 0.
-    max_deep_rollbacks:
-        Full re-iterations from the pristine post-reduction H.
-    ladder:
-        Carried for :class:`ResilienceSupervisor` bookkeeping and the
-        serve tier's ``stricter()`` escalation; the QR stage maps its
-        two recovery levels onto ``reverse_redo``/``deep_rollback``.
     want_z:
         Accumulate Schur vectors (required for ``ft_schur``).
-    z_spot_checks:
-        Z columns orthogonality-tested per verification (0 disables);
-        the end-of-run check is always the full ``‖ZᵀZ − I‖``.
+
+    The thresholds' headroom is the reduction detector's
+    (``DEFAULT_EPS_FACTOR`` at fp64, ``DEFAULT_SIGMA_FACTOR`` below
+    double); the recovery budgets are the module constants above.
     """
 
     verify_every: int = 5
     max_sweeps_per_eig: int = 30
-    eps_factor: float = 1e3
-    sigma_factor: float = 24.0
-    max_replays: int = 3
-    max_retries: int = 3
-    max_deep_rollbacks: int = 1
-    ladder: LadderConfig = field(default_factory=LadderConfig)
     want_z: bool = True
-    z_spot_checks: int = 2
 
 
 @dataclass
@@ -283,8 +272,9 @@ def ft_hqr(
     store = QRCheckpointStore()
     store.save_initial(t, z)
     store.save(t, z, n - 1, 0, 0)
-    sup = ResilienceSupervisor(cfg.ladder, cfg.max_retries)
-    deep_budget = cfg.max_deep_rollbacks if cfg.max_retries >= 1 else 0
+    # the QR stage budgets its two levels itself: the supervisor only
+    # keeps the attempt log for a FailureReport
+    sup = ResilienceSupervisor(LadderConfig())
 
     verify_every = max(1, cfg.verify_every)
     budget = cfg.max_sweeps_per_eig * n + 10
@@ -322,16 +312,16 @@ def ft_hqr(
         thresholds (docs/resilience.md §5).
         """
         if dt.itemsize >= 8:
-            tau_fro = cfg.eps_factor * eps * max(1.0, fro_cp) * n
+            tau_fro = DEFAULT_EPS_FACTOR * eps * max(1.0, fro_cp) * n
         else:
             tau_fro = (
-                cfg.sigma_factor
+                DEFAULT_SIGMA_FACTOR
                 * eps
                 * math.sqrt(n * max(verify_every, 1))
                 * max(fro_cp, 1.0)
             )
         tau_p2 = 2.0 * max(fro_cp, 1.0) * tau_fro
-        tau_orth = cfg.eps_factor * eps * n
+        tau_orth = DEFAULT_EPS_FACTOR * eps * n
         return tau_fro, tau_p2, tau_fro, tau_orth
 
     def _verify(final: bool = False) -> tuple[str, float] | None:
@@ -363,8 +353,8 @@ def ft_hqr(
                 err = float(np.max(np.abs(gram - np.eye(n))))
                 if not (err <= tau_orth * math.sqrt(n)):
                     return f"Z orthogonality {err:.3e} > {tau_orth * math.sqrt(n):.3e}", err
-            elif cfg.z_spot_checks > 0:
-                for i in range(cfg.z_spot_checks):
+            else:
+                for i in range(Z_SPOT_CHECKS):
                     j = (7 * verifications + 13 * i) % n
                     col = z[:, j].astype(np.float64)
                     err = abs(float(col @ col) - 1.0)
@@ -397,7 +387,7 @@ def ft_hqr(
         if injector is not None:
             # strikes planned to land while the machinery is recovering
             injector.apply_due(tick, "during_recovery", _targets())
-        if consecutive <= cfg.max_retries and replays < cfg.max_replays:
+        if consecutive <= MAX_RETRIES and replays < MAX_REPLAYS:
             if store.verify(store.current):
                 _restore(store.current)
                 replays += 1
@@ -410,7 +400,7 @@ def ft_hqr(
             sup.record(TIER_REVERSE_REDO, tick, False, f"checkpoint guard mismatch ({reason})")
         else:
             sup.record(TIER_REVERSE_REDO, tick, False, f"replay budget exhausted ({reason})")
-        if deep < deep_budget and store.verify(store.initial):
+        if deep < MAX_DEEP_ROLLBACKS and store.verify(store.initial):
             _restore(store.initial)
             deep += 1
             replays = 0
@@ -425,7 +415,7 @@ def ft_hqr(
             TIER_DEEP_ROLLBACK,
             tick,
             False,
-            reason if deep < deep_budget else f"deep-rollback budget exhausted ({reason})",
+            reason if deep < MAX_DEEP_ROLLBACKS else f"deep-rollback budget exhausted ({reason})",
         )
         raise EscalationExhausted(
             f"QR step {tick}: {reason}", report=sup.report(tick, reason)

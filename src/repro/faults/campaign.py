@@ -440,7 +440,6 @@ def run_campaign(
     residual_tol: float | None = None,
     config: "FTConfig | None" = None,
     workers: int = 1,
-    chunksize: int | None = None,
     adversarial: bool = False,
     spaces: tuple[str, ...] | None = None,
     phases: tuple[str, ...] | None = None,
@@ -531,7 +530,6 @@ def run_campaign(
         cfg,
         residual_tol=residual_tol,
         workers=workers,
-        chunksize=chunksize,
         trial_timeout=trial_timeout,
         on_result=on_result,
         precomputed=precomputed,
@@ -553,7 +551,6 @@ def run_eig_campaign(
     config: "FTConfig | None" = None,
     qr_config=None,
     workers: int = 1,
-    chunksize: int | None = None,
     spaces: tuple[str, ...] | None = None,
     phases: tuple[str, ...] | None = None,
     journal: "str | CampaignJournal | None" = None,
@@ -635,7 +632,6 @@ def run_eig_campaign(
         trial_cfg,
         residual_tol=residual_tol,
         workers=workers,
-        chunksize=chunksize,
         trial_timeout=trial_timeout,
         on_result=on_result,
         precomputed=precomputed,

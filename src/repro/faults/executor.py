@@ -424,7 +424,6 @@ def run_ft_trials(
     *,
     residual_tol: float,
     workers: int = 1,
-    chunksize: int | None = None,
     trial_timeout: float | None = None,
     on_result: "Callable[[int, TrialOutcome], None] | None" = None,
     precomputed: "dict[int, TrialOutcome] | None" = None,
@@ -484,10 +483,9 @@ def run_ft_trials(
         return [results[i] for i in range(len(tasks))]
 
     workers = min(workers, len(pending))
-    if chunksize is None:
-        # ~2 chunks per worker: enough slack to absorb stragglers, few
-        # enough round-trips that small grids aren't dominated by IPC
-        chunksize = max(1, -(-len(pending) // (workers * 2)))
+    # ~2 chunks per worker: enough slack to absorb stragglers, few
+    # enough round-trips that small grids aren't dominated by IPC
+    chunksize = max(1, -(-len(pending) // (workers * 2)))
     chunks = [pending[i : i + chunksize] for i in range(0, len(pending), chunksize)]
 
     payload_a: "np.ndarray | SharedMatrix" = a

@@ -21,7 +21,7 @@ steps across simulated devices and checksum-extended operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,12 @@ class HessenbergFactorization:
 
     ``a`` holds H in its upper-Hessenberg part and the Householder vectors
     below the first subdiagonal (LAPACK packed storage); ``taus`` are the
-    reflector scales; ``panels`` records the per-panel WY factors (used by
-    tests and by the analysis layer).
+    reflector scales.
     """
 
     a: np.ndarray
     taus: np.ndarray
     nb: int
-    panels: list[PanelFactors] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -147,7 +145,6 @@ def gehrd(
     nb: int = DEFAULT_NB,
     nx: int | None = None,
     counter: FlopCounter | None = None,
-    keep_panels: bool = False,
 ) -> HessenbergFactorization:
     """Blocked Hessenberg reduction of the square matrix *a*, in place.
 
@@ -159,38 +156,29 @@ def gehrd(
     nb:
         Block (panel) width.
     nx:
-        Crossover to the unblocked algorithm (defaults to ``nb``).
+        Crossover to the unblocked algorithm: the blocked loop runs while
+        more than ``max(nb, nx)`` columns remain, ``nx`` defaulting to
+        :data:`DEFAULT_NX` (so ``max(nb, 32)``).
     counter:
         Optional flop counter.
-    keep_panels:
-        Record the per-panel WY factors in the result (costs memory; used
-        by analysis code). Each panel then gets a fresh arena — recorded
-        factors must outlive the iteration that produced them, which
-        pooled buffers do not.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"gehrd needs a square matrix, got {a.shape}")
     n = a.shape[0]
     nx = max(nb, nx if nx is not None else DEFAULT_NX)
     taus = np.zeros(max(n - 1, 0), dtype=a.dtype)
-    panels: list[PanelFactors] = []
     ws = Workspace()
 
     p = 0
     while n - 1 - p > nx:
         ib = min(nb, n - 1 - p)
-        if keep_panels:
-            ws = Workspace()
         pf = lahr2(a, p, ib, n, counter=counter, workspace=ws)
         taus[p : p + ib] = pf.taus
         apply_right_updates(a, pf, n, counter=counter, workspace=ws)
         apply_left_update(a, pf, n, counter=counter, workspace=ws)
-
-        if keep_panels:
-            panels.append(pf)
         p += ib
 
     # unblocked clean-up of the remaining columns
     gehd2(a, p, n, taus_out=taus, counter=counter)
 
-    return HessenbergFactorization(a=a, taus=taus, nb=nb, panels=panels)
+    return HessenbergFactorization(a=a, taus=taus, nb=nb)

@@ -21,13 +21,25 @@ from repro.errors import ShapeError
 from repro.linalg.flops import FlopCounter
 from repro.linalg.householder import larfg
 
+#: The asymmetry ``max|A − Aᵀ|`` the symmetric reductions accept, relative
+#: to ``max(1, max|A|)``.
+SYMMETRIC_TOL = 1e-12
+
+
+def check_symmetric(a: np.ndarray, name: str) -> None:
+    """Raise :class:`ShapeError` unless square *a* is symmetric to
+    :data:`SYMMETRIC_TOL`."""
+    n = a.shape[0]
+    scale = float(np.max(np.abs(a))) if n else 0.0
+    if n and float(np.max(np.abs(a - a.T))) > SYMMETRIC_TOL * max(scale, 1.0):
+        raise ShapeError(f"{name} input is not symmetric")
+
 
 def sytd2(
     a: np.ndarray,
     *,
     counter: FlopCounter | None = None,
     category: str = "sytd2",
-    symmetric_tol: float = 1e-12,
 ) -> np.ndarray:
     """Reduce the symmetric matrix *a* to tridiagonal form in place.
 
@@ -40,9 +52,7 @@ def sytd2(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"sytd2 needs a square matrix, got {a.shape}")
     n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if n and float(np.max(np.abs(a - a.T))) > symmetric_tol * max(scale, 1.0):
-        raise ShapeError("sytd2 input is not symmetric")
+    check_symmetric(a, "sytd2")
 
     taus = np.zeros(max(n - 1, 0))
     for j in range(n - 2):

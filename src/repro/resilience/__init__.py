@@ -10,6 +10,7 @@ from repro.resilience.ladder import (
     TIER_AUDIT,
     TIER_TAU_REPAIR,
     TIER_ORDER,
+    MAX_RETRIES,
     tier_rank,
     max_tier,
     LadderConfig,
@@ -28,6 +29,7 @@ __all__ = [
     "TIER_AUDIT",
     "TIER_TAU_REPAIR",
     "TIER_ORDER",
+    "MAX_RETRIES",
     "tier_rank",
     "max_tier",
     "LadderConfig",

@@ -1,7 +1,7 @@
 """The recovery escalation ladder (Fasi et al.-style tiered recovery).
 
-The flat policy — retry the iteration, abort after ``max_retries`` —
-treats every detection the same. The ladder instead escalates through
+The flat policy — retry the iteration, abort after :data:`MAX_RETRIES`
+— treats every detection the same. The ladder instead escalates through
 strategies of increasing cost and decreasing assumptions:
 
 ``in_place``
@@ -50,6 +50,12 @@ TIER_ORDER = (TIER_IN_PLACE, TIER_REVERSE_REDO, TIER_DEEP_ROLLBACK, TIER_RESTART
 TIER_AUDIT = "audit"
 TIER_TAU_REPAIR = "tau_repair"
 
+#: Consecutive recoveries of one iteration (or one QR verification
+#: window) before the drivers escalate past it: the paper assumes one
+#: error at a time, so a detection that survives three re-executions is
+#: an error storm (Algorithm 3, lines 14–15, bounded).
+MAX_RETRIES = 3
+
 
 def tier_rank(tier: str) -> int:
     """Position in the escalation order (-1 for out-of-ladder events)."""
@@ -79,20 +85,15 @@ class LadderConfig:
     max_in_place_total:
         Across the whole run, how many times tier 0 may be attempted
         (0 disables the zero-rollback first tier).
-    max_deep_steps:
-        Per detection, how many completed iterations the deep rollback
-        may unwind (``None`` = all the way to iteration 0). It bounds
-        multi-channel runs only: with one channel the deep rollback
-        stops at its first refusal, so it unwinds one iteration at most
-        before the restart tier.
     max_restarts:
-        How many full diskless restarts the run may spend. The driver
-        forces this to 0 when ``max_retries < 1`` (strict fail-stop
-        mode, used by the error-storm tests).
+        How many full diskless restarts the run may spend (0 is the
+        strict fail-stop mode: an undecodable pattern raises).
+
+    The deep rollback is not budgeted: with several channels it may
+    unwind to iteration 0, and with one it stops at its first refusal.
     """
 
     max_in_place_total: int = 8
-    max_deep_steps: int | None = None
     max_restarts: int = 1
 
     def stricter(self) -> "LadderConfig":
@@ -101,18 +102,12 @@ class LadderConfig:
         Used by the serving layer when a job dies with
         :class:`~repro.errors.EscalationExhausted`: the optimistic
         zero-rollback tier is disabled (if its exact-correction premise
-        were holding, the ladder would not have exhausted), a
-        multi-channel deep rollback may unwind all the way to iteration
-        0 (one channel still stops at its first refusal), and one more
+        were holding, the ladder would not have exhausted), and one more
         full restart is allowed than last time. Repeated application
         keeps widening the restart budget, so a bounded retry loop
         converges on "replay everything from the initial snapshot".
         """
-        return LadderConfig(
-            max_in_place_total=0,
-            max_deep_steps=None,
-            max_restarts=self.max_restarts + 1,
-        )
+        return LadderConfig(max_in_place_total=0, max_restarts=self.max_restarts + 1)
 
 
 @dataclass
@@ -160,9 +155,8 @@ class ResilienceSupervisor:
     into a :class:`FailureReport` when everything is exhausted.
     """
 
-    def __init__(self, ladder: LadderConfig, max_retries: int):
+    def __init__(self, ladder: LadderConfig):
         self.ladder = ladder
-        self.max_retries = max_retries
         self.attempts: dict[str, int] = {}
         self.successes: dict[str, int] = {}
         self.events: list[TierAttempt] = []
@@ -171,8 +165,7 @@ class ResilienceSupervisor:
         if tier == TIER_IN_PLACE:
             return self.attempts.get(tier, 0) < self.ladder.max_in_place_total
         if tier == TIER_RESTART:
-            budget = self.ladder.max_restarts if self.max_retries >= 1 else 0
-            return self.attempts.get(tier, 0) < budget
+            return self.attempts.get(tier, 0) < self.ladder.max_restarts
         return True  # reverse_redo / deep_rollback budgets live in the driver
 
     def record(self, tier: str, iteration: int, success: bool, detail: str = "") -> TierAttempt:

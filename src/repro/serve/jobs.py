@@ -678,8 +678,6 @@ def execute_job(
         qcfg = QRProtectConfig(want_z=want_z)
         if max_sweeps:
             qcfg.max_sweeps_per_eig = max_sweeps
-        if ladder is not None:
-            qcfg.ladder = ladder
         fr = ft_hqr(h, qcfg, injector=qr_inj, check_input=False)
         payload.update(_eig_payload(spec, res, fr))
         q = None

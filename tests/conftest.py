@@ -56,3 +56,19 @@ def paper_small_matrix():
 @pytest.fixture
 def symmetric_matrix():
     return random_matrix(64, MatrixKind.SYMMETRIC, seed=3)
+
+
+@pytest.fixture
+def storm_injector():
+    """A ``FaultInjector`` class that re-arms its plan at every boundary
+    of a struck iteration, so each re-execution is struck again: an error
+    storm, outside the paper's one-error-at-a-time model."""
+    from repro.faults import FaultInjector
+
+    class StormInjector(FaultInjector):
+        def apply_phase(self, iteration, phase, targets):
+            if phase == "boundary" and any(f.iteration == iteration for f in self.faults):
+                self._fired.clear()
+            return super().apply_phase(iteration, phase, targets)
+
+    return StormInjector

@@ -91,6 +91,21 @@ class TestCheckpointRepair:
         assert em.data[:, 16:32].tobytes() == cp.panel.tobytes()
         assert cp.suspect_columns() == []
 
+    @pytest.mark.parametrize("n, mag", [(96, 1e-6), (512, 1e-6), (512, 1e-4)])
+    def test_small_fp32_strikes_are_placed_by_the_float64_guards(self, n, mag):
+        """A small fp32 strike moves the unit sum by about that sum's own
+        rounding, which blurs the unit/linear ratio; the two float64
+        guards place it, and the flagged columns get their very bits back."""
+        em, store, cp, saved = _saved(np.float32, n=n, ib=32, p=0)
+        rows = np.random.default_rng(n).integers(0, n, 32)
+        for j, row in enumerate(rows):
+            cp.panel[row, j] += np.float32(mag)
+        flagged = cp.suspect_columns()
+        assert len(flagged) >= 16
+        _, suspects = store.restore(em, verify=True)
+        assert suspects == []
+        assert cp.panel[:, flagged].tobytes() == saved[:, flagged].tobytes()
+
     @pytest.mark.parametrize("dtype", LANES)
     @pytest.mark.parametrize("rows, mags", [
         ((20, 40), (1.0, 1.0)),   # fits the unit and linear guards at row 30

@@ -19,7 +19,7 @@ class TestParser:
             ["demo", "--n", "96"],
             ["submit", "--jobs", "jobs.jsonl", "--workers", "4"],
             ["serve", "--jobs", "-", "--max-queue", "8", "--cache-mb", "16"],
-            ["trace", "--n", "256", "--chrome", "t.json", "--csv", "t.csv"],
+            ["trace", "--n", "256", "--out", "t.json", "--csv", "t.csv"],
         ):
             assert p.parse_args(args).command == args[0]
 
@@ -127,19 +127,14 @@ class TestTraceCommand:
         assert len(doc["traceEvents"]) > 10
 
     def test_trace_chrome_and_csv_flags(self, capsys, tmp_path, monkeypatch):
-        chrome = tmp_path / "chrome.json"
+        chrome = tmp_path / "trace.json"
         csv = tmp_path / "trace.csv"
-        native = tmp_path / "trace.json"
         # every output goes where the flags say, none into the working directory
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
-        assert main(
-            ["trace", "--n", "512", "--out", str(native),
-             "--chrome", str(chrome), "--csv", str(csv)]
-        ) == 0
+        assert main(["trace", "--n", "512", "--out", str(chrome), "--csv", str(csv)]) == 0
         assert list(cwd.iterdir()) == []
-        assert native.exists()
         out = capsys.readouterr().out
         assert str(chrome) in out and str(csv) in out
         import json

@@ -45,7 +45,7 @@ def test_parallel_matches_serial():
     cfg = FTConfig(nb=NB)
     tasks = build_fault_grid(N, NB, moments=2, seed=2)
     serial = run_ft_trials(a, tasks, cfg, residual_tol=TOL, workers=1)
-    pooled = run_ft_trials(a, tasks, cfg, residual_tol=TOL, workers=2, chunksize=2)
+    pooled = run_ft_trials(a, tasks, cfg, residual_tol=TOL, workers=2)
     assert len(serial) == len(pooled) == len(tasks)
     assert [_outcome_key(t) for t in serial] == [_outcome_key(t) for t in pooled]
 
@@ -122,7 +122,7 @@ def test_run_ft_trials_stops_its_workers_when_the_caller_raises():
     before = set(multiprocessing.active_children())
     with pytest.raises(KeyboardInterrupt):
         run_ft_trials(a, tasks, FTConfig(nb=NB), residual_tol=TOL, workers=2,
-                      chunksize=1, on_result=boom)
+                      on_result=boom)
     workers = set(multiprocessing.active_children()) - before
     for proc in workers:  # reaped, by the stop or the pool's own thread
         with pytest.raises(ProcessLookupError):

@@ -212,17 +212,18 @@ class TestScheduleAndOverhead:
         t_serial = ft_gehrd(n, FTConfig(nb=32, overlap_q_checksums=False)).seconds
         assert t_overlap <= t_serial
 
-    def test_persistent_error_storm_raises(self):
+    def test_persistent_error_storm_raises(self, storm_injector):
         """An adversarial injector that re-corrupts on every retry must
         exhaust the budget, not loop forever."""
 
         a0 = random_matrix(96, seed=13)
-
-        # emulate the storm by injecting at iteration 1 with max_retries
-        # at 0, so one detection overflows the budget
-        inj = FaultInjector().add(FaultSpec(iteration=1, row=50, col=60, magnitude=1.0))
-        with pytest.raises(ConvergenceError):
-            ft_gehrd(a0, FTConfig(nb=32, max_retries=0), injector=inj)
+        inj = storm_injector().add(FaultSpec(iteration=1, row=50, col=60, magnitude=1.0))
+        with pytest.raises(ConvergenceError, match="persisted past 3 retries") as exc:
+            ft_gehrd(a0, FTConfig(nb=32), injector=inj)
+        # the strike and its three re-executions, before and after the
+        # one restart
+        assert len(inj.injected) == 8
+        assert exc.value.report.attempts["restart"] == 1
 
 
 class TestNonFiniteInput:

@@ -86,7 +86,7 @@ class TestDetectionAndRecovery:
         inj = FaultInjector().add(FaultSpec(
             iteration=4, row=3, col=8, magnitude=1.0,
             space="qr_z", phase="post_sweep"))
-        res = ft_hqr(h, QRProtectConfig(z_spot_checks=24), injector=inj)
+        res = ft_hqr(h, injector=inj)
         assert res.detections >= 1
         assert np.array_equal(res.t, clean.t)
         assert orthogonality_residual(res.z) < 1e-13
@@ -125,7 +125,7 @@ class TestDetectionAndRecovery:
                               space="qr_checkpoint", phase="pre_sweep"))
                .add(FaultSpec(iteration=6, row=5, col=9, magnitude=1.0,
                               space="qr_matrix", phase="pre_sweep")))
-        cfg = QRProtectConfig(verify_every=6, max_replays=2)
+        cfg = QRProtectConfig(verify_every=6)
         res = ft_hqr(h, cfg, injector=inj)
         assert res.checkpoint_corruptions >= 1
         assert res.deep_rollbacks == 1
@@ -134,20 +134,19 @@ class TestDetectionAndRecovery:
         np.testing.assert_array_equal(_spectrum(res), _spectrum(clean))
 
     def test_exhaustion_raises_with_report(self):
-        # a fault storm on every sweep with zero deep-rollback budget
+        # a fault storm on every sweep outlasts the replays and the one
+        # deep rollback
         h = _hess(24, 23)
         inj = FaultInjector()
         for it in range(1, 40):
             inj.add(FaultSpec(iteration=it, row=5, col=9, magnitude=1.0,
                               space="qr_matrix", phase="pre_sweep"))
-        cfg = QRProtectConfig(max_retries=1, max_replays=1,
-                              max_deep_rollbacks=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(EscalationExhausted) as exc_info:
-                ft_hqr(h, cfg, injector=inj)
+                ft_hqr(h, injector=inj)
         report = exc_info.value.report
-        assert report.attempts
+        assert report.successes == {"reverse_redo": 3, "deep_rollback": 1}
 
     def test_late_fault_fires_and_is_corrected(self):
         # planned far past convergence: strikes the finished T, and the

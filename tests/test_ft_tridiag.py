@@ -109,11 +109,12 @@ class TestRecovery:
         assert resid < 1e-13
         assert res.detections == 2
 
-    def test_retry_budget_enforced(self):
+    def test_retry_budget_enforced(self, storm_injector):
         a0 = _sym(48, 10)
-        inj = FaultInjector().add(FaultSpec(iteration=5, row=20, col=30, magnitude=1.0))
-        with pytest.raises(ConvergenceError):
-            ft_sytrd(a0, injector=inj, max_retries=0)
+        inj = storm_injector().add(FaultSpec(iteration=5, row=20, col=30, magnitude=1.0))
+        with pytest.raises(ConvergenceError, match="persisted past 3 retries"):
+            ft_sytrd(a0, injector=inj)
+        assert len(inj.injected) == 4  # the strike and its three re-executions
 
     def test_overhead_flops_bounded(self):
         """The two-tier design's cost claim: ABFT flops stay a modest

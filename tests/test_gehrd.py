@@ -102,12 +102,6 @@ class TestGehrd:
         gehrd(a, nb=16, nx=16, counter=cnt)
         assert cnt.total == pytest.approx(F.gehrd_flops(n), rel=0.25)
 
-    def test_keep_panels(self):
-        a = random_matrix(40, seed=6).copy(order="F")
-        fac = gehrd(a, nb=8, nx=8, keep_panels=True)
-        assert len(fac.panels) >= 3
-        assert fac.panels[0].p == 0 and fac.panels[1].p == 8
-
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             gehrd(np.zeros((3, 4), order="F"))

@@ -178,7 +178,7 @@ class TestPerPanelMaintenance:
 
 
 class TestQRegionBound:
-    """The Q-region bound is ``eps_factor·eps·n``: DLARFG bounds every
+    """The Q-region bound is ``10³·eps·n``: DLARFG bounds every
     stored reflector entry by 1, so the bound carries no ‖A‖ scale. Scaled
     by ‖A‖₁, it stood above 1 at fp32 and n=512 and let a 1.0 fault in a
     finished reflector through unlocated."""

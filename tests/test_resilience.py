@@ -68,9 +68,7 @@ class TestLadderUnits:
         assert max_tier(["deep_rollback", "restart", "in_place"]) == "restart"
 
     def test_supervisor_budgets(self):
-        sup = ResilienceSupervisor(
-            LadderConfig(max_in_place_total=2, max_restarts=1), max_retries=3
-        )
+        sup = ResilienceSupervisor(LadderConfig(max_in_place_total=2, max_restarts=1))
         assert sup.allow(TIER_IN_PLACE)
         sup.record(TIER_IN_PLACE, 0, False)
         sup.record(TIER_IN_PLACE, 1, False)
@@ -81,11 +79,11 @@ class TestLadderUnits:
         assert sup.restarts == 1
 
     def test_restart_disabled_in_strict_failstop_mode(self):
-        sup = ResilienceSupervisor(LadderConfig(max_restarts=5), max_retries=0)
+        sup = ResilienceSupervisor(LadderConfig(max_restarts=0))
         assert not sup.allow(TIER_RESTART)
 
     def test_report_aggregates(self):
-        sup = ResilienceSupervisor(LadderConfig(), max_retries=3)
+        sup = ResilienceSupervisor(LadderConfig())
         sup.record(TIER_REVERSE_REDO, 2, False, "smeared")
         sup.record(TIER_DEEP_ROLLBACK, 2, False)
         rep = sup.report(2, "nothing left")
@@ -381,13 +379,12 @@ class TestInPlaceTier:
     def test_a_refusal_writes_nothing_and_allocates_no_n2_array(self, channels, state):
         n = self.N
         em = _struck(n, channels, state)
-        cfg = FTConfig(nb=32, channels=channels)
         norm_a = one_norm(em.data)
         em._masked(0)  # the fresh sums' scratch is kept once it exists
         before = em.ext.tobytes(order="F")
         tracemalloc.start()
         try:
-            fixed = fth._try_in_place(em, 0, norm_a, cfg, FlopCounter())
+            fixed = fth._try_in_place(em, 0, norm_a, FlopCounter())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,9 +395,8 @@ class TestInPlaceTier:
     def test_a_fix_that_does_not_clean_the_state_is_undone(self, monkeypatch):
         n = self.N
         em = _struck(n, 1, "one")
-        cfg = FTConfig(nb=32)
         norm_a = one_norm(em.data)
-        first = locate_errors(em, 0, norm_a, eps_factor=cfg.eps_factor_locate)
+        first = locate_errors(em, 0, norm_a)
         assert [(e.kind, e.row, e.col) for e in first.errors] == [("data", 100, 120)]
         seen = []
 
@@ -411,7 +407,7 @@ class TestInPlaceTier:
 
         before = em.ext.tobytes(order="F")
         monkeypatch.setattr(fth, "locate_errors", still_dirty)
-        assert fth._try_in_place(em, 0, norm_a, cfg, FlopCounter()) is None
+        assert fth._try_in_place(em, 0, norm_a, FlopCounter()) is None
         assert seen[0] == before and seen[1] != before  # the fix was written
         assert em.ext.tobytes(order="F") == before
 

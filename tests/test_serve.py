@@ -321,7 +321,6 @@ class TestRetryPolicy:
         cfg = LadderConfig()
         strict = cfg.stricter()
         assert strict.max_in_place_total == 0
-        assert strict.max_deep_steps is None
         assert strict.max_restarts == cfg.max_restarts + 1
         assert strict.stricter().max_restarts == cfg.max_restarts + 2
 

@@ -42,14 +42,6 @@ class TestWeightBlocks:
         with pytest.raises(ShapeError):
             make_weight_block(10, 0)
 
-    def test_custom_weights_validated(self):
-        a = random_matrix(8, seed=1)
-        with pytest.raises(ShapeError):
-            EncodedMatrix(a, weights=np.ones((2, 5)))
-        with pytest.raises(ShapeError):
-            # channel 0 must be unit
-            EncodedMatrix(a, weights=np.vstack([2 * np.ones(8), np.ones(8)]))
-
 
 class TestEncodingInvariants:
     def test_layout_and_views(self):
