@@ -31,10 +31,12 @@ factors runs the same calls as B matrices, each item getting the same
 per-item GEMM and so the same bytes, and the flop charge is the
 per-item count times B. Scratch blocks come from a
 :class:`~repro.perf.workspace.Workspace` (a private one when the caller
-passes none), and every GEMM is one
-:meth:`~repro.perf.workspace.Workspace.product` folded into the
-Fortran-ordered extended storage: one ``C ← C − [Y; Ychk] [V₂; Vce]ᵀ``
-over the trailing full-column slice for the right update, and one
+passes none), and every update GEMM is one
+:func:`~repro.perf.gemm.fold` into the Fortran-ordered extended
+storage, in place with ``β = 1`` (a stack's product, or a one-row
+or one-column block's, is formed and then folded in): one
+``C ← C − [Y; Ychk] [V₂; Vce]ᵀ`` over the trailing full-column slice
+for the right update, and one
 ``C ← C − [V; Vce] (Tᵀ Vᵀ C)`` over the active row window
 ``[p+1, n+k)`` for the left.
 
@@ -71,6 +73,7 @@ from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.lahr2 import PanelFactors
 from repro.abft.encoding import EncodedMatrix
+from repro.perf.gemm import fold
 from repro.perf.workspace import Workspace
 
 
@@ -133,11 +136,11 @@ def _fold_right(
     vce: np.ndarray,
     ychk: np.ndarray,
     workspace: Workspace | None,
-    fold,
+    alpha: float,
 ) -> None:
-    """``C ← fold(C, [Y; Ychk] [V2; Vce]ᵀ)`` over the trailing full-column
-    slice, then the in-panel top rows — *fold* is ``np.subtract`` for the
-    forward update and ``np.add`` for its reverse.
+    """``C ← C + alpha·[Y; Ychk] [V2; Vce]ᵀ`` over the trailing
+    full-column slice, then the in-panel top rows — *alpha* is -1 for
+    the forward update and +1 for its reverse.
 
     The stacked operands make one GEMM update the trailing data columns,
     the row-checksum columns AND the column-checksum rows together (the
@@ -153,13 +156,12 @@ def _fold_right(
     v2ce = ws.per_item("upd.v2ce", lead, (nt + k, ib), dtype=em.ext.dtype)
     v2ce[..., :nt, :] = pf.v[..., ib - 1 :, :]
     v2ce[..., nt:, :] = vce
-    c = em.ext[..., p + ib : n + k]
-    fold(c, ws.product(yce, v2ce.swapaxes(-1, -2)), out=c)
+    fold(em.ext[..., p + ib : n + k], yce, v2ce.swapaxes(-1, -2), alpha, ws)
     if ib > 1:
         # V's upper triangle holds explicit zeros, so no np.tril copy
         c = em.ext[..., 0 : p + 1, p + 1 : p + ib]
         v1t = pf.v[..., : ib - 1, : ib - 1].swapaxes(-1, -2)
-        fold(c, ws.product(pf.y[..., 0 : p + 1, : ib - 1], v1t), out=c)
+        fold(c, pf.y[..., 0 : p + 1, : ib - 1], v1t, alpha, ws)
 
 
 def right_update_encoded(
@@ -198,7 +200,7 @@ def right_update_encoded(
             counter.add("right_update", b * F.trmm_flops(p + 1, ib - 1, False))
         counter.add("abft_maintain", b * F.abft_fused_rows_flops(k, n - p - ib, ib))
 
-    _fold_right(em, pf, vce, ychk, workspace, np.subtract)
+    _fold_right(em, pf, vce, ychk, workspace, -1.0)
 
 
 def left_update_encoded(
@@ -246,7 +248,7 @@ def left_update_encoded(
     # absorbs Vce·W's spill over the checksum columns (scratch by
     # contract), and v_full's checksum rows are zeroed again afterwards
     pf.v_full[..., n:, :] = vce
-    em.ext[..., p + 1 :, p + ib : n + k] -= ws.product(pf.v_full[..., p + 1 :, :], w2)
+    fold(em.ext[..., p + 1 :, p + ib : n + k], pf.v_full[..., p + 1 :, :], w2, -1.0, ws)
     pf.v_full[..., n:, :] = 0.0
 
 
@@ -278,13 +280,13 @@ def reverse_left_update_encoded(
     w2 = ws.buf("upd.w2c", (ib, ncf), order="C", dtype=em.ext.dtype)
     np.matmul(pf.v.T, c_data, out=w1)
     np.matmul(pf.t, w1, out=w2)
-    c_data -= ws.product(pf.v, w2)
+    fold(c_data, pf.v, w2, -1.0, ws)
     # c_data now equals the pre-left-update state; recompute the forward
     # correction that was applied to the checksum rows (and, as spill, to
     # the k x k corner) and add it back.
     np.matmul(pf.v.T, c_data, out=w1)
     np.matmul(pf.t.T, w1, out=w2)
-    em.ext[n:, p + ib : n + k] += ws.product(vce, w2)
+    fold(em.ext[n:, p + ib : n + k], vce, w2, 1.0, ws)
 
 
 def reverse_right_update_encoded(
@@ -307,5 +309,5 @@ def reverse_right_update_encoded(
     if counter is not None:
         counter.add("abft_recover", F.gemm_flops(n, n - p - ib + k, ib))
 
-    _fold_right(em, pf, vce, ychk, workspace, np.add)
+    _fold_right(em, pf, vce, ychk, workspace, 1.0)
 

@@ -562,6 +562,11 @@ def ft_gehrd(
         # lines 4–11: panel, V/Y checksums, the extended right and left
         # updates, then freeze the finished columns' checksum segment
         pf = lahr2(em.ext, p, ib, n, counter=counter, workspace=ws)
+        # the fresh reflectors enter the Q checksums before any
+        # in-iteration strike can reach their storage; tier 1 takes them
+        # out again from this copy
+        qr_saved = qprot.qr_chk[p:].copy()
+        qprot.update_for_panel(em.data, p, ib, counter=counter)
         vce = v_col_checksums(pf, em, counter=counter)
         ychk = y_col_checksums(em, pf, counter=counter)
         live.panel_v = pf.v
@@ -576,7 +581,6 @@ def ft_gehrd(
             consecutive_recoveries = 0
             taus[p : p + ib] = pf.taus
             tau_guard.record(taus, p, ib)
-            qprot.update_for_panel(em.data, p, ib, counter=counter)
             # optional extension: periodic full audit — catches finished-H
             # corruption, which the Σ test is structurally blind to (it
             # never feeds a maintained update). No rollback needed: such
@@ -623,7 +627,6 @@ def ft_gehrd(
                 )
                 taus[p : p + ib] = pf.taus
                 tau_guard.record(taus, p, ib)
-                qprot.update_for_panel(em.data, p, ib, counter=counter)
                 sched.correct(it)
                 consecutive_recoveries = 0
                 it += 1
@@ -631,6 +634,9 @@ def ft_gehrd(
 
         if within_budget:
             # -- tier 1: reverse the live iteration, restore, locate ---------
+            qprot.qr_chk[p:] = qr_saved
+            qprot.qc_chk[p : p + ib] = 0.0
+            qprot.finished_cols = p
             reverse_left_update_encoded(em, pf, vce, counter=counter, workspace=ws)
             reverse_right_update_encoded(em, pf, vce, ychk, counter=counter, workspace=ws)
             store.restore(em, verify=True)

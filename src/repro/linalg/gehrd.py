@@ -30,6 +30,7 @@ from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
 from repro.linalg.gehd2 import gehd2
 from repro.linalg.lahr2 import PanelFactors, lahr2
+from repro.perf.gemm import fold
 from repro.perf.workspace import Workspace
 
 DEFAULT_NB = 32
@@ -83,17 +84,15 @@ def apply_right_updates(
     b = math.prod(a.shape[:-2])
     # trailing columns: A[0:n, p+ib:n] -= Y @ V2ᵀ, V2 = rows ib-1.. of V
     if p + ib < n:
-        a[..., 0:n, p + ib : n] -= ws.product(
-            pf.y[..., 0:n, :], pf.v[..., ib - 1 :, :].swapaxes(-1, -2)
-        )
+        v2t = pf.v[..., ib - 1 :, :].swapaxes(-1, -2)
+        fold(a[..., 0:n, p + ib : n], pf.y[..., 0:n, :], v2t, -1.0, ws)
         if counter is not None:
             counter.add(category, b * F.gemm_flops(n, n - p - ib, ib))
     # in-panel top rows: A[0:p+1, p+1:p+ib] -= Y_top[:, :ib-1] @ V1ᵀ
     # (V's upper triangle holds explicit zeros — no np.tril copy needed)
     if ib > 1 and p + 1 > 0:
-        a[..., 0 : p + 1, p + 1 : p + ib] -= ws.product(
-            pf.y[..., 0 : p + 1, : ib - 1], pf.v[..., : ib - 1, : ib - 1].swapaxes(-1, -2)
-        )
+        v1t = pf.v[..., : ib - 1, : ib - 1].swapaxes(-1, -2)
+        fold(a[..., 0 : p + 1, p + 1 : p + ib], pf.y[..., 0 : p + 1, : ib - 1], v1t, -1.0, ws)
         if counter is not None:
             counter.add(
                 category, b * (F.trmm_flops(p + 1, ib - 1, False) + (p + 1) * (ib - 1))
@@ -129,7 +128,7 @@ def apply_left_update(
     w2 = ws.per_item("upd.w2", lead, (ib, ncf), dtype=a.dtype)
     np.matmul(pf.v.swapaxes(-1, -2), c, out=w1)
     np.matmul(pf.t.swapaxes(-1, -2), w1, out=w2)
-    c -= ws.product(pf.v, w2)
+    fold(c, pf.v, w2, -1.0, ws)
     if counter is not None:
         m = n - p - 1
         counter.add(

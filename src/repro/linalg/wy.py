@@ -6,13 +6,15 @@ representation the paper's Section III-B quotes). ``V`` is the (m x k)
 matrix of Householder vectors (unit "diagonal" made explicit by the
 caller) and ``T`` is k x k upper triangular.
 
-The block application :func:`larfb` is the workhorse of both the right and
-left trailing-matrix updates — and of their *reversals*: because
-``I - V T Vᵀ`` is orthogonal, the reverse of a left update is a left
-update with the transposed T, through this very same routine
-(:mod:`repro.abft.reverse` relies on that). :mod:`repro.linalg.orghr`
+The block application :func:`larfb` is the DLARFB form of both the
+right and left trailing-matrix updates — and of their *reversals*:
+because ``I - V T Vᵀ`` is orthogonal, the reverse of a left update is a
+left update with the transposed T (the reverse kernels of
+:mod:`repro.abft.checksums` use that form). :mod:`repro.linalg.orghr`
 forms and applies the Hessenberg Q through both routines, for one
-matrix or a per-item F-ordered stack of them.
+matrix or a per-item F-ordered stack of them. The last GEMM of
+:func:`larfb` adds its product into C in place, with ``β = 1``, through
+the package's one GEMM provider, :func:`repro.perf.gemm.fold`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
+from repro.perf.gemm import fold
 
 
 def larft(
@@ -120,12 +123,14 @@ def block_reflector(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.eye(m) - v @ t @ v.T
 
 
-def _product_like(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in a fresh array laid out like *c* (per item, for a
-    stack). For a column-major C, ``np.matmul`` forms the product
-    transposed, as :meth:`repro.perf.workspace.Workspace.product` does
-    for the drivers, and ``c -= ...`` reads both operands in one order."""
-    return np.matmul(a, b, out=np.empty_like(c))
+def _fold_in_layout(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c -= a @ b`` through :func:`repro.perf.gemm.fold`, the product
+    rounded in C's own layout (per item, for a stack): ``fold`` rounds a
+    column-major product, so a row-major C folds the transposed problem."""
+    if abs(c.strides[-2]) < abs(c.strides[-1]):
+        fold(c, a, b, -1.0)
+    else:
+        fold(c.swapaxes(-1, -2), b.swapaxes(-1, -2), a.swapaxes(-1, -2), -1.0)
 
 
 def larfb(
@@ -150,8 +155,8 @@ def larfb(
     here, and the reverse-computation path substitutes the transposed T.
     (..., m, k) stacks of V, T and C apply every item's block through
     the same per-item GEMMs as a 2-D call (see :func:`larft`). The
-    final product is formed in C's own layout (see :func:`_product_like`),
-    so the fold into C is one unit-stride sweep.
+    final product lands in C through :func:`_fold_in_layout`, rounded in
+    C's own layout.
     """
     m, k = v.shape[-2:]
     if t.shape[-2:] != (k, k):
@@ -164,7 +169,7 @@ def larfb(
         n = c.shape[-1]
         w = v.swapaxes(-1, -2) @ c  # k x n
         w = opt @ w                 # k x n
-        c -= _product_like(c, v, w)
+        _fold_in_layout(c, v, w)
         if counter is not None:
             counter.add(
                 category,
@@ -179,7 +184,7 @@ def larfb(
         rows = c.shape[-2]
         w = c @ v                   # rows x k
         w = w @ opt                 # rows x k
-        c -= _product_like(c, w, v.swapaxes(-1, -2))
+        _fold_in_layout(c, w, v.swapaxes(-1, -2))
         if counter is not None:
             counter.add(
                 category,

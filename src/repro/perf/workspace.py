@@ -9,10 +9,12 @@ ABFT maintenance is nearly free.
 
 :class:`Workspace` replaces all of that with named, grown-once buffers.
 Buffers are handed out as exact-shape views of flat pools, so a request
-for an ``(m, k)`` Fortran block is genuinely F-contiguous. Every
-trailing-update GEMM goes through :meth:`Workspace.product`: one
-``np.matmul`` into one pooled buffer per dtype, laid out like the
-Fortran-ordered storage it is folded into (``c -= ws.product(a, b)``).
+for an ``(m, k)`` Fortran block is genuinely F-contiguous. A trailing
+update of a matrix adds its product into the storage in place
+(:func:`repro.perf.gemm.fold`) and needs no buffer; the products that
+``fold`` forms with ``np.matmul`` (a stack's, a row-major C's, or a
+one-row or one-column output's) land in one pooled buffer per dtype
+(``gemm.prod``).
 
 A workspace is private to one driver invocation (it is not thread-safe,
 and the V/Y/T buffers of iteration *i* are only valid until iteration
@@ -29,6 +31,9 @@ import numpy as np
 #: arena: a pure function of its key, over the fixed set of buffer names
 _KEYS: dict[tuple[str, object], tuple[str, np.dtype]] = {}
 
+#: an arena forgets its handed-out views when it holds this many
+_MAX_VIEWS = 1024
+
 
 class Workspace:
     """Named scratch buffers, allocated once and reused across iterations.
@@ -39,11 +44,16 @@ class Workspace:
     requested shape stays the same; callers that need a zeroed buffer pass
     ``zero=True``. Pools are float64 by default; other lane dtypes get
     their own pools keyed ``"<name>@<dtype>"`` so a mixed-precision worker
-    never reinterprets bytes across lanes.
+    never reinterprets bytes across lanes. A repeated request gets the
+    same view object back, until a pool grows.
     """
 
     def __init__(self) -> None:
         self._pools: dict[str, np.ndarray] = {}
+        # (name, dtype, shape, order) -> the view handed out for it; the
+        # reshape costs about half a call, and every view goes stale
+        # when a pool grows
+        self._views: dict[tuple, np.ndarray] = {}
 
     def buf(
         self,
@@ -55,6 +65,14 @@ class Workspace:
         dtype: np.dtype | type = np.float64,
     ) -> np.ndarray:
         """An exact-shape view of the named pool at *dtype*."""
+        view = self._views.get((name, dtype, shape, order))
+        if view is None:
+            view = self._view(name, shape, order, dtype)
+        if zero:
+            view[...] = 0.0
+        return view
+
+    def _view(self, name: str, shape: tuple[int, ...], order: str, dtype) -> np.ndarray:
         memo = _KEYS.get((name, dtype))
         if memo is None:
             dt = np.dtype(dtype)
@@ -67,9 +85,10 @@ class Workspace:
         if pool is None or pool.size < size:
             pool = np.empty(max(size, 1), dtype=dt)
             self._pools[key] = pool
-        view = pool[:size].reshape(shape, order=order)
-        if zero:
-            view[...] = 0.0
+            self._views.clear()
+        elif len(self._views) >= _MAX_VIEWS:
+            self._views.clear()
+        view = self._views[name, dtype, shape, order] = pool[:size].reshape(shape, order=order)
         return view
 
     def vec(
@@ -103,24 +122,6 @@ class Workspace:
             return self.buf(name, shape, zero=zero, dtype=dtype)
         flat = self.buf(name, shape + lead, order="F", zero=zero, dtype=dtype)
         return flat.transpose(*range(2, 2 + len(lead)), 0, 1)
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``a @ b`` in the pooled product buffer, as a Fortran-layout view.
-
-        The one GEMM form of every trailing update: callers fold the
-        result in with ``c -= ws.product(a, b)`` (or ``+=``). The product
-        is formed transposed, ``np.matmul(bᵀ, aᵀ)``, into a C-ordered
-        buffer, so the returned view has the memory layout of the
-        Fortran-ordered storage it lands in: the fold is one unit-stride
-        sweep, and BLAS computes every entry as an in-place column-major
-        GEMM (``beta=1``) would. Stacked ``(..., m, k)`` and ``(..., k, n)``
-        operands work the same, item by item. The view is valid until the
-        next :meth:`product` call on this arena.
-        """
-        shape = a.shape[:-2] + (b.shape[-1], a.shape[-2])
-        out = self.buf("gemm.prod", shape, order="C", dtype=a.dtype)
-        np.matmul(b.swapaxes(-1, -2), a.swapaxes(-1, -2), out=out)
-        return out.swapaxes(-1, -2)
 
     def matrix_like(self, name: str, src: np.ndarray, *, order: str = "F") -> np.ndarray:
         """A named pooled buffer holding a writable copy of *src*.
@@ -158,8 +159,9 @@ class Workspace:
         self.buf("upd.v2ce", (rows, nb), dtype=dtype)
         self.buf("upd.w1c", (nb, rows), order="C", dtype=dtype)
         self.buf("upd.w2c", (nb, rows), order="C", dtype=dtype)
-        # every trailing-update product, forward and reverse, fits here
-        self.buf("gemm.prod", (rows, rows), order="C", dtype=dtype)
+        # fold's matmul-then-fold: a matrix reaches it only with a
+        # one-row or one-column output (the top rows at p = 0)
+        self.vec("gemm.prod", rows, dtype=dtype)
 
     @property
     def nbytes(self) -> int:
@@ -174,6 +176,7 @@ class Workspace:
     def clear(self) -> None:
         """Release every pool (the arena itself stays usable)."""
         self._pools.clear()
+        self._views.clear()
 
 
 # One arena per process, for workers that run many driver invocations

@@ -563,10 +563,9 @@ class TestLarfgHypotParity:
 def test_batched_fused_left_update_invocation_count(monkeypatch):
     """The scalar invocation-count pin, on a stack: the fused left update
     issues exactly two stacked projection matmuls plus ONE stacked apply
-    product (no per-item loop) — and nothing that produces a standalone
+    ``fold`` (no per-item loop) — and nothing that produces a standalone
     k-row checksum product."""
     import repro.abft.checksums as U
-    import repro.perf.workspace as W
     from repro.batch.panel import lahr2_batched
     from repro.batch.stack import EncodedMatrixBatch
 
@@ -578,13 +577,17 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     pf = lahr2_batched(emb.ext, p, ib, n, workspace=ws)
     vce = U.v_col_checksums(pf, emb)
 
-    calls = []
-    real_matmul = np.matmul
+    calls, folds = [], []
+    real_matmul, real_fold = np.matmul, U.fold
 
     def counting_matmul(x, y, out=None, **kw):
         r = real_matmul(x, y, out=out, **kw)
         calls.append(r.shape)
         return r
+
+    def counting_fold(c, x, y, alpha, workspace=None):
+        folds.append(c.shape)
+        real_fold(c, x, y, alpha, workspace)
 
     class _NP:
         def __getattr__(self, name):
@@ -593,10 +596,11 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     shim = _NP()
     shim.matmul = counting_matmul
     monkeypatch.setattr(U, "np", shim)
-    monkeypatch.setattr(W, "np", shim)
+    monkeypatch.setattr(U, "fold", counting_fold)
     U.left_update_encoded(emb, pf, vce, workspace=ws)
-    assert len(calls) == 3
-    # no standalone checksum-row product: nothing with k rows (or, for
-    # the transposed product buffer, k columns) in the trailing dims
-    assert all(k not in s[-2:] for s in calls)
+    assert len(calls) == 2 and len(folds) == 1
+    # no standalone checksum-row product: nothing with k rows (or k
+    # columns) in the trailing dims, and the apply covers the whole stack
+    assert all(k not in s[-2:] for s in calls + folds)
+    assert folds[0][0] == b
 

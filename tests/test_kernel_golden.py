@@ -261,22 +261,25 @@ def test_left_update_without_workspace_bitwise(channels):
 
 def test_fused_left_update_invocation_count(monkeypatch):
     """The fused left update is exactly three BLAS invocations — the
-    two projection matmuls and ONE apply product, all through
-    ``np.matmul`` — with NO separate checksum-row product (no call
-    writes a k-row output)."""
+    two projection matmuls and ONE apply, a ``fold`` into the storage —
+    with NO separate checksum-row product (no call writes a k-row
+    output)."""
     import repro.abft.checksums as C
-    import repro.perf.workspace as W
 
     n, p, ib, channels = 96, 16, 16, 2
     _, em_new, pf, vce, ws = _fused_left_setup(n, p, ib, channels, seed=9)
 
-    calls = []
-    real_matmul = np.matmul
+    calls, folds = [], []
+    real_matmul, real_fold = np.matmul, C.fold
 
     def counting_matmul(a, b, out=None, **kw):
         r = real_matmul(a, b, out=out, **kw)
         calls.append(r.shape)
         return r
+
+    def counting_fold(c, a, b, alpha, workspace=None):
+        folds.append(c.shape)
+        real_fold(c, a, b, alpha, workspace)
 
     class _NP:
         def __getattr__(self, name):
@@ -285,9 +288,9 @@ def test_fused_left_update_invocation_count(monkeypatch):
     shim = _NP()
     shim.matmul = counting_matmul
     monkeypatch.setattr(C, "np", shim)
-    monkeypatch.setattr(W, "np", shim)
+    monkeypatch.setattr(C, "fold", counting_fold)
     C.left_update_encoded(em_new, pf, vce, workspace=ws)
-    assert len(calls) == 3
+    assert len(calls) == 2 and len(folds) == 1
     # the k checksum rows ride inside the apply — nothing produces a
     # standalone (k, ...) block, nor its transpose
-    assert all(channels not in shape for shape in calls)
+    assert all(channels not in shape for shape in calls + folds)

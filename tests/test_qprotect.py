@@ -9,6 +9,8 @@ from repro.errors import UncorrectableError
 from repro.faults import FaultInjector, FaultSpec
 from repro.faults.regions import AREA_NO_PROPAGATION, classify, finished_cols_at
 from repro.linalg import gehrd
+from repro.linalg.orghr import orghr
+from repro.linalg.verify import factorization_residual
 from repro.utils.rng import random_matrix
 
 
@@ -223,3 +225,23 @@ class TestQRegionBound:
             np.abs(res.q_report.col_residuals).max(),
         )
         assert worst < QProtector(256).threshold(dtype) / 100
+
+
+class TestPanelWindow:
+    """A strike on the panel's own reflector storage after the panel
+    factorization (``post_panel``, ``post_right``) hits reflectors the
+    updates never read again. The Q checksums take the panel in right
+    after the factorization, so they hold the clean reflectors, and the
+    end-of-run check repairs the struck one instead of certifying it."""
+
+    @pytest.mark.parametrize("phase", ["post_panel", "post_right"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_struck_reflector_is_repaired(self, phase, channels):
+        n = 96
+        a = random_matrix(n, seed=0)
+        cfg = FTConfig(nb=16, channels=channels)
+        spec = FaultSpec(iteration=2, row=60, col=34, phase=phase)
+        res = ft_gehrd(a, cfg, injector=FaultInjector([spec]))
+        assert [(e.row, e.col) for e in res.q_report.errors] == [(60, 34)]
+        q = orghr(res.a, res.taus)
+        assert factorization_residual(a, q, np.triu(res.a, -1)) < 1e-15

@@ -1,9 +1,9 @@
 """The scratch arena and the one GEMM provider behind every update kernel.
 
-Every trailing-update product goes through ``Workspace.product`` (one
-``np.matmul`` into one pooled buffer per dtype), so the arena must cover
-the whole hot path once presized, and NumPy must be the only BLAS the
-package loads.
+Every trailing-update GEMM goes through ``repro.perf.gemm.fold`` (one
+in-place ``β = 1`` call for a matrix; a stack's product in one pooled
+buffer per dtype), so the arena must cover the whole hot path once
+presized, and NumPy must be the only BLAS the package loads.
 """
 
 import os
@@ -17,37 +17,47 @@ import pytest
 import repro
 from repro.core import FTConfig, HybridConfig, ft_gehrd, hybrid_gehrd
 from repro.faults import FaultInjector, FaultSpec
+from repro.perf.gemm import fold
 from repro.perf.workspace import Workspace
 from repro.utils.rng import random_matrix
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
 
-class TestProduct:
-    def test_product_is_a_fortran_view_of_a_at_b(self):
+class TestFold:
+    def test_fold_adds_a_at_b_into_a_fortran_c(self):
         rng = np.random.default_rng(0)
         a = np.asfortranarray(rng.standard_normal((7, 3)))
         b = np.asfortranarray(rng.standard_normal((3, 5)))
-        ws = Workspace()
-        got = ws.product(a, b)
-        assert got.shape == (7, 5) and got.flags.f_contiguous
-        np.testing.assert_allclose(got, a @ b, rtol=1e-14)
+        c0 = np.asfortranarray(rng.standard_normal((7, 5)))
+        c = c0.copy(order="F")
+        fold(c, a, b, -1.0, Workspace())
+        assert c.flags.f_contiguous
+        np.testing.assert_allclose(c, c0 - a @ b, rtol=1e-14)
 
-    def test_one_pooled_buffer_per_dtype(self):
+    def test_products_share_one_pooled_buffer_per_dtype(self):
         rng = np.random.default_rng(1)
         ws = Workspace()
         for m, n in ((9, 4), (3, 11), (6, 6)):
-            ws.product(rng.standard_normal((m, 2)), rng.standard_normal((2, n)))
-        ws.product(np.ones((4, 2), np.float32), np.ones((2, 4), np.float32))
+            c = np.zeros((2, m, n))
+            fold(c, rng.standard_normal((2, m, 2)), rng.standard_normal((2, 2, n)), -1.0, ws)
+            c = np.zeros((m, n), order="F")
+            fold(c, rng.standard_normal((m, 2)), rng.standard_normal((2, n)), -1.0, ws)
+        c = np.zeros((2, 4, 4), np.float32)
+        fold(c, np.ones((2, 4, 2), np.float32), np.ones((2, 2, 4), np.float32), 1.0, ws)
         assert ws.buffers == 2  # gemm.prod and gemm.prod@float32
 
     def test_stacked_items_match_scalar_bytes(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 40, 8))
         b = rng.standard_normal((3, 8, 30))
-        stacked = Workspace().product(a, b).copy()
+        c0 = np.asfortranarray(rng.standard_normal((40, 30, 3))).transpose(2, 0, 1)
+        stacked = c0.copy()
+        fold(stacked, a, b, -1.0, Workspace())
         for i in range(3):
-            assert np.array_equal(stacked[i], Workspace().product(a[i], b[i]))
+            item = np.asfortranarray(c0[i])
+            fold(item, a[i], b[i], -1.0)
+            assert np.array_equal(stacked[i], item)
 
 
 class TestBufKeys:
@@ -63,6 +73,25 @@ class TestBufKeys:
         e = ws.buf("x", (2, 2))
         assert d.ctypes.data == e.ctypes.data and d.dtype == np.float64
         assert sorted(ws._pools) == ["x", "x@float32"]
+
+
+class TestBufViews:
+    def test_repeated_request_gets_the_same_view(self):
+        ws = Workspace()
+        a = ws.buf("x", (4, 3))
+        a[...] = 7.0
+        assert ws.buf("x", (4, 3)) is a
+        assert not ws.buf("x", (4, 3), zero=True).any()
+        assert ws.buf("x", (3, 4), order="C") is not a
+
+    def test_a_grown_pool_hands_out_fresh_views(self):
+        ws = Workspace()
+        small = ws.buf("x", (4, 3))
+        ws.buf("x", (40, 30))  # grows the pool
+        again = ws.buf("x", (4, 3))
+        assert again is not small
+        assert not np.shares_memory(again, small)
+        assert np.shares_memory(again, ws._pools["x"])
 
 
 class TestPresizeCoversHotPath:
@@ -96,6 +125,7 @@ class TestPresizeCoversHotPath:
 
 
 _ONE_BLAS = """
+import os
 import sys
 import numpy as np
 from repro.batch import ft_gehrd_batched
@@ -120,14 +150,22 @@ with HessService(workers=1, small_n_threshold=64) as svc:
     assert svc.result(sub.job_id, timeout=120).status == "done"
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+from repro.perf import gemm
+# one BLAS mapped, and the in-place GEMM bound to it (binding maps no copy)
+with open("/proc/self/maps") as fh:
+    blas = {os.path.realpath(line.split()[-1]) for line in fh
+            if "blas" in os.path.basename(line.split()[-1]).lower()}
+assert len(blas) <= 1, blas
+assert gemm.LIBRARY is None or {os.path.realpath(gemm.LIBRARY)} == blas, (gemm.LIBRARY, blas)
 print("one blas ok")
 """
 
 
 def test_drivers_load_no_second_blas():
-    """NumPy is the only GEMM provider: the drivers, the recovery ladder,
-    the batch lane and an in-thread serve job never import SciPy (whose
-    bundled OpenBLAS would run its own thread pool next to NumPy's)."""
+    """NumPy's BLAS is the only GEMM provider: the drivers, the recovery
+    ladder, the batch lane and an in-thread serve job never import SciPy
+    (whose bundled OpenBLAS would run its own thread pool next to
+    NumPy's), and the in-place GEMM binds the one BLAS mapped."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _ONE_BLAS],
